@@ -115,13 +115,16 @@ def _pipeline_sidecar(cache_path) -> str:
     return cache_path + ".json"
 
 
-def _load_pipeline_sidecar(cache_path):
+def _pipeline_meta(cache_path):
+    """The {"pipeline", "sample_rate"} record a model carries, read from the
+    cache's sidecar (None when there is no sidecar)."""
     sidecar = _pipeline_sidecar(cache_path)
     if not os.path.exists(sidecar):
-        return None, None
+        return None
     with open(sidecar) as fh:
         doc = json.load(fh)
-    return features.PipelineConfig.from_dict(doc["pipeline"]), doc.get("sample_rate")
+    pipeline = features.PipelineConfig.from_dict(doc["pipeline"])
+    return {"pipeline": pipeline.to_dict(), "sample_rate": doc.get("sample_rate")}
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +223,8 @@ def _load_cache_and_split(cache_path, manifest_path, split_name):
 
 def cmd_train_svm(args, run: RunDir) -> int:
     opts = _merge(args, dict(features=None, manifest=None, kernel="rbf",
-                             C=10.0, gamma="scale", strategy="ovr",
-                             tol=1e-3, max_passes=10000, out=None))
+                             C=10.0, gamma="scale", tol=1e-3,
+                             max_passes=10000, out=None))
     windows, labels = _load_cache_and_split(opts.features, opts.manifest, "train")
     if opts.gamma == "scale":
         spec = svm.KernelSpec(kind=opts.kernel, C=float(opts.C))
@@ -229,16 +232,12 @@ def cmd_train_svm(args, run: RunDir) -> int:
         spec = svm.KernelSpec(kind=opts.kernel, C=float(opts.C),
                               gamma_mode="fixed", gamma_value=float(opts.gamma))
     X = np.stack([features.flatten(w) for w in windows])
-    model = svm.train_multiclass(X, labels, spec, strategy=opts.strategy,
-                                 tol=float(opts.tol),
+    model = svm.train_multiclass(X, labels, spec, tol=float(opts.tol),
                                  max_passes=int(opts.max_passes),
                                  seed=opts.seed)
-    pipeline_cfg, sample_rate = _load_pipeline_sidecar(opts.features)
-    meta = None
-    if pipeline_cfg is not None:
-        meta = {"pipeline": pipeline_cfg.to_dict(), "sample_rate": sample_rate}
+    model.pipeline_config = _pipeline_meta(opts.features)
     out = opts.out or run.file("svm_model.bin")
-    svm.save_svm(out, model, pipeline_config=meta)
+    svm.save_svm(out, model)
     summary = model.summary()
     print(summary, end="")
     run.write_text("svm_summary.txt", summary)
@@ -263,10 +262,7 @@ def cmd_train_cnn(args, run: RunDir) -> int:
     model = nn.build_emotion_cnn(n_mfcc=n_mfcc, n_frames=x.shape[2],
                                  dense_units=int(opts.dense_units),
                                  seed=opts.seed)
-    pipeline_cfg, sample_rate = _load_pipeline_sidecar(opts.features)
-    if pipeline_cfg is not None:
-        model.pipeline_config = {"pipeline": pipeline_cfg.to_dict(),
-                                 "sample_rate": sample_rate}
+    model.pipeline_config = _pipeline_meta(opts.features)
     cfg = nn.TrainConfig(lr=float(opts.lr), decay=float(opts.decay),
                          batch_size=int(opts.batch_size),
                          epochs=int(opts.epochs), seed=opts.seed)
@@ -279,16 +275,21 @@ def cmd_train_cnn(args, run: RunDir) -> int:
     return 0
 
 
+# container magic -> (loader, key of the model's accuracy in the reference table)
+_MODEL_FORMATS = {
+    svm.SVM_MAGIC: (svm.load_svm, "svm_best_accuracy"),
+    nn.CNN_MAGIC: (nn.load_cnn, "cnn_top1"),
+}
+
+
 def _sniff_model(path):
+    """(model, reference-table key) for a model container of either type."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
-    if magic == svm.SVM_MAGIC:
-        model, meta = svm.load_svm(path)
-        return model, meta
-    if magic == nn.CNN_MAGIC:
-        model = nn.load_cnn(path)
-        return model, model.pipeline_config
-    raise DataError(f"{path}: not a recognized model container")
+    if magic not in _MODEL_FORMATS:
+        raise DataError(f"{path}: not a recognized model container")
+    loader, reference_key = _MODEL_FORMATS[magic]
+    return loader(path), reference_key
 
 
 def cmd_eval(args, run: RunDir) -> int:
@@ -296,7 +297,7 @@ def cmd_eval(args, run: RunDir) -> int:
                              split="test", roc=False, compare_reference=False))
     if not opts.model:
         raise UsageError("--model is required")
-    model, _meta = _sniff_model(opts.model)
+    model, reference_key = _sniff_model(opts.model)
     windows, labels = _load_cache_and_split(opts.features, opts.manifest,
                                             opts.split)
     report = sweep.evaluate_model(model, windows, labels,
@@ -310,8 +311,7 @@ def cmd_eval(args, run: RunDir) -> int:
             lines.append(f"{name},{'' if np.isnan(auc) else repr(float(auc))}")
         run.write_text("roc_auc.csv", "\n".join(lines) + "\n")
     if opts.compare_reference:
-        measured = {"cnn_top1" if isinstance(model, nn.CnnModel)
-                    else "svm_best_accuracy": report.accuracy}
+        measured = {reference_key: report.accuracy}
         recalls = dict(zip(report.class_names, report.recall))
         for name in reference.REFERENCE["per_class_accuracy"]:
             if name in recalls:
@@ -397,7 +397,8 @@ def cmd_stream(args, run: RunDir) -> int:
                              pipeline_config=None))
     if not opts.model or not opts.wav:
         raise UsageError("--model and --wav are required")
-    model, meta = _sniff_model(opts.model)
+    model, _ = _sniff_model(opts.model)
+    meta = model.pipeline_config
     if opts.pipeline_config:
         with open(opts.pipeline_config) as fh:
             meta = json.load(fh)
@@ -406,12 +407,10 @@ def cmd_stream(args, run: RunDir) -> int:
     pipeline_cfg = features.PipelineConfig.from_dict(meta["pipeline"])
     clip = _decode_file(opts.wav)
     if meta.get("sample_rate") and meta["sample_rate"] != clip.sample_rate:
-        print(f"warning: stream rate {clip.sample_rate} != training rate "
-              f"{meta['sample_rate']}", file=sys.stderr)
+        raise DataError(f"stream sample rate {clip.sample_rate} Hz does not "
+                        f"match the training rate {meta['sample_rate']} Hz")
     stream_cfg = streaming.StreamConfig(window_seconds=float(opts.window),
-                                        hop_seconds=float(opts.hop),
-                                        emit_format=opts.emit,
-                                        model_path=opts.model)
+                                        hop_seconds=float(opts.hop))
     events, summary = streaming.stream_infer(clip, model, pipeline_cfg,
                                              stream_cfg,
                                              chunk_size=int(opts.chunk_size))
@@ -488,8 +487,7 @@ def build_parser() -> _Parser:
         actor_disjoint={"action": "store_true", "default": None})
     add("train-svm", cmd_train_svm, features={}, manifest={},
         kernel={"choices": ["rbf", "linear"]}, C={"type": float}, gamma={},
-        strategy={"choices": ["ovr", "ovo"]}, tol={"type": float},
-        max_passes={"type": int}, out={})
+        tol={"type": float}, max_passes={"type": int}, out={})
     add("train-cnn", cmd_train_cnn, features={}, manifest={},
         epochs={"type": int}, batch_size={"type": int}, lr={"type": float},
         decay={"type": float}, dense_units={"type": int}, out={})

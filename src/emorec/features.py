@@ -48,7 +48,6 @@ class PipelineConfig:
     n_mels: int = 26
     f_min: float = 0.0
     f_max: float | None = None
-    augmentations: frozenset[str] = frozenset()
 
     def __post_init__(self):
         if self.n_mfcc < 1:
@@ -63,9 +62,6 @@ class PipelineConfig:
             raise ConfigError(
                 f"target_length {self.target_length} too short to produce "
                 f"{N_FRAMES} frames of {self.frame_length} samples")
-        bad = set(self.augmentations) - {"reverse", "invert"}
-        if bad:
-            raise ConfigError(f"unknown augmentations {sorted(bad)}")
 
     @property
     def hop_length(self) -> int:
@@ -79,13 +75,14 @@ class PipelineConfig:
             "n_mels": self.n_mels,
             "f_min": self.f_min,
             "f_max": self.f_max,
-            "augmentations": sorted(self.augmentations),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         d = dict(d)
-        d["augmentations"] = frozenset(d.get("augmentations", ()))
+        # configs written before the field was dropped carry an empty list
+        if d.pop("augmentations", []) != []:
+            raise ConfigError("pipeline configs with augmentations are not supported")
         return cls(**d)
 
 
@@ -152,7 +149,6 @@ def augment_invert(clip: AudioClip) -> AudioClip:
 # Inverted clips produce bit-identical feature windows (|FFT(-x)| == |FFT(x)|),
 # so augmented datasets carry duplicate features for every "invert" record.
 AUGMENTATIONS = {"reverse": augment_reverse, "invert": augment_invert}
-FEATURE_PRESERVING_AUGMENTATIONS = frozenset({"invert"})
 
 
 def make_feature_window(clip: AudioClip, cfg: PipelineConfig) -> FeatureWindow:
@@ -220,23 +216,28 @@ def load_feature_cache(path):
         data = fh.read()
     if data[:8] != CACHE_MAGIC:
         raise FormatError(f"bad feature cache magic {data[:8]!r}")
-    version, count = struct.unpack_from("<II", data, 8)
+    pos = 8
+
+    def take(n_bytes, what):
+        nonlocal pos
+        if pos + n_bytes > len(data):
+            raise FormatError(
+                f"feature cache truncated at byte {pos}: {what} needs "
+                f"{n_bytes} bytes, {len(data) - pos} left")
+        pos += n_bytes
+        return data[pos - n_bytes : pos]
+
+    version, count = struct.unpack("<II", take(8, "header"))
     if version != CACHE_VERSION:
         raise FormatError(f"feature cache version {version}, expected {CACHE_VERSION}")
-    pos = 16
     out = []
     for _ in range(count):
-        (id_len,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        sample_id = data[pos : pos + id_len].decode("utf-8")
-        pos += id_len
-        label, n_mfcc, n_frames = struct.unpack_from("<BHH", data, pos)
-        pos += 5
-        n_bytes = n_mfcc * n_frames * 4
-        matrix = np.frombuffer(data[pos : pos + n_bytes], dtype="<f4")
-        matrix = matrix.reshape(n_mfcc, n_frames).astype(np.float64)
-        pos += n_bytes
-        out.append((sample_id, label, matrix))
+        (id_len,) = struct.unpack("<H", take(2, "id length"))
+        sample_id = take(id_len, "id").decode("utf-8")
+        label, n_mfcc, n_frames = struct.unpack("<BHH", take(5, "record header"))
+        matrix = np.frombuffer(take(n_mfcc * n_frames * 4, "matrix"), dtype="<f4")
+        out.append((sample_id, label,
+                    matrix.reshape(n_mfcc, n_frames).astype(np.float64)))
     if pos != len(data):
         raise FormatError(f"feature cache has {len(data) - pos} trailing bytes")
     return out

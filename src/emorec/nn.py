@@ -4,6 +4,9 @@ Tensors are numpy arrays in NHWC layout; training math runs in float64,
 checkpoints store float32.  The layer set is fixed: 3x3 convolutions (same or
 valid padding), 2x2 max pooling, inverted dropout, flatten, dense, with ReLU
 hidden activations and a softmax head trained by categorical cross-entropy.
+Each layer type is defined in one spec class (its output shape, parameter
+shapes, forward and backward step, and checkpoint name); shape inference,
+parameter counts, init, the passes and checkpoints loop over the specs.
 
 The reference 13x26 model:
 
@@ -38,38 +41,154 @@ PROB_FLOOR = 1e-12
 # ---------------------------------------------------------------------------
 # Layer specs
 # ---------------------------------------------------------------------------
+#
+# Each spec class is the one place that knows its layer type: `kind` (its
+# name in checkpoints and the audit table), `out_shape`, `param_shapes`
+# ({} for parameterless layers), and one `forward` / `backward` step.  The
+# steps call the primitive ops below by module-global name at call time.
+
+@dataclass
+class _Pass:
+    """State of one forward pass that dropout layers read and record."""
+    train: bool
+    rng: object                   # dropout draws; unused when replaying
+    replay: object                # iterator over masks to replay, or None
+    masks: list                   # masks applied, in layer order
+
+
+def _activate(x, activation):
+    if activation == "relu":
+        return relu_forward(x)
+    return x, None
+
+
+def _deactivate(d, relu_mask):
+    return d if relu_mask is None else relu_backward(d, relu_mask)
+
+
+class _Layer:
+    """Defaults for a layer that has no parameters and keeps its input shape."""
+
+    def out_shape(self, shape):
+        return shape
+
+    def param_shapes(self, shape):
+        return {}
+
 
 @dataclass(frozen=True)
-class Conv2D:
+class Conv2D(_Layer):
     filters: int
     kernel: int = 3
     padding: str = "same"        # "same" | "valid"
     activation: str = "relu"     # "relu" | "none"
 
+    kind = "conv2d"
+
+    def out_shape(self, shape):
+        h, w, _ = shape
+        if self.padding == "valid":
+            h, w = h - self.kernel + 1, w - self.kernel + 1
+        if h < 1 or w < 1:
+            raise ConfigError(f"conv output collapsed to {h}x{w}")
+        return (h, w, self.filters)
+
+    def param_shapes(self, shape):
+        k = self.kernel
+        return {"W": (k, k, shape[-1], self.filters), "b": (self.filters,)}
+
+    def forward(self, x, p, run):
+        x, cache = conv2d_forward(x, p["W"], p["b"], self.padding)
+        x, relu_mask = _activate(x, self.activation)
+        return x, (cache, relu_mask)
+
+    def backward(self, d, cache):
+        conv_cache, relu_mask = cache
+        d, dW, db = conv2d_backward(_deactivate(d, relu_mask), conv_cache)
+        return d, {"W": dW, "b": db}
+
 
 @dataclass(frozen=True)
-class MaxPool2D:
+class MaxPool2D(_Layer):
     size: int = 2
 
+    kind = "max_pooling2d"
+
+    def out_shape(self, shape):
+        h, w, c = shape
+        if h < self.size or w < self.size:
+            raise ConfigError(f"{h}x{w} too small for {self.size}x{self.size} pool")
+        return (h // self.size, w // self.size, c)
+
+    def forward(self, x, p, run):
+        return maxpool2d_forward(x, self.size)
+
+    def backward(self, d, cache):
+        return maxpool2d_backward(d, cache), None
+
 
 @dataclass(frozen=True)
-class DropoutSpec:
+class DropoutSpec(_Layer):
     rate: float
+
+    kind = "dropout"
 
     def __post_init__(self):
         if not 0.0 <= self.rate < 1.0:
             raise ConfigError(f"dropout rate {self.rate} outside [0, 1)")
 
+    def forward(self, x, p, run):
+        mask = next(run.replay) if run.replay is not None else None
+        x, mask = dropout_forward(x, self.rate, run.train, rng=run.rng, mask=mask)
+        run.masks.append(mask)
+        return x, mask
+
+    def backward(self, d, mask):
+        return dropout_backward(d, mask, self.rate), None
+
 
 @dataclass(frozen=True)
-class FlattenSpec:
-    pass
+class FlattenSpec(_Layer):
+    kind = "flatten"
+
+    def out_shape(self, shape):
+        return (int(np.prod(shape)),)
+
+    def forward(self, x, p, run):
+        return x.reshape(x.shape[0], -1), x.shape
+
+    def backward(self, d, x_shape):
+        return d.reshape(x_shape), None
 
 
 @dataclass(frozen=True)
-class Dense:
+class Dense(_Layer):
     units: int
     activation: str = "relu"     # "relu" | "softmax" | "none"
+
+    kind = "dense"
+
+    def out_shape(self, shape):
+        if len(shape) != 1:
+            raise ConfigError("dense layer needs flattened input")
+        return (self.units,)
+
+    def param_shapes(self, shape):
+        return {"W": (shape[0], self.units), "b": (self.units,)}
+
+    def forward(self, x, p, run):
+        x, cache = dense_forward(x, p["W"], p["b"])
+        x, relu_mask = _activate(x, self.activation)
+        return x, (cache, relu_mask)
+
+    def backward(self, d, cache):
+        dense_cache, relu_mask = cache
+        d, dW, db = dense_backward(_deactivate(d, relu_mask), dense_cache)
+        return d, {"W": dW, "b": db}
+
+
+_LAYER_TYPES = {cls.kind: cls for cls in (Conv2D, MaxPool2D, DropoutSpec,
+                                          FlattenSpec, Dense)}
 
 
 # ---------------------------------------------------------------------------
@@ -237,75 +356,56 @@ class CnnModel:
     def n_classes(self) -> int:
         return self.specs[-1].units
 
+    @property
+    def window_size(self) -> int:
+        """Feature values per input window (n_mfcc * n_frames)."""
+        return math.prod(self.input_shape)
+
+    def scores(self, windows) -> np.ndarray:
+        """Softmax probabilities for windows shaped (N, n_mfcc, n_frames)."""
+        return predict_proba(self, np.asarray(windows)[..., None])
+
+    def probabilities(self, windows) -> np.ndarray:
+        """The scores, which for the CNN already are probabilities."""
+        return self.scores(windows)
+
 
 def layer_shapes(specs, input_shape):
     """Output shape after each layer; raises on impossible geometry."""
     shape = tuple(input_shape)
     out = []
     for spec in specs:
-        if isinstance(spec, Conv2D):
-            h, w, _ = shape
-            if spec.padding == "valid":
-                h, w = h - spec.kernel + 1, w - spec.kernel + 1
-            if h < 1 or w < 1:
-                raise ConfigError(f"conv output collapsed to {h}x{w}")
-            shape = (h, w, spec.filters)
-        elif isinstance(spec, MaxPool2D):
-            h, w, c = shape
-            if h < spec.size or w < spec.size:
-                raise ConfigError(f"{h}x{w} too small for {spec.size}x{spec.size} pool")
-            shape = (h // spec.size, w // spec.size, c)
-        elif isinstance(spec, DropoutSpec):
-            pass
-        elif isinstance(spec, FlattenSpec):
-            shape = (int(np.prod(shape)),)
-        elif isinstance(spec, Dense):
-            if len(shape) != 1:
-                raise ConfigError("dense layer needs flattened input")
-            shape = (spec.units,)
-        else:
-            raise ConfigError(f"unknown layer spec {spec!r}")
+        shape = spec.out_shape(shape)
         out.append(shape)
     return out
 
 
+def _param_shapes(specs, input_shape):
+    """Parameter shapes of each layer ({} for parameterless layers)."""
+    inputs = [tuple(input_shape)] + layer_shapes(specs, input_shape)[:-1]
+    return [spec.param_shapes(shape) for spec, shape in zip(specs, inputs)]
+
+
 def parameter_counts(specs, input_shape):
     """Trainable parameter count per layer (0 for parameterless layers)."""
-    counts = []
-    shape = tuple(input_shape)
-    for spec, out_shape in zip(specs, layer_shapes(specs, input_shape)):
-        if isinstance(spec, Conv2D):
-            counts.append(spec.kernel * spec.kernel * shape[-1] * spec.filters
-                          + spec.filters)
-        elif isinstance(spec, Dense):
-            counts.append(shape[0] * spec.units + spec.units)
-        else:
-            counts.append(0)
-        shape = out_shape
-    return counts
+    return [sum(math.prod(s) for s in shapes.values())
+            for shapes in _param_shapes(specs, input_shape)]
 
 
-def _glorot(rng, shape, fan_in, fan_out):
+def _glorot(rng, shape):
+    """Uniform Glorot init; fans are read off the weight shape
+    (kernel area x input / output channels)."""
+    receptive = math.prod(shape[:-2])
+    fan_in, fan_out = receptive * shape[-2], receptive * shape[-1]
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, shape)
 
 
 def init_params(specs, input_shape, seed):
     rng = np.random.default_rng(seed)
-    params = []
-    shape = tuple(input_shape)
-    for spec, out_shape in zip(specs, layer_shapes(specs, input_shape)):
-        if isinstance(spec, Conv2D):
-            k, cin, cout = spec.kernel, shape[-1], spec.filters
-            W = _glorot(rng, (k, k, cin, cout), k * k * cin, k * k * cout)
-            params.append({"W": W, "b": np.zeros(cout)})
-        elif isinstance(spec, Dense):
-            W = _glorot(rng, (shape[0], spec.units), shape[0], spec.units)
-            params.append({"W": W, "b": np.zeros(spec.units)})
-        else:
-            params.append(None)
-        shape = out_shape
-    return params
+    return [{"W": _glorot(rng, shapes["W"]), "b": np.zeros(shapes["b"])}
+            if shapes else None
+            for shapes in _param_shapes(specs, input_shape)]
 
 
 def build_model(specs, input_shape, seed=0) -> CnnModel:
@@ -340,11 +440,9 @@ def audit_params(model: CnnModel) -> str:
     """Human-readable per-layer table ending with the total parameter count."""
     shapes = layer_shapes(model.specs, model.input_shape)
     counts = parameter_counts(model.specs, model.input_shape)
-    names = {Conv2D: "conv2d", MaxPool2D: "max_pooling2d",
-             DropoutSpec: "dropout", FlattenSpec: "flatten", Dense: "dense"}
     lines = [f"{'layer':<16}{'output shape':<20}{'params':>8}"]
     for spec, shape, count in zip(model.specs, shapes, counts):
-        lines.append(f"{names[type(spec)]:<16}{str(shape):<20}{count:>8}")
+        lines.append(f"{spec.kind:<16}{str(shape):<20}{count:>8}")
     lines.append(f"Total params: {sum(counts)}")
     return "\n".join(lines) + "\n"
 
@@ -361,62 +459,23 @@ def forward(model: CnnModel, x, train=False, rng=None, masks=None,
     dropout decisions; otherwise train-mode dropout draws from rng.
     """
     x = np.asarray(x, dtype=np.float64)
+    run = _Pass(train=train, rng=rng,
+                replay=iter(masks) if masks is not None else None, masks=[])
     caches = []
-    used_masks = []
-    mask_iter = iter(masks) if masks is not None else None
     for spec, p in zip(model.specs, model.params):
-        if isinstance(spec, Conv2D):
-            x, cache = conv2d_forward(x, p["W"], p["b"], spec.padding)
-            relu_mask = None
-            if spec.activation == "relu":
-                x, relu_mask = relu_forward(x)
-            caches.append(("conv", cache, relu_mask))
-        elif isinstance(spec, MaxPool2D):
-            x, cache = maxpool2d_forward(x, spec.size)
-            caches.append(("pool", cache))
-        elif isinstance(spec, DropoutSpec):
-            mask = next(mask_iter) if mask_iter is not None else None
-            x, mask = dropout_forward(x, spec.rate, train, rng=rng, mask=mask)
-            used_masks.append(mask)
-            caches.append(("dropout", mask, spec.rate))
-        elif isinstance(spec, FlattenSpec):
-            caches.append(("flatten", x.shape))
-            x = x.reshape(x.shape[0], -1)
-        elif isinstance(spec, Dense):
-            x, cache = dense_forward(x, p["W"], p["b"])
-            relu_mask = None
-            if spec.activation == "relu":
-                x, relu_mask = relu_forward(x)
-            caches.append(("dense", cache, relu_mask))
+        x, cache = spec.forward(x, p, run)
+        caches.append(cache)
         if check_finite and not np.all(np.isfinite(x)):
             raise NumericalError(f"non-finite activation after {spec}")
-    return x, caches, used_masks
+    return x, caches, run.masks
 
 
 def backward(model: CnnModel, dlogits, caches):
     """Gradients of the loss w.r.t. every parameter tensor (and the input)."""
-    grads = [None if p is None else {} for p in model.params]
+    grads = [None] * len(model.specs)
     d = dlogits
     for i in range(len(model.specs) - 1, -1, -1):
-        cache = caches[i]
-        if cache[0] == "conv":
-            _, conv_cache, relu_mask = cache
-            if relu_mask is not None:
-                d = relu_backward(d, relu_mask)
-            d, dW, db = conv2d_backward(d, conv_cache)
-            grads[i] = {"W": dW, "b": db}
-        elif cache[0] == "pool":
-            d = maxpool2d_backward(d, cache[1])
-        elif cache[0] == "dropout":
-            d = dropout_backward(d, cache[1], cache[2])
-        elif cache[0] == "flatten":
-            d = d.reshape(cache[1])
-        elif cache[0] == "dense":
-            _, dense_cache, relu_mask = cache
-            if relu_mask is not None:
-                d = relu_backward(d, relu_mask)
-            d, dW, db = dense_backward(d, dense_cache)
-            grads[i] = {"W": dW, "b": db}
+        d, grads[i] = model.specs[i].backward(d, caches[i])
     return grads, d
 
 
@@ -610,42 +669,28 @@ def gradient_check(model: CnnModel, x, labels, h=1e-5, seed=0):
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-_SPEC_NAMES = {"conv2d": Conv2D, "max_pooling2d": MaxPool2D,
-               "dropout": DropoutSpec, "flatten": FlattenSpec, "dense": Dense}
-
-
 def _spec_to_dict(spec):
-    for name, cls in _SPEC_NAMES.items():
-        if isinstance(spec, cls):
-            d = {"type": name}
-            d.update(spec.__dict__)
-            return d
-    raise ConfigError(f"unknown layer spec {spec!r}")
+    d = {"type": spec.kind}
+    d.update(spec.__dict__)
+    return d
 
 
 def _spec_from_dict(d):
     d = dict(d)
-    cls = _SPEC_NAMES[d.pop("type")]
-    return cls(**d)
+    kind = d.pop("type")
+    if kind not in _LAYER_TYPES:
+        raise FormatError(f"unknown layer type {kind!r} in CNN checkpoint")
+    return _LAYER_TYPES[kind](**d)
 
 
-def save_cnn(path, model: CnnModel, include_rms=False) -> None:
+def save_cnn(path, model: CnnModel) -> None:
     """Versioned binary checkpoint; parameters stored as little-endian float32."""
-    tensors = []
-    for p in model.params:
-        if p is not None:
-            tensors.extend([p["W"], p["b"]])
-    rms = []
-    if include_rms and model.rms_state is not None:
-        for a in model.rms_state:
-            if a is not None:
-                rms.extend([a["W"], a["b"]])
+    tensors = [t for p in model.params if p is not None for t in p.values()]
     meta = {
         "specs": [_spec_to_dict(s) for s in model.specs],
         "input_shape": list(model.input_shape),
         "seed": model.seed,
         "shapes": [list(t.shape) for t in tensors],
-        "rms_shapes": [list(t.shape) for t in rms],
         "pipeline_config": model.pipeline_config,
     }
     blob = json.dumps(meta).encode("utf-8")
@@ -653,7 +698,7 @@ def save_cnn(path, model: CnnModel, include_rms=False) -> None:
         fh.write(CNN_MAGIC)
         fh.write(struct.pack("<II", CNN_VERSION, len(blob)))
         fh.write(blob)
-        for t in tensors + rms:
+        for t in tensors:
             fh.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
 
 
@@ -667,37 +712,24 @@ def load_cnn(path) -> CnnModel:
         raise FormatError(f"CNN checkpoint version {version}, expected {CNN_VERSION}")
     meta = json.loads(data[16 : 16 + blob_len].decode("utf-8"))
     pos = 16 + blob_len
-
-    def read_tensors(shapes):
-        nonlocal pos
-        out = []
-        for shape in shapes:
-            size = int(np.prod(shape)) * 4
-            t = np.frombuffer(data[pos : pos + size], dtype="<f4")
-            out.append(t.reshape(shape).astype(np.float64))
-            pos += size
-        return out
+    if meta.get("rms_shapes"):
+        raise FormatError("CNN checkpoint carries optimizer state, which is "
+                          "not part of the format")
 
     specs = tuple(_spec_from_dict(d) for d in meta["specs"])
-    tensors = read_tensors(meta["shapes"])
-    rms = read_tensors(meta["rms_shapes"])
-
+    input_shape = tuple(meta["input_shape"])
+    layers = _param_shapes(specs, input_shape)
+    if [list(s) for shapes in layers for s in shapes.values()] != meta["shapes"]:
+        raise FormatError("CNN checkpoint tensor shapes do not match its layers")
     params = []
-    it = iter(tensors)
-    for spec in specs:
-        if isinstance(spec, (Conv2D, Dense)):
-            params.append({"W": next(it), "b": next(it)})
-        else:
-            params.append(None)
-    rms_state = None
-    if rms:
-        rms_state = []
-        it = iter(rms)
-        for spec in specs:
-            if isinstance(spec, (Conv2D, Dense)):
-                rms_state.append({"W": next(it), "b": next(it)})
-            else:
-                rms_state.append(None)
-    return CnnModel(specs=specs, input_shape=tuple(meta["input_shape"]),
-                    params=params, seed=meta["seed"], rms_state=rms_state,
+    for shapes in layers:
+        p = {}
+        for key, shape in shapes.items():
+            size = math.prod(shape) * 4
+            t = np.frombuffer(data[pos : pos + size], dtype="<f4")
+            p[key] = t.reshape(shape).astype(np.float64)
+            pos += size
+        params.append(p or None)
+    return CnnModel(specs=specs, input_shape=input_shape, params=params,
+                    seed=meta["seed"],
                     pipeline_config=meta.get("pipeline_config"))

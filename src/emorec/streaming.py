@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import features, nn, svm
+from . import features
 from .audio_io import AudioClip
 from .errors import ConfigError
 
@@ -32,15 +32,11 @@ from .errors import ConfigError
 class StreamConfig:
     window_seconds: float = 3.0
     hop_seconds: float = 0.5
-    emit_format: str = "text"        # "text" | "csv"
-    model_path: str | None = None    # provenance; the engine takes the object
 
     def __post_init__(self):
         if not 0 < self.hop_seconds <= self.window_seconds:
             raise ConfigError(
                 f"need 0 < hop ({self.hop_seconds}) <= window ({self.window_seconds})")
-        if self.emit_format not in ("text", "csv"):
-            raise ConfigError(f"unknown emit format {self.emit_format!r}")
 
 
 @dataclass
@@ -114,8 +110,8 @@ class _RingBuffer:
 class StreamingClassifier:
     """Push audio chunks, get classification events back.
 
-    The model bundle must carry the pipeline config it was trained with;
-    feature geometry mismatches fail here, at construction.
+    The model is a CnnModel or an SvmModel; both expose `window_size` and
+    `probabilities`.  Feature geometry mismatches fail here, at construction.
     """
 
     def __init__(self, model, pipeline_cfg: features.PipelineConfig,
@@ -123,18 +119,11 @@ class StreamingClassifier:
         if sample_rate <= 0:
             raise ConfigError(f"sample_rate must be positive, got {sample_rate}")
         expected = pipeline_cfg.n_mfcc * features.N_FRAMES
-        if isinstance(model, nn.CnnModel):
-            if model.input_shape[0] != pipeline_cfg.n_mfcc:
-                raise ConfigError(
-                    f"model expects {model.input_shape[0]} coefficients, "
-                    f"pipeline produces {pipeline_cfg.n_mfcc}")
-        elif isinstance(model, svm.SvmModel):
-            if model.n_features != expected:
-                raise ConfigError(
-                    f"model expects {model.n_features} features, "
-                    f"pipeline produces {expected}")
-        else:
-            raise ConfigError(f"unknown model type {type(model).__name__}")
+        if model.window_size != expected:
+            raise ConfigError(
+                f"model expects {model.window_size} features per window, "
+                f"pipeline produces {expected} ({pipeline_cfg.n_mfcc} "
+                f"coefficients x {features.N_FRAMES} frames)")
         self.model = model
         self.pipeline_cfg = pipeline_cfg
         self.cfg = stream_cfg
@@ -152,11 +141,7 @@ class StreamingClassifier:
         t0 = time.perf_counter()
         clip = AudioClip(self._ring.window(), self.sample_rate, source_id="stream")
         window = features.extract_window(clip, self.pipeline_cfg)
-        if isinstance(self.model, nn.CnnModel):
-            probs = nn.predict_proba(self.model, window.matrix[None, ..., None])[0]
-        else:
-            scores = svm.decision_values(self.model, features.flatten(window)[None])
-            probs = nn.softmax(scores)[0]  # display squash; not calibrated
+        probs = self.model.probabilities(window.matrix[None])[0]
         elapsed = time.perf_counter() - t0
         self.processing_seconds += elapsed
         latency_ms = elapsed * 1000.0

@@ -13,9 +13,9 @@ largest KKT violation drops below tol (default 1e-3) or after max_passes
 sweeps.  Pair updates preserve sum(alpha*y) = 0 exactly, so converged models
 satisfy dual feasibility by construction.
 
-Multiclass is one-vs-rest by default (prediction = argmax of decision values,
-ties to the lower class code); one-vs-one voting is available for parity
-experiments.
+Multiclass is one-vs-rest: one binary per class against the rest, sharing
+one kernel matrix; the prediction is the argmax of the decision values, ties
+to the lower class code.
 
 Defaults follow the training setup used throughout: C = 10, gamma = "scale"
 meaning 1 / (n_features * population variance of all entries of X).
@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, FormatError
+from .nn import softmax
 
 SUPPORT_THRESHOLD = 1e-8
 
@@ -244,88 +245,67 @@ class SvmModel:
     kernel: KernelSpec
     gamma: float | None
     classes: list[int]
-    strategy: str                       # "ovr" | "ovo"
-    binaries: list = field(default_factory=list)   # ovr: per class; ovo: per pair
-    pairs: list = field(default_factory=list)      # ovo class-code pairs
+    binaries: list = field(default_factory=list)   # one per class, in order
     n_features: int = 0
+    pipeline_config: dict | None = None
+
+    @property
+    def window_size(self) -> int:
+        """Feature values per input window (n_mfcc * n_frames)."""
+        return self.n_features
+
+    def scores(self, windows) -> np.ndarray:
+        """Raw decision values for windows shaped (N, n_mfcc, n_frames);
+        unscaled, fine for argmax/top-k ranking."""
+        windows = np.asarray(windows)
+        return decision_values(self, windows.reshape(len(windows), -1))
+
+    def probabilities(self, windows) -> np.ndarray:
+        """Softmax of the decision values: a display squash, not calibrated."""
+        return softmax(self.scores(windows))
 
     def summary(self) -> str:
         lines = [f"kernel={self.kernel.kind} C={self.kernel.C:g} "
-                 f"gamma={'none' if self.gamma is None else format(self.gamma, 'g')} "
-                 f"strategy={self.strategy}"]
-        for tag, bin_ in zip(self._tags(), self.binaries):
-            lines.append(f"  {tag}: {len(bin_.dual_coef)} support vectors, "
+                 f"gamma={'none' if self.gamma is None else format(self.gamma, 'g')}"]
+        for c, bin_ in zip(self.classes, self.binaries):
+            lines.append(f"  class {c}: {len(bin_.dual_coef)} support vectors, "
                          f"objective {bin_.objective:.6g}, "
                          f"{'converged' if bin_.converged else 'NOT converged'} "
                          f"in {bin_.n_passes} passes")
         return "\n".join(lines) + "\n"
 
-    def _tags(self):
-        if self.strategy == "ovr":
-            return [f"class {c}" for c in self.classes]
-        return [f"pair {a}v{b}" for a, b in self.pairs]
 
-
-def train_multiclass(X, labels, spec: KernelSpec, strategy: str = "ovr",
-                     tol: float = 1e-3, max_passes: int = 10_000,
-                     seed: int = 0) -> SvmModel:
-    """Train a multiclass SVM over integer labels."""
+def train_multiclass(X, labels, spec: KernelSpec, tol: float = 1e-3,
+                     max_passes: int = 10_000, seed: int = 0) -> SvmModel:
+    """Train a one-vs-rest multiclass SVM over integer labels."""
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     classes = sorted(int(c) for c in set(labels.tolist()))
     if len(classes) < 2:
         raise DataError("need at least 2 classes")
-    if strategy not in ("ovr", "ovo"):
-        raise DataError(f"unknown multiclass strategy {strategy!r}")
 
     gamma = resolve_gamma(X, spec) if spec.kind == "rbf" else None
     model = SvmModel(kernel=spec, gamma=gamma, classes=classes,
-                     strategy=strategy, n_features=X.shape[1])
-
-    if strategy == "ovr":
-        K = kernel_matrix(X, X, spec, gamma)   # shared across subproblems
-        for c in classes:
-            y = np.where(labels == c, 1.0, -1.0)
-            model.binaries.append(train_binary(
-                X, y, spec, tol=tol, max_passes=max_passes, seed=seed,
-                K=K, gamma=gamma))
-    else:
-        for a_idx, a in enumerate(classes):
-            for b in classes[a_idx + 1:]:
-                mask = (labels == a) | (labels == b)
-                y = np.where(labels[mask] == a, 1.0, -1.0)
-                model.pairs.append((a, b))
-                model.binaries.append(train_binary(
-                    X[mask], y, spec, tol=tol, max_passes=max_passes,
-                    seed=seed, gamma=gamma))
+                     n_features=X.shape[1])
+    K = kernel_matrix(X, X, spec, gamma)   # shared across subproblems
+    for c in classes:
+        y = np.where(labels == c, 1.0, -1.0)
+        model.binaries.append(train_binary(
+            X, y, spec, tol=tol, max_passes=max_passes, seed=seed,
+            K=K, gamma=gamma))
     return model
 
 
 def decision_values(model: SvmModel, X) -> np.ndarray:
-    """Per-class scores, shape (n, n_classes); argmax is the prediction.
-
-    ovr: raw decision values.  ovo: vote counts, fractional margins breaking
-    ties deterministically.
-    """
+    """Raw per-class decision values, shape (n, n_classes); argmax is the
+    prediction."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.n_features:
         raise DataError(f"feature dim {X.shape[1]} != trained {model.n_features}")
-    n = X.shape[0]
-    scores = np.zeros((n, len(model.classes)))
-    col = {c: k for k, c in enumerate(model.classes)}
-    if model.strategy == "ovr":
-        for k, bin_ in enumerate(model.binaries):
-            Kx = kernel_matrix(X, bin_.support_vectors, model.kernel, model.gamma)
-            scores[:, k] = Kx @ bin_.dual_coef + bin_.bias
-    else:
-        for (a, b), bin_ in zip(model.pairs, model.binaries):
-            Kx = kernel_matrix(X, bin_.support_vectors, model.kernel, model.gamma)
-            d = Kx @ bin_.dual_coef + bin_.bias
-            winners = np.where(d >= 0, col[a], col[b])
-            scores[np.arange(n), winners] += 1.0
-            # sub-vote margin so ties resolve by aggregate confidence
-            scores[:, col[a]] += 1e-6 * np.tanh(d)
-            scores[:, col[b]] -= 1e-6 * np.tanh(d)
+    scores = np.zeros((X.shape[0], len(model.classes)))
+    for k, bin_ in enumerate(model.binaries):
+        Kx = kernel_matrix(X, bin_.support_vectors, model.kernel, model.gamma)
+        scores[:, k] = Kx @ bin_.dual_coef + bin_.bias
     return scores
 
 
@@ -340,7 +320,7 @@ def predict(model: SvmModel, X) -> np.ndarray:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def save_svm(path, model: SvmModel, pipeline_config: dict | None = None) -> None:
+def save_svm(path, model: SvmModel) -> None:
     """Versioned binary container: JSON header + float64 LE tensors."""
     meta = {
         "kernel": {"kind": model.kernel.kind, "C": model.kernel.C,
@@ -348,13 +328,11 @@ def save_svm(path, model: SvmModel, pipeline_config: dict | None = None) -> None
                    "gamma_value": model.kernel.gamma_value},
         "gamma": model.gamma,
         "classes": model.classes,
-        "strategy": model.strategy,
-        "pairs": [list(p) for p in model.pairs],
         "n_features": model.n_features,
         "binaries": [{"n_sv": len(b.dual_coef), "bias": b.bias,
                       "objective": b.objective, "n_passes": b.n_passes,
                       "converged": b.converged} for b in model.binaries],
-        "pipeline_config": pipeline_config,
+        "pipeline_config": model.pipeline_config,
     }
     blob = json.dumps(meta).encode("utf-8")
     with open(path, "wb") as fh:
@@ -366,7 +344,7 @@ def save_svm(path, model: SvmModel, pipeline_config: dict | None = None) -> None
             fh.write(np.ascontiguousarray(b.dual_coef, dtype="<f8").tobytes())
 
 
-def load_svm(path) -> tuple[SvmModel, dict | None]:
+def load_svm(path) -> SvmModel:
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != SVM_MAGIC:
@@ -376,11 +354,15 @@ def load_svm(path) -> tuple[SvmModel, dict | None]:
         raise FormatError(f"SVM container version {version}, expected {SVM_VERSION}")
     meta = json.loads(data[16 : 16 + blob_len].decode("utf-8"))
     pos = 16 + blob_len
+    # containers from before one-vs-one was dropped record "strategy": "ovr"
+    strategy = meta.get("strategy", "ovr")
+    if strategy != "ovr":
+        raise FormatError(f"SVM container uses multiclass strategy {strategy!r}; "
+                          f"only one-vs-rest is supported")
     spec = KernelSpec(**meta["kernel"])
     model = SvmModel(kernel=spec, gamma=meta["gamma"], classes=meta["classes"],
-                     strategy=meta["strategy"],
-                     pairs=[tuple(p) for p in meta["pairs"]],
-                     n_features=meta["n_features"])
+                     n_features=meta["n_features"],
+                     pipeline_config=meta.get("pipeline_config"))
     d = meta["n_features"]
     for info in meta["binaries"]:
         n_sv = info["n_sv"]
@@ -393,4 +375,4 @@ def load_svm(path) -> tuple[SvmModel, dict | None]:
             support_vectors=sv, dual_coef=dual, bias=info["bias"],
             objective=info["objective"], n_passes=info["n_passes"],
             converged=info["converged"]))
-    return model, meta.get("pipeline_config")
+    return model

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import features, nn, svm
+from . import features, svm
 from .dataset import stratified_split
 from .errors import ConfigError
 from .metrics import MetricsReport, metrics_report
@@ -29,13 +29,7 @@ def model_scores(model, windows) -> np.ndarray:
     CNN models yield softmax probabilities; SVM models yield raw decision
     values (unscaled, fine for argmax/top-k ranking).
     """
-    if isinstance(model, nn.CnnModel):
-        x = np.stack([w.matrix for w in windows])[..., None]
-        return nn.predict_proba(model, x)
-    if isinstance(model, svm.SvmModel):
-        x = np.stack([features.flatten(w) for w in windows])
-        return svm.decision_values(model, x)
-    raise ConfigError(f"unknown model type {type(model).__name__}")
+    return model.scores(np.stack([w.matrix for w in windows]))
 
 
 def evaluate_model(model, windows, labels, with_roc=False) -> MetricsReport:

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -50,3 +53,19 @@ def overfit_windows():
         m = (m - m.mean()) / m.std()
         wins.append(m)
     return np.stack(wins)[..., None], np.arange(8)
+
+
+def rewrite_header(path, **fields):
+    """Set `fields` in a model container's JSON header, keeping its tensors.
+
+    Containers are: 8-byte magic, u32 version, u32 header length, JSON
+    header, tensors.
+    """
+    data = open(path, "rb").read()
+    version, blob_len = struct.unpack_from("<II", data, 8)
+    meta = json.loads(data[16 : 16 + blob_len])
+    meta.update(fields)
+    blob = json.dumps(meta).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data[:8] + struct.pack("<II", version, len(blob)) + blob
+                 + data[16 + blob_len:])

@@ -248,6 +248,18 @@ class TestStreamCmd:
                      "--wav", str(wav), "--emit", "csv",
                      "--out-dir", str(run)]) == 0
 
+    @pytest.mark.parametrize("model", ["cnn_model", "svm_model"])
+    def test_stream_rate_mismatch_exits_2(self, workspace, tmp_path, capsys,
+                                          model):
+        # both models were trained on 4 kHz clips
+        wav = tmp_path / "fast.wav"
+        clip = audio_io.synth_chirp(100, 1500, 4.0, 8000, 0.6)
+        wav.write_bytes(audio_io.encode_wav(clip)[0])
+        assert main(["stream", "--model", str(workspace[model]),
+                     "--wav", str(wav), "--out-dir", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "8000" in err and "4000" in err
+
 
 class TestConfigFileAndExitCodes:
     def test_config_file_with_flag_override(self, tmp_path, capsys):
@@ -285,6 +297,20 @@ class TestConfigFileAndExitCodes:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["extract", "--manifest", str(tmp_path / "nope.csv"),
                      "--out-dir", str(tmp_path / "r")]) == 2
+
+    def test_truncated_feature_cache_exits_2(self, tmp_path, capsys):
+        from emorec import features
+        cache = tmp_path / "features.bin"
+        features.save_feature_cache(cache, [("03-01-01-01-01-01-01", 0,
+                                             np.ones((2, 3)))])
+        data = cache.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            assert main(["train-cnn", "--features", str(cut),
+                         "--manifest", str(tmp_path / "m.csv"),
+                         "--out-dir", str(tmp_path / "r")]) == 2
+            assert "error:" in capsys.readouterr().err
 
     def test_missing_required_flag_exits_1(self, tmp_path, capsys):
         assert main(["train-svm", "--out-dir", str(tmp_path / "r")]) == 1

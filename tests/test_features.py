@@ -110,6 +110,13 @@ class TestPipelineConfig:
         again = features.PipelineConfig.from_dict(pipeline_cfg.to_dict())
         assert again == pipeline_cfg
 
+    def test_dict_from_older_containers(self, pipeline_cfg):
+        # older containers carry an always-empty augmentations list
+        old = dict(pipeline_cfg.to_dict(), augmentations=[])
+        assert features.PipelineConfig.from_dict(old) == pipeline_cfg
+        with pytest.raises(ConfigError):
+            features.PipelineConfig.from_dict(dict(old, augmentations=["invert"]))
+
 
 class TestFeatureWindow:
     def test_shape_13x26(self, pipeline_cfg):
@@ -204,6 +211,17 @@ class TestFeatureCache:
         data = path.read_bytes()
         assert len(data) == 16
         assert data[:8] == b"EMOFEATC"
+
+    def test_truncated_at_every_offset_rejected(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        features.save_feature_cache(path, [("a01", 3, np.ones((2, 3))),
+                                           ("b2", 5, np.zeros((1, 2)))])
+        data = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(FormatError):
+                features.load_feature_cache(cut)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"

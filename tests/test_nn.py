@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from emorec import nn
-from emorec.errors import ConfigError
-from conftest import overfit_windows
+from emorec.errors import ConfigError, FormatError
+from conftest import overfit_windows, rewrite_header
 
 TABLE_SHAPES = [(13, 26, 32), (11, 24, 32), (5, 12, 32), (5, 12, 32),
                 (5, 12, 64), (3, 10, 64), (1, 5, 64), (1, 5, 64),
@@ -338,14 +338,22 @@ class TestCheckpoint:
         # storage is float32: predictions match to that precision
         np.testing.assert_allclose(p1, p2, atol=1e-5)
 
-    def test_rms_state_optional(self, tmp_path):
-        x, labels = overfit_windows()
+    def test_container_with_empty_rms_section_loads(self, tmp_path):
+        # containers written while the optional optimizer-state section
+        # existed list it as empty
         model = nn.build_emotion_cnn(seed=6)
-        nn.train(model, x, labels, nn.TrainConfig(epochs=1, batch_size=8))
-        path = tmp_path / "with_rms.bin"
-        nn.save_cnn(path, model, include_rms=True)
+        path = tmp_path / "model.bin"
+        nn.save_cnn(path, model)
+        rewrite_header(path, rms_shapes=[])
         back = nn.load_cnn(path)
-        assert back.rms_state is not None
-        path2 = tmp_path / "without_rms.bin"
-        nn.save_cnn(path2, model)
-        assert nn.load_cnn(path2).rms_state is None
+        x, _ = overfit_windows()
+        np.testing.assert_allclose(nn.predict_proba(back, x),
+                                   nn.predict_proba(model, x), atol=1e-5)
+
+    def test_container_listing_rms_tensors_rejected(self, tmp_path):
+        model = nn.build_emotion_cnn(seed=6)
+        path = tmp_path / "model.bin"
+        nn.save_cnn(path, model)
+        rewrite_header(path, rms_shapes=[[3, 3, 1, 32], [32]])
+        with pytest.raises(FormatError, match="optimizer state"):
+            nn.load_cnn(path)

@@ -152,8 +152,6 @@ class TestGuards:
     def test_bad_stream_config(self):
         with pytest.raises(ConfigError):
             StreamConfig(window_seconds=1.0, hop_seconds=2.0)
-        with pytest.raises(ConfigError):
-            StreamConfig(emit_format="xml")
 
 
 class TestRingBuffer:

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emorec import svm
-from emorec.errors import DataError
+from emorec.cli import main
+from emorec.errors import DataError, FormatError
+from conftest import rewrite_header
 from emorec.svm import KernelSpec, kernel_eval, resolve_gamma, train_binary
 
 XOR_POINTS = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -217,7 +219,7 @@ class TestMulticlass:
 
     def test_tie_breaks_to_lower_code(self):
         model = svm.SvmModel(kernel=KernelSpec(kind="linear"), gamma=None,
-                             classes=[0, 1, 2], strategy="ovr", n_features=2)
+                             classes=[0, 1, 2], n_features=2)
         zero = svm.BinarySvm(support_vectors=np.zeros((1, 2)),
                              dual_coef=np.zeros(1), bias=0.0, objective=0.0,
                              n_passes=0, converged=True)
@@ -247,17 +249,6 @@ class TestMulticlass:
         after = svm.decision_values(model, X)
         np.testing.assert_allclose(before, after, atol=1e-9)
 
-    def test_ovo_strategy(self):
-        rng = np.random.default_rng(9)
-        centers = np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]])
-        X = np.concatenate([rng.normal(c, 0.4, size=(20, 2)) for c in centers])
-        labels = np.repeat([0, 1, 2], 20)
-        model = svm.train_multiclass(X, labels,
-                                     KernelSpec(kind="linear", C=10.0),
-                                     strategy="ovo")
-        assert len(model.binaries) == 3
-        assert float((svm.predict(model, X) == labels).mean()) >= 0.99
-
     def test_prediction_deterministic(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(25, 4))
@@ -281,12 +272,34 @@ class TestSerialization:
         labels = (X[:, 0] > 0).astype(int) * 2
         model = svm.train_multiclass(X, labels, KernelSpec(kind="rbf", C=10.0))
         path = tmp_path / "model.bin"
-        svm.save_svm(path, model, pipeline_config={"pipeline": {"n_mfcc": 13}})
-        back, meta = svm.load_svm(path)
-        assert meta == {"pipeline": {"n_mfcc": 13}}
+        model.pipeline_config = {"pipeline": {"n_mfcc": 13}}
+        svm.save_svm(path, model)
+        back = svm.load_svm(path)
+        assert back.pipeline_config == {"pipeline": {"n_mfcc": 13}}
         assert back.classes == model.classes
         np.testing.assert_allclose(svm.decision_values(back, X),
                                    svm.decision_values(model, X), rtol=1e-12)
+
+    def test_container_from_before_ovo_removal_loads(self, tmp_path):
+        model = svm.train_multiclass(XOR_POINTS, [0, 0, 1, 1],
+                                     KernelSpec(kind="rbf", C=10.0))
+        path = tmp_path / "model.bin"
+        svm.save_svm(path, model)
+        rewrite_header(path, strategy="ovr", pairs=[])
+        back = svm.load_svm(path)
+        np.testing.assert_array_equal(svm.decision_values(back, XOR_POINTS),
+                                      svm.decision_values(model, XOR_POINTS))
+
+    def test_ovo_container_rejected(self, tmp_path):
+        model = svm.train_multiclass(XOR_POINTS, [0, 0, 1, 1],
+                                     KernelSpec(kind="rbf", C=10.0))
+        path = tmp_path / "model.bin"
+        svm.save_svm(path, model)
+        rewrite_header(path, strategy="ovo", pairs=[[0, 1]])
+        with pytest.raises(FormatError, match="ovo"):
+            svm.load_svm(path)
+        assert main(["eval", "--model", str(path),
+                     "--out-dir", str(tmp_path / "r")]) == 2
 
     def test_summary_mentions_counts(self):
         model = svm.train_multiclass(XOR_POINTS, [0, 0, 1, 1],

@@ -182,12 +182,3 @@ def synth_chirp(f0: float, f1: float, duration: float, sample_rate: int,
     phase = 2.0 * math.pi * (f0 * t + (f1 - f0) / (2.0 * duration) * t * t)
     return AudioClip(amplitude * np.sin(phase), sample_rate,
                      source_id=f"chirp{f0:g}-{f1:g}")
-
-
-def synth_noise(duration: float, sample_rate: int, amplitude: float = 1.0,
-                seed: int = 0) -> AudioClip:
-    """Seeded uniform noise in [-amplitude, amplitude]; fixture helper."""
-    n = int(round(duration * sample_rate))
-    rng = np.random.default_rng(seed)
-    return AudioClip(amplitude * rng.uniform(-1.0, 1.0, n), sample_rate,
-                     source_id=f"noise{seed}")

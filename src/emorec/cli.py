@@ -224,7 +224,7 @@ def _load_cache_and_split(cache_path, manifest_path, split_name):
 def cmd_train_svm(args, run: RunDir) -> int:
     opts = _merge(args, dict(features=None, manifest=None, kernel="rbf",
                              C=10.0, gamma="scale", tol=1e-3,
-                             max_passes=10000, out=None))
+                             max_passes=10_000_000, out=None))
     windows, labels = _load_cache_and_split(opts.features, opts.manifest, "train")
     if opts.gamma == "scale":
         spec = svm.KernelSpec(kind=opts.kernel, C=float(opts.C))
@@ -233,8 +233,7 @@ def cmd_train_svm(args, run: RunDir) -> int:
                               gamma_mode="fixed", gamma_value=float(opts.gamma))
     X = np.stack([features.flatten(w) for w in windows])
     model = svm.train_multiclass(X, labels, spec, tol=float(opts.tol),
-                                 max_passes=int(opts.max_passes),
-                                 seed=opts.seed)
+                                 max_passes=int(opts.max_passes))
     model.pipeline_config = _pipeline_meta(opts.features)
     out = opts.out or run.file("svm_model.bin")
     svm.save_svm(out, model)

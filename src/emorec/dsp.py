@@ -135,9 +135,6 @@ class Spectrogram:
     def n_bins(self) -> int:
         return self.magnitudes.shape[1]
 
-    def bin_frequencies(self) -> np.ndarray:
-        return np.arange(self.n_bins) * (self.sample_rate / self.fft_length)
-
 
 def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(n) / n)

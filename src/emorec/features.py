@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioClip
+from .container import Reader, atomic_open
 from .dsp import mfcc
 from .errors import ConfigError, FormatError
 
@@ -198,7 +199,7 @@ def flatten(window: FeatureWindow) -> np.ndarray:
 def save_feature_cache(path, records):
     """Write (sample_id, label_code, matrix) records to the binary cache."""
     records = list(records)
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<II", CACHE_VERSION, len(records)))
         for sample_id, label, matrix in records:
@@ -212,32 +213,16 @@ def save_feature_cache(path, records):
 
 def load_feature_cache(path):
     """Read the binary cache back as a list of (sample_id, label_code, matrix)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != CACHE_MAGIC:
-        raise FormatError(f"bad feature cache magic {data[:8]!r}")
-    pos = 8
-
-    def take(n_bytes, what):
-        nonlocal pos
-        if pos + n_bytes > len(data):
-            raise FormatError(
-                f"feature cache truncated at byte {pos}: {what} needs "
-                f"{n_bytes} bytes, {len(data) - pos} left")
-        pos += n_bytes
-        return data[pos - n_bytes : pos]
-
-    version, count = struct.unpack("<II", take(8, "header"))
+    r = Reader(path, "feature cache", CACHE_MAGIC)
+    version, count = r.unpack("<II", "header")
     if version != CACHE_VERSION:
         raise FormatError(f"feature cache version {version}, expected {CACHE_VERSION}")
     out = []
     for _ in range(count):
-        (id_len,) = struct.unpack("<H", take(2, "id length"))
-        sample_id = take(id_len, "id").decode("utf-8")
-        label, n_mfcc, n_frames = struct.unpack("<BHH", take(5, "record header"))
-        matrix = np.frombuffer(take(n_mfcc * n_frames * 4, "matrix"), dtype="<f4")
+        (id_len,) = r.unpack("<H", "id length")
+        sample_id = r.take(id_len, "id").decode("utf-8")
+        label, n_mfcc, n_frames = r.unpack("<BHH", "record header")
         out.append((sample_id, label,
-                    matrix.reshape(n_mfcc, n_frames).astype(np.float64)))
-    if pos != len(data):
-        raise FormatError(f"feature cache has {len(data) - pos} trailing bytes")
+                    r.array("<f4", (n_mfcc, n_frames), "matrix")))
+    r.expect_end()
     return out

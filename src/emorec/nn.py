@@ -23,13 +23,12 @@ identical training histories bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .container import read_model, write_model
 from .errors import ConfigError, FormatError, NumericalError
 
 CNN_MAGIC = b"EMOCNN\x00\x00"
@@ -498,10 +497,6 @@ def predict_proba(model: CnnModel, x, batch_size=256) -> np.ndarray:
     return np.concatenate(outs, axis=0)
 
 
-def predict_labels(model: CnnModel, x) -> np.ndarray:
-    return predict_proba(model, x).argmax(axis=1)
-
-
 # ---------------------------------------------------------------------------
 # RMSProp + training
 # ---------------------------------------------------------------------------
@@ -693,25 +688,11 @@ def save_cnn(path, model: CnnModel) -> None:
         "shapes": [list(t.shape) for t in tensors],
         "pipeline_config": model.pipeline_config,
     }
-    blob = json.dumps(meta).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CNN_MAGIC)
-        fh.write(struct.pack("<II", CNN_VERSION, len(blob)))
-        fh.write(blob)
-        for t in tensors:
-            fh.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
+    write_model(path, CNN_MAGIC, CNN_VERSION, meta, tensors, "<f4")
 
 
 def load_cnn(path) -> CnnModel:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != CNN_MAGIC:
-        raise FormatError(f"bad CNN checkpoint magic {data[:8]!r}")
-    version, blob_len = struct.unpack_from("<II", data, 8)
-    if version != CNN_VERSION:
-        raise FormatError(f"CNN checkpoint version {version}, expected {CNN_VERSION}")
-    meta = json.loads(data[16 : 16 + blob_len].decode("utf-8"))
-    pos = 16 + blob_len
+    meta, r = read_model(path, CNN_MAGIC, CNN_VERSION, "CNN checkpoint")
     if meta.get("rms_shapes"):
         raise FormatError("CNN checkpoint carries optimizer state, which is "
                           "not part of the format")
@@ -722,14 +703,11 @@ def load_cnn(path) -> CnnModel:
     if [list(s) for shapes in layers for s in shapes.values()] != meta["shapes"]:
         raise FormatError("CNN checkpoint tensor shapes do not match its layers")
     params = []
-    for shapes in layers:
-        p = {}
-        for key, shape in shapes.items():
-            size = math.prod(shape) * 4
-            t = np.frombuffer(data[pos : pos + size], dtype="<f4")
-            p[key] = t.reshape(shape).astype(np.float64)
-            pos += size
+    for i, shapes in enumerate(layers):
+        p = {key: r.array("<f4", shape, f"layer {i} {key}")
+             for key, shape in shapes.items()}
         params.append(p or None)
+    r.expect_end()
     return CnnModel(specs=specs, input_shape=input_shape, params=params,
                     seed=meta["seed"],
                     pipeline_config=meta.get("pipeline_config"))

@@ -1,17 +1,18 @@
-"""Soft-margin kernel SVM trained by sequential pairwise (SMO-style) dual
-optimization.
+"""Soft-margin kernel SVM trained by SMO with second-order working-set
+selection (WSS2: Fan, Chen & Lin, "Working Set Selection Using Second Order
+Information", JMLR 2005, the rule LIBSVM uses).
 
 Solves, per binary subproblem,
 
     max  sum(alpha) - 1/2 sum_ij alpha_i alpha_j y_i y_j K(x_i, x_j)
     s.t. 0 <= alpha_i <= C,  sum_i alpha_i y_i = 0
 
-Pair selection follows the classic two-loop heuristic: sweep candidates for a
-KKT violator, pick the partner maximizing |E_i - E_j|, and fall back to a
-seeded random partner when that makes no progress.  Training stops when the
-largest KKT violation drops below tol (default 1e-3) or after max_passes
-sweeps.  Pair updates preserve sum(alpha*y) = 0 exactly, so converged models
-satisfy dual feasibility by construction.
+Each iteration pairs the maximal violator i with the partner j of largest
+second-order gain b^2/a and takes the clipped two-variable step, updating the
+gradient from rows i and j of the kernel matrix; nothing is random.  Training
+stops when the gap m(alpha) - M(alpha) drops below tol (default 1e-3), which
+bounds every KKT violation by tol under the returned bias, or after
+max_passes iterations.  `kkt_violation` records the largest violation left.
 
 Multiclass is one-vs-rest: one binary per class against the rest, sharing
 one kernel matrix; the prediction is the argmax of the decision values, ties
@@ -23,16 +24,17 @@ meaning 1 / (n_features * population variance of all entries of X).
 
 from __future__ import annotations
 
-import json
-import struct
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .container import read_model, write_model
 from .errors import DataError, FormatError
 from .nn import softmax
 
 SUPPORT_THRESHOLD = 1e-8
+TAU = 1e-12   # floor on the curvature a of a working-set pair
 
 SVM_MAGIC = b"EMOSVM\x00\x00"
 SVM_VERSION = 1
@@ -110,31 +112,26 @@ class BinarySvm:
     dual_coef: np.ndarray         # alpha_i * y_i per support vector
     bias: float
     objective: float
-    n_passes: int
+    n_passes: int                 # working-set iterations
     converged: bool
+    kkt_violation: float = math.nan   # max KKT violation under the bias
 
 
 def _kkt_violation(alpha, y, E, C, eps=SUPPORT_THRESHOLD):
     # violation of: alpha=0 -> yE >= 0 ; 0<alpha<C -> yE = 0 ; alpha=C -> yE <= 0
     r = y * E
-    viol = np.zeros_like(alpha)
-    lower = alpha < eps
-    upper = alpha > C - eps
-    interior = ~lower & ~upper
-    viol[lower] = np.maximum(0.0, -r[lower])
-    viol[upper] = np.maximum(0.0, r[upper])
-    viol[interior] = np.abs(r[interior])
-    return viol
+    return np.where(alpha > C - eps, np.maximum(0.0, r),
+                    np.where(alpha < eps, np.maximum(0.0, -r), np.abs(r)))
 
 
 def train_binary(X, y, spec: KernelSpec, tol: float = 1e-3,
-                 max_passes: int = 10_000, seed: int = 0,
+                 max_passes: int = 10_000_000,
                  K: np.ndarray | None = None,
                  gamma: float | None = None) -> BinarySvm:
     """Fit one soft-margin binary SVM with labels y in {-1, +1}.
 
     A precomputed kernel matrix K (against X itself) can be shared across
-    one-vs-rest subproblems.
+    one-vs-rest subproblems.  max_passes caps working-set iterations.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -153,81 +150,59 @@ def train_binary(X, y, spec: KernelSpec, tol: float = 1e-3,
     if K is None:
         K = kernel_matrix(X, X, spec, gamma)
     C = spec.C
+    diag = np.diag(K)
+    pos = (y > 0).tolist()
+    signs = y.tolist()
+    alpha = [0.0] * n
+    # E_t = sum_s alpha_s y_s K_ts - y_t, the decision value minus the label
+    # without bias (LIBSVM's y_t G_t).  Penalties hide the indices outside
+    # I_up (alpha_t cannot move along y_t) and I_low (cannot move along -y_t).
+    E = -y
+    up_pen = np.where(y > 0, 0.0, np.inf)
+    low_pen = np.where(y > 0, -np.inf, 0.0)
 
-    rng = np.random.default_rng(seed)
-    alpha = np.zeros(n)
-    b = 0.0
-    # E_i = f(x_i) - y_i, maintained incrementally
-    E = -y.copy()
-
-    def take_step(i, j):
-        nonlocal b, E
-        if i == j:
-            return False
-        yi, yj = y[i], y[j]
-        ai_old, aj_old = alpha[i], alpha[j]
-        if yi != yj:
-            L, H = max(0.0, aj_old - ai_old), min(C, C + aj_old - ai_old)
-        else:
-            L, H = max(0.0, ai_old + aj_old - C), min(C, ai_old + aj_old)
-        if H - L < 1e-12:
-            return False
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        if eta <= 1e-12:
-            return False  # degenerate direction; skip (next sweep picks another pair)
-        aj = aj_old + yj * (E[i] - E[j]) / eta
-        aj = min(H, max(L, aj))
-        if abs(aj - aj_old) < 1e-12 * (aj + aj_old + 1e-12):
-            return False
-        ai = ai_old + yi * yj * (aj_old - aj)
-        # bias: Platt's update, averaging when both ends are at the bounds
-        b1 = b - E[i] - yi * (ai - ai_old) * K[i, i] - yj * (aj - aj_old) * K[i, j]
-        b2 = b - E[j] - yi * (ai - ai_old) * K[i, j] - yj * (aj - aj_old) * K[j, j]
-        if 0.0 < ai < C:
-            new_b = b1
-        elif 0.0 < aj < C:
-            new_b = b2
-        else:
-            new_b = 0.5 * (b1 + b2)
-        delta_b = new_b - b
-        b = new_b
-        E += yi * (ai - ai_old) * K[i] + yj * (aj - aj_old) * K[j] + delta_b
-        alpha[i], alpha[j] = ai, aj
-        return True
-
-    n_passes = 0
-    converged = False
-    while n_passes < max_passes:
-        n_changed = 0
-        viol = _kkt_violation(alpha, y, E, C)
-        if viol.max() < tol:
-            converged = True
+    n_iter = 0
+    while True:
+        i = int((E + up_pen).argmin())
+        b = E + low_pen
+        b -= E[i]          # b_t = E_t - E_i: gain of the pair (i, t) per unit step
+        gap = b.max()      # m(alpha) - M(alpha)
+        if gap < tol or n_iter >= max_passes:
             break
-        # sweep violators in decreasing severity; deterministic order
-        for i in np.argsort(-viol):
-            if viol[i] < tol:
-                break
-            j = int(np.argmax(np.abs(E - E[i])))
-            if take_step(i, j):
-                n_changed += 1
-                continue
-            # fall back to a seeded random partner, then a linear scan
-            for j in rng.permutation(n):
-                if take_step(i, int(j)):
-                    n_changed += 1
-                    break
-        n_passes += 1
-        if n_changed == 0:
-            # no movable pair left; treat current iterate as converged
-            converged = _kkt_violation(alpha, y, E, C).max() < tol
-            break
+        # second-order partner: largest guaranteed decrease b^2 / a
+        a = np.maximum(diag[i] + diag - 2.0 * K[i], TAU)
+        np.maximum(b, 0.0, out=b)
+        j = int((b * b / a).argmax())
+        # step t along alpha_i += y_i t, alpha_j -= y_j t, clipped to the box
+        ai, aj = alpha[i], alpha[j]
+        ti = C - ai if pos[i] else ai
+        tj = aj if pos[j] else C - aj
+        t = min(b[j] / a[j], ti, tj)
+        alpha[i] = (C if pos[i] else 0.0) if t == ti else ai + signs[i] * t
+        alpha[j] = (0.0 if pos[j] else C) if t == tj else aj - signs[j] * t
+        E += ((alpha[i] - ai) * signs[i]) * K[i]
+        E += ((alpha[j] - aj) * signs[j]) * K[j]
+        for k in (i, j):
+            ak = alpha[k]
+            up_pen[k] = 0.0 if (ak < C if pos[k] else ak > 0.0) else np.inf
+            low_pen[k] = 0.0 if (ak > 0.0 if pos[k] else ak < C) else -np.inf
+        n_iter += 1
 
-    obj = float(alpha.sum() - 0.5 * (alpha * y) @ K @ (alpha * y))
+    # any bias between M and m, -max_low E and -min_up E, bounds every
+    # violation by the gap: the mean over free vectors, else the midpoint
+    alpha = np.array(alpha)
+    free = (alpha > 0.0) & (alpha < C)
+    if free.any():
+        bias = -float(E[free].mean())
+    else:
+        bias = -float(E[i]) - 0.5 * float(gap)
+    kkt = float(_kkt_violation(alpha, y, E + bias, C).max())
     sv = alpha > SUPPORT_THRESHOLD
     return BinarySvm(support_vectors=X[sv].copy(),
                      dual_coef=(alpha * y)[sv].copy(),
-                     bias=float(b), objective=obj,
-                     n_passes=n_passes, converged=converged)
+                     bias=bias, objective=dual_objective(alpha, y, K),
+                     n_passes=n_iter, converged=kkt < tol,
+                     kkt_violation=kkt)
 
 
 def dual_objective(alpha, y, K) -> float:
@@ -271,12 +246,13 @@ class SvmModel:
             lines.append(f"  class {c}: {len(bin_.dual_coef)} support vectors, "
                          f"objective {bin_.objective:.6g}, "
                          f"{'converged' if bin_.converged else 'NOT converged'} "
-                         f"in {bin_.n_passes} passes")
+                         f"in {bin_.n_passes} iterations, "
+                         f"max KKT violation {bin_.kkt_violation:.3g}")
         return "\n".join(lines) + "\n"
 
 
 def train_multiclass(X, labels, spec: KernelSpec, tol: float = 1e-3,
-                     max_passes: int = 10_000, seed: int = 0) -> SvmModel:
+                     max_passes: int = 10_000_000) -> SvmModel:
     """Train a one-vs-rest multiclass SVM over integer labels."""
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -291,8 +267,7 @@ def train_multiclass(X, labels, spec: KernelSpec, tol: float = 1e-3,
     for c in classes:
         y = np.where(labels == c, 1.0, -1.0)
         model.binaries.append(train_binary(
-            X, y, spec, tol=tol, max_passes=max_passes, seed=seed,
-            K=K, gamma=gamma))
+            X, y, spec, tol=tol, max_passes=max_passes, K=K, gamma=gamma))
     return model
 
 
@@ -331,29 +306,17 @@ def save_svm(path, model: SvmModel) -> None:
         "n_features": model.n_features,
         "binaries": [{"n_sv": len(b.dual_coef), "bias": b.bias,
                       "objective": b.objective, "n_passes": b.n_passes,
-                      "converged": b.converged} for b in model.binaries],
+                      "converged": b.converged,
+                      "kkt_violation": b.kkt_violation}
+                     for b in model.binaries],
         "pipeline_config": model.pipeline_config,
     }
-    blob = json.dumps(meta).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(SVM_MAGIC)
-        fh.write(struct.pack("<II", SVM_VERSION, len(blob)))
-        fh.write(blob)
-        for b in model.binaries:
-            fh.write(np.ascontiguousarray(b.support_vectors, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b.dual_coef, dtype="<f8").tobytes())
+    tensors = [t for b in model.binaries for t in (b.support_vectors, b.dual_coef)]
+    write_model(path, SVM_MAGIC, SVM_VERSION, meta, tensors, "<f8")
 
 
 def load_svm(path) -> SvmModel:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != SVM_MAGIC:
-        raise FormatError(f"bad SVM container magic {data[:8]!r}")
-    version, blob_len = struct.unpack_from("<II", data, 8)
-    if version != SVM_VERSION:
-        raise FormatError(f"SVM container version {version}, expected {SVM_VERSION}")
-    meta = json.loads(data[16 : 16 + blob_len].decode("utf-8"))
-    pos = 16 + blob_len
+    meta, r = read_model(path, SVM_MAGIC, SVM_VERSION, "SVM container")
     # containers from before one-vs-one was dropped record "strategy": "ovr"
     strategy = meta.get("strategy", "ovr")
     if strategy != "ovr":
@@ -364,15 +327,14 @@ def load_svm(path) -> SvmModel:
                      n_features=meta["n_features"],
                      pipeline_config=meta.get("pipeline_config"))
     d = meta["n_features"]
-    for info in meta["binaries"]:
+    for k, info in enumerate(meta["binaries"]):
         n_sv = info["n_sv"]
-        sv = np.frombuffer(data[pos : pos + n_sv * d * 8], dtype="<f8")
-        sv = sv.reshape(n_sv, d).copy()
-        pos += n_sv * d * 8
-        dual = np.frombuffer(data[pos : pos + n_sv * 8], dtype="<f8").copy()
-        pos += n_sv * 8
         model.binaries.append(BinarySvm(
-            support_vectors=sv, dual_coef=dual, bias=info["bias"],
-            objective=info["objective"], n_passes=info["n_passes"],
-            converged=info["converged"]))
+            support_vectors=r.array("<f8", (n_sv, d), f"binary {k} support vectors"),
+            dual_coef=r.array("<f8", (n_sv,), f"binary {k} dual coefficients"),
+            bias=info["bias"], objective=info["objective"],
+            n_passes=info["n_passes"], converged=info["converged"],
+            # containers written before it was recorded lack the field
+            kkt_violation=info.get("kkt_violation", math.nan)))
+    r.expect_end()
     return model

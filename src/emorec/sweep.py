@@ -120,7 +120,7 @@ def run_svm_sweep(clips, labels, base_cfg: features.PipelineConfig,
                 train_idx = [by_id[i] for i in split.ids("train")]
                 eval_idx = [by_id[i] for i in split.ids(eval_split)]
                 model = svm.train_multiclass(X[train_idx], labels[train_idx],
-                                             spec, seed=seed)
+                                             spec)
                 preds = svm.predict(model, X[eval_idx])
                 acc = float((preds == labels[eval_idx]).mean())
                 result.rows.append(SweepRow(kernel, n_mfcc, run, seed, acc))

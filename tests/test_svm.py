@@ -176,6 +176,29 @@ class TestTrainBinary:
         K = svm.kernel_matrix(X, model.support_vectors, spec, gamma)
         assert np.all(np.sign(K @ model.dual_coef + model.bias) == y)
 
+    def test_random_label_linear_matches_tight_fit(self):
+        # random labels on 200 x 50 Gaussian features: no separating
+        # hyperplane, so many alphas end at C.  (At C=10 the same problem
+        # needs ~2.4e5 iterations, and the tol=1e-9 reference twice that.)
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(200, 50))
+        y = np.where(rng.random(200) < 0.5, -1.0, 1.0)
+        spec = KernelSpec(kind="linear", C=1.0)
+        model = train_binary(X, y, spec)
+        assert model.converged
+        tight = train_binary(X, y, spec, tol=1e-9)
+        assert abs(model.objective - tight.objective) < 1e-5 * abs(tight.objective)
+        # KKT recomputed from the returned model, under its own bias
+        rows = [int(np.flatnonzero((X == sv).all(axis=1))[0])
+                for sv in model.support_vectors]
+        alpha = np.zeros(len(y))
+        alpha[rows] = np.abs(model.dual_coef)
+        E = (svm.kernel_matrix(X, model.support_vectors, spec)
+             @ model.dual_coef + model.bias - y)
+        viol = svm._kkt_violation(alpha, y, E, spec.C).max()
+        assert viol < 1e-3
+        assert abs(viol - model.kkt_violation) < 1e-9
+
 
 class TestDualOracle:
     @pytest.mark.parametrize("points,labels,kind,gamma", TOY_PROBLEMS)
@@ -307,6 +330,33 @@ class TestSerialization:
         text = model.summary()
         assert "support vectors" in text
         assert "objective" in text
+        assert "iterations, max KKT violation" in text
+        assert "passes" not in text
+
+    def test_kkt_violation_roundtrip(self, tmp_path):
+        model = svm.train_multiclass(XOR_POINTS, [0, 0, 1, 1],
+                                     KernelSpec(kind="rbf", C=10.0))
+        path = tmp_path / "model.bin"
+        svm.save_svm(path, model)
+        back = svm.load_svm(path)
+        assert [b.kkt_violation for b in back.binaries] == \
+            [b.kkt_violation for b in model.binaries]
+        assert all(0 <= b.kkt_violation < 1e-3 for b in back.binaries)
+
+    def test_container_without_kkt_violation_loads(self, tmp_path):
+        model = svm.train_multiclass(XOR_POINTS, [0, 0, 1, 1],
+                                     KernelSpec(kind="rbf", C=10.0))
+        path = tmp_path / "model.bin"
+        svm.save_svm(path, model)
+        rewrite_header(path, binaries=[
+            {"n_sv": len(b.dual_coef), "bias": b.bias, "objective": b.objective,
+             "n_passes": b.n_passes, "converged": b.converged}
+            for b in model.binaries])
+        back = svm.load_svm(path)
+        assert all(np.isnan(b.kkt_violation) for b in back.binaries)
+        np.testing.assert_array_equal(svm.decision_values(back, XOR_POINTS),
+                                      svm.decision_values(model, XOR_POINTS))
+        assert "max KKT violation nan" in back.summary()
 
 
 @given(st.integers(0, 2**31 - 1))

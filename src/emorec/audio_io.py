@@ -58,19 +58,11 @@ class AudioClip:
         return len(self.samples) / self.sample_rate
 
 
-def decode_wav(data: bytes, source_id: str | None = None) -> AudioClip:
-    """Decode a RIFF/WAVE byte string into a mono AudioClip.
+def _parse_wav(data: bytes):
+    """Walk the RIFF chunks and check the format, without decoding samples.
 
-    Accepts PCM 16-bit and IEEE float 32-bit, 1 or 2 channels.  Stereo is
-    averaged down to mono.  Unknown chunks are skipped.
-
-    Raises
-    ------
-    FormatError
-        Container is structurally malformed.
-    UnsupportedFormatError
-        Valid container but unsupported codec, bit depth or channel count;
-        the message names the offending field.
+    Returns (audio_format, n_channels, sample_rate, n_frames, payload), the
+    payload cut to whole frames.  Raises as :func:`decode_wav` documents.
     """
     if len(data) < 12:
         raise FormatError("not a RIFF file: shorter than 12 bytes")
@@ -79,13 +71,14 @@ def decode_wav(data: bytes, source_id: str | None = None) -> AudioClip:
     if data[8:12] != b"WAVE":
         raise FormatError(f"bad WAVE tag {data[8:12]!r}")
 
+    view = memoryview(data)
     fmt = None
     payload = None
     pos = 12
     while pos + 8 <= len(data):
         chunk_id = data[pos : pos + 4]
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + chunk_size]
+        body = view[pos + 8 : pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise FormatError(f"fmt chunk truncated ({len(body)} bytes)")
@@ -111,13 +104,39 @@ def decode_wav(data: bytes, source_id: str | None = None) -> AudioClip:
     if audio_format == _IEEE_FLOAT and bits != 32:
         raise UnsupportedFormatError(f"bit depth {bits} for IEEE float (only 32)")
 
-    bytes_per_sample = bits // 8
-    frame_size = bytes_per_sample * n_channels
+    frame_size = bits // 8 * n_channels
     n_frames = len(payload) // frame_size
     if n_frames == 0:
         raise FormatError("data chunk holds no complete frame")
-    payload = payload[: n_frames * frame_size]
+    return audio_format, n_channels, sample_rate, n_frames, payload[: n_frames * frame_size]
 
+
+def wav_info(data: bytes) -> tuple[int, int]:
+    """(n_frames, sample_rate) of a RIFF/WAVE byte string.
+
+    Runs every container and format check of :func:`decode_wav` and raises
+    the same errors, but decodes no samples; n_frames equals the length of
+    the decoded clip.
+    """
+    _, _, sample_rate, n_frames, _ = _parse_wav(data)
+    return n_frames, sample_rate
+
+
+def decode_wav(data: bytes, source_id: str | None = None) -> AudioClip:
+    """Decode a RIFF/WAVE byte string into a mono AudioClip.
+
+    Accepts PCM 16-bit and IEEE float 32-bit, 1 or 2 channels.  Stereo is
+    averaged down to mono.  Unknown chunks are skipped.
+
+    Raises
+    ------
+    FormatError
+        Container is structurally malformed.
+    UnsupportedFormatError
+        Valid container but unsupported codec, bit depth or channel count;
+        the message names the offending field.
+    """
+    audio_format, n_channels, sample_rate, _, payload = _parse_wav(data)
     if audio_format == _PCM:
         raw = np.frombuffer(payload, dtype="<i2").astype(np.float64) / INT16_SCALE
     else:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -103,12 +104,16 @@ def _read_required_manifest(path):
     return dataset.read_manifest(path)
 
 
-def _decode_file(path, source_id=None):
+def _read_audio(path) -> bytes:
     try:
         with open(path, "rb") as fh:
-            return audio_io.decode_wav(fh.read(), source_id=source_id)
+            return fh.read()
     except FileNotFoundError:
         raise DataError(f"audio file missing: {path}")
+
+
+def _decode_file(path, source_id=None):
+    return audio_io.decode_wav(_read_audio(path), source_id=source_id)
 
 
 def _pipeline_sidecar(cache_path) -> str:
@@ -143,9 +148,9 @@ def cmd_extract(args, run: RunDir) -> int:
     sample_rate = None
     if not target:
         for r in records:
-            clip = _decode_file(r.path, r.id)
-            target = max(target, len(clip))
-            sample_rate = sample_rate or clip.sample_rate
+            n_samples, rate = audio_io.wav_info(_read_audio(r.path))
+            target = max(target, n_samples)
+            sample_rate = sample_rate or rate
     cfg = features.PipelineConfig(
         n_mfcc=opts.n_mfcc, target_length=target,
         frame_length=opts.frame_length,
@@ -461,7 +466,9 @@ def cmd_audit_params(args, run: RunDir) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The argparse tree, built once per process; parse_args keeps no state."""
     parser = _Parser(prog="emorec",
                      description="speech emotion recognition toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

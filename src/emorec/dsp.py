@@ -1,8 +1,12 @@
 """Deterministic signal-processing kernels: FFT, STFT, mel filterbank, DCT, MFCC.
 
-Everything here is a pure function of its inputs.  The FFT is a radix-2
-iterative Cooley-Tukey kernel (power-of-two lengths only; callers zero-pad),
-the cepstral transform is an orthonormal DCT-II, and the mel scale is
+Everything here is a pure function of its inputs.  The FFT (power-of-two
+lengths; callers zero-pad) is Bailey's four-step algorithm ("FFTs in external
+or hierarchical memory", J. Supercomputing 1990): two DFT-matrix GEMMs with a
+twiddle multiply between.  The STFT is real-input (Sorensen et al.,
+"Real-valued fast Fourier transform algorithms", IEEE TASSP 1987): one
+N/2-point complex FFT per real N-point frame.  The cepstral transform is an
+orthonormal DCT-II, and the mel scale is
 
     mel(f) = 2595 * log10(1 + f/700)
 
@@ -22,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioClip
 from .errors import ConfigError
@@ -37,48 +42,37 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-@functools.lru_cache(maxsize=32)
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    rev.setflags(write=False)
-    return rev
-
-
 @functools.lru_cache(maxsize=64)
-def _twiddles(size: int) -> np.ndarray:
-    half = size // 2
-    w = np.exp(-2j * math.pi * np.arange(half) / size)
-    w.setflags(write=False)
-    return w
+def _phases(rows: int, cols: int, n: int) -> np.ndarray:
+    # T[r, c] = exp(-2i*pi*r*c/n), angles reduced mod n before scaling
+    t = np.exp(-2j * math.pi * (np.outer(np.arange(rows), np.arange(cols)) % n) / n)
+    t.setflags(write=False)
+    return t
 
 
 def fft(x) -> np.ndarray:
-    """Radix-2 DFT over the last axis: X[k] = sum_n x[n] exp(-2i*pi*k*n/N).
+    """DFT over the last axis: X[k] = sum_n x[n] exp(-2i*pi*k*n/N).
 
     The last-axis length must be a power of two; callers zero-pad.  Leading
-    axes are batched.
+    axes are batched.  N <= 64 is one GEMM with the DFT matrix; larger N runs
+    the four-step algorithm, two DFT-matrix GEMMs over the whole batch.
     """
     x = np.asarray(x)
     n = x.shape[-1]
     if not _is_pow2(n):
         raise ValueError(f"fft length {n} is not a power of two; zero-pad first")
-    y = np.array(x[..., _bit_reverse_indices(n)], dtype=np.complex128)
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = _twiddles(size)
-        y = y.reshape(x.shape[:-1] + (n // size, size))
-        odd = y[..., half:] * tw
-        even = y[..., :half].copy()
-        y[..., :half] = even + odd
-        y[..., half:] = even - odd
-        size *= 2
-    return y.reshape(x.shape)
+    x = x.astype(np.complex128, copy=False)
+    if n <= 64:
+        return (x.reshape(-1, n) @ _phases(n, n, n)).reshape(x.shape)
+    # input index m1*n2 + m2, output index k1 + n1*k2
+    n1 = 1 << ((n.bit_length() - 1) // 2)
+    n2 = n // n1
+    batch = x.size // n
+    cols = x.reshape(batch, n1, n2).transpose(1, 0, 2).reshape(n1, batch * n2)
+    y = (_phases(n1, n1, n1) @ cols).reshape(n1, batch, n2)
+    y *= _phases(n1, n2, n)[:, None, :]     # twiddles W_n^(k1*m2)
+    z = (y.reshape(n1 * batch, n2) @ _phases(n2, n2, n2)).reshape(n1, batch, n2)
+    return z.transpose(1, 2, 0).reshape(x.shape)
 
 
 def ifft(x) -> np.ndarray:
@@ -136,8 +130,11 @@ class Spectrogram:
         return self.magnitudes.shape[1]
 
 
+@functools.lru_cache(maxsize=32)
 def hann_window(n: int) -> np.ndarray:
-    return 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(n) / n)
+    w = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(n) / n)
+    w.setflags(write=False)
+    return w
 
 
 def next_pow2(n: int) -> int:
@@ -150,12 +147,15 @@ def stft(clip: AudioClip, frame_length: int, hop_length: int,
 
     n_frames = 1 + (len - frame_length) // hop_length; each frame is windowed,
     zero-padded to the next power of two, and reduced to |FFT| on bins
-    0 .. frame_length//2.
+    0 .. frame_length//2.  Each real N-point frame is one N/2-point complex
+    FFT (even samples as real part, odd as imaginary).
     """
     if window != "hann":
         raise ValueError(f"unsupported window {window!r}")
     if hop_length < 1:
         raise ValueError(f"hop_length must be >= 1, got {hop_length}")
+    if frame_length < 2:
+        raise ValueError(f"frame_length must be >= 2, got {frame_length}")
     x = clip.samples
     if frame_length > len(x):
         raise ValueError(
@@ -165,12 +165,15 @@ def stft(clip: AudioClip, frame_length: int, hop_length: int,
     n_fft = next_pow2(frame_length)
     n_bins = frame_length // 2 + 1
 
-    offsets = np.arange(n_frames) * hop_length
-    frames = x[offsets[:, None] + np.arange(frame_length)]
-    frames = frames * hann_window(frame_length)
-    if n_fft > frame_length:
-        frames = np.pad(frames, ((0, 0), (0, n_fft - frame_length)))
-    mags = np.abs(fft(frames))[:, :n_bins]
+    frames = np.zeros((n_frames, n_fft))
+    np.multiply(sliding_window_view(x, frame_length)[::hop_length],
+                hann_window(frame_length), out=frames[:, :frame_length])
+    z = fft(frames.view(np.complex128))
+    # with m = n_fft/2 and z[m] = z[0], X[k] = (z[k] + conj z[m-k])/2
+    # - (i/2) W^k (z[k] - conj z[m-k]), W = exp(-2i*pi/n_fft)
+    m, k = n_fft // 2, np.arange(n_bins)
+    iw = 0.5j * _phases(2, n_bins, n_fft)[1]        # row 1: W^k
+    mags = np.abs(z[:, k % m] * (0.5 - iw) + np.conj(z[:, (m - k) % m]) * (0.5 + iw))
     return Spectrogram(mags, frame_length, hop_length, clip.sample_rate, n_fft)
 
 

@@ -101,6 +101,39 @@ class TestDecode:
             decode_wav(data)
 
 
+def float32_wav_bytes(samples, sample_rate, n_channels=1):
+    payload = np.asarray(samples, dtype="<f4").tobytes()
+    block = 4 * n_channels
+    return (b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+            + b"fmt " + struct.pack("<IHHIIHH", 16, 3, n_channels, sample_rate,
+                                    sample_rate * block, block, 32)
+            + b"data" + struct.pack("<I", len(payload)) + payload)
+
+
+class TestWavInfo:
+    @pytest.mark.parametrize("data", [
+        stdlib_wav_bytes(np.arange(-500, 501, dtype=np.int16), 16000),
+        stdlib_wav_bytes(np.arange(-500, 500, dtype=np.int16), 8000,
+                         n_channels=2),
+        float32_wav_bytes(np.linspace(-1, 1, 777), 48000),
+        float32_wav_bytes(np.linspace(-1, 1, 10), 44100, n_channels=2),
+    ], ids=["mono_pcm16", "stereo_pcm16", "float32", "float32_stereo"])
+    def test_matches_decoded_length(self, data):
+        clip = decode_wav(data)
+        assert audio_io.wav_info(data) == (len(clip), clip.sample_rate)
+
+    def test_same_errors_as_decode(self):
+        payload = b"\x00" * 12
+        data = (b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+                + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 8000, 24000, 3, 24)
+                + b"data" + struct.pack("<I", len(payload)) + payload)
+        for parse in (decode_wav, audio_io.wav_info):
+            with pytest.raises(UnsupportedFormatError, match="bit depth 24"):
+                parse(data)
+            with pytest.raises(FormatError, match="missing data chunk"):
+                parse(data[:36])  # RIFF header and fmt chunk only
+
+
 class TestEncode:
     def test_roundtrip_on_grid_is_exact(self):
         rng = np.random.default_rng(1)

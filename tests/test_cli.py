@@ -137,6 +137,51 @@ class TestExtract:
             assert matrix.shape == (13, 26)
             assert 0 <= label < 8
 
+    def test_one_decode_per_clip(self, workspace, tmp_path, monkeypatch):
+        from emorec import features as feat
+        calls = []
+        decode = audio_io.decode_wav
+
+        def counting_decode(data, source_id=None):
+            calls.append(source_id)
+            return decode(data, source_id=source_id)
+
+        monkeypatch.setattr(audio_io, "decode_wav", counting_decode)
+        out = tmp_path / "features.bin"
+        assert main(["extract", "--manifest", str(workspace["split_manifest"]),
+                     "--out", str(out), "--frame-length", "512",
+                     "--out-dir", str(tmp_path / "run")]) == 0
+        ids = [r.id for r in dataset.read_manifest(workspace["split_manifest"])]
+        assert sorted(calls) == sorted(ids)
+        # the header-only length pass finds the same target_length
+        assert ((tmp_path / "features.bin.json").read_text()
+                == (workspace["ws"] / "features.bin.json").read_text())
+        for (i1, l1, m1), (i2, l2, m2) in zip(
+                feat.load_feature_cache(out),
+                feat.load_feature_cache(workspace["cache"])):
+            assert (i1, l1) == (i2, l2)
+            np.testing.assert_array_equal(m1, m2)
+
+    def test_unsupported_wav_fails_in_length_pass(self, tmp_path, capsys,
+                                                   monkeypatch):
+        import struct
+        payload = b"\x00" * 3000
+        wav = tmp_path / "03-01-01-01-01-01-01.wav"
+        wav.write_bytes(
+            b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+            + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 8000, 24000, 3, 24)
+            + b"data" + struct.pack("<I", len(payload)) + payload)
+        manifest = tmp_path / "manifest.csv"
+        dataset.write_manifest(manifest,
+                               dataset.scan_corpus(str(tmp_path), "ravdess"))
+        calls = []
+        monkeypatch.setattr(audio_io, "decode_wav",
+                            lambda *a, **k: calls.append(a))
+        assert main(["extract", "--manifest", str(manifest),
+                     "--out-dir", str(tmp_path / "run")]) == 2
+        assert "bit depth 24 for PCM (only 16)" in capsys.readouterr().err
+        assert calls == []
+
 
 class TestTrainAndEval:
     def test_eval_svm(self, workspace, capsys, tmp_path):
@@ -290,6 +335,25 @@ class TestConfigFileAndExitCodes:
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["audit-params", "--bogus"]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    def test_successive_calls_share_no_state(self, tmp_path, capsys):
+        from emorec import cli
+        assert cli.build_parser() is cli.build_parser()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"version": 1, "n_frames": 30}))
+        assert main(["audit-params", "--config", str(cfg), "--n-mfcc", "20",
+                     "--out-dir", str(tmp_path / "r1")]) == 0
+        assert "(20, 30, 32)" in capsys.readouterr().out
+        small = ["gradient-check", "--filters", "2", "--dense-units", "4",
+                 "--batch", "1"]
+        assert main(small + ["--threshold", "0",
+                             "--out-dir", str(tmp_path / "r2")]) == 3
+        assert main(["audit-params", "--bogus"]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert main(["audit-params", "--out-dir", str(tmp_path / "r3")]) == 0
+        out = capsys.readouterr().out
+        assert "(13, 26, 32)" in out and "Total params: 233448" in out
+        assert main(small + ["--out-dir", str(tmp_path / "r4")]) == 0
 
     def test_unknown_subcommand_exits_1(self, capsys):
         assert main(["frobnicate"]) == 1

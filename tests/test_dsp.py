@@ -51,6 +51,16 @@ class TestFft:
             got, want = dsp.fft(x), naive_dft(x)
             assert np.abs(got - want).max() / np.abs(want).max() < 1e-9, n
 
+    def test_matches_naive_smallest_and_stft_lengths(self):
+        # n = 1 is the trivial transform; n = 2048 takes the four-step path
+        # with unequal factors (32 x 64)
+        rng = np.random.default_rng(5)
+        for n in (1, 2048):
+            x = rng.normal(size=n) + 1j * rng.normal(size=n)
+            got, want = dsp.fft(x), naive_dft(x)
+            assert got.shape == (n,)
+            assert np.abs(got - want).max() / np.abs(want).max() < 1e-9, n
+
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=128) + 1j * rng.normal(size=128)
@@ -154,6 +164,30 @@ class TestStft:
         assert spec.n_bins == 201
         assert np.all(spec.magnitudes >= 0)
         assert np.all(np.isfinite(spec.magnitudes))
+
+    def test_one_sample_frame_rejected(self):
+        with pytest.raises(ValueError, match="frame_length must be >= 2"):
+            dsp.stft(AudioClip(np.ones(100), 8000), 1, 1)
+
+    @given(st.sampled_from([2, 64, 256, 400, 512]), st.integers(1, 300),
+           st.integers(0, 700), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_naive_dft_of_windowed_frames(self, frame_length, hop,
+                                                  extra, seed):
+        x = np.random.default_rng(seed).normal(size=frame_length + extra)
+        spec = dsp.stft(AudioClip(x, 8000), frame_length, hop)
+        n_fft = 1 << (frame_length - 1).bit_length()
+        window = 0.5 - 0.5 * np.cos(2 * math.pi * np.arange(frame_length)
+                                    / frame_length)
+        rows = []
+        for start in range(0, len(x) - frame_length + 1, hop):
+            frame = np.zeros(n_fft)
+            frame[:frame_length] = x[start : start + frame_length] * window
+            rows.append(np.abs(naive_dft(frame))[: frame_length // 2 + 1])
+        want = np.array(rows)
+        assert spec.fft_length == n_fft
+        assert spec.magnitudes.shape == want.shape
+        assert np.abs(spec.magnitudes - want).max() <= 1e-9 * want.max()
 
 
 class TestMelFilterbank:

@@ -145,12 +145,9 @@ def cmd_extract(args, run: RunDir) -> int:
         raise DataError("empty manifest")
 
     target = opts.target_length
-    sample_rate = None
     if not target:
         for r in records:
-            n_samples, rate = audio_io.wav_info(_read_audio(r.path))
-            target = max(target, n_samples)
-            sample_rate = sample_rate or rate
+            target = max(target, audio_io.wav_info(_read_audio(r.path))[0])
     cfg = features.PipelineConfig(
         n_mfcc=opts.n_mfcc, target_length=target,
         frame_length=opts.frame_length,
@@ -158,9 +155,13 @@ def cmd_extract(args, run: RunDir) -> int:
         f_min=opts.f_min, f_max=opts.f_max)
 
     cache_records = []
+    sample_rate = None
     for r in records:
         clip = _decode_file(r.path, r.id)
         sample_rate = sample_rate or clip.sample_rate
+        if clip.sample_rate != sample_rate:
+            raise DataError(f"{r.path}: sample rate {clip.sample_rate} Hz, but "
+                            f"earlier clips are {sample_rate} Hz")
         window = features.extract_window(clip, cfg)
         cache_records.append((r.id, int(r.label), window.matrix))
     out = opts.out or run.file("features.bin")

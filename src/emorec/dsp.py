@@ -5,7 +5,10 @@ lengths; callers zero-pad) is Bailey's four-step algorithm ("FFTs in external
 or hierarchical memory", J. Supercomputing 1990): two DFT-matrix GEMMs with a
 twiddle multiply between.  The STFT is real-input (Sorensen et al.,
 "Real-valued fast Fourier transform algorithms", IEEE TASSP 1987): one
-N/2-point complex FFT per real N-point frame.  The cepstral transform is an
+N/2-point complex FFT per real N-point frame: framing, then
+:func:`frame_magnitudes` on the frame buffer; :func:`mfcc` is :func:`stft`,
+then the mel -> log -> DCT tail :func:`mel_cepstrum`.  Callers that frame
+their own way call the two kernels.  The cepstral transform is an
 orthonormal DCT-II, and the mel scale is
 
     mel(f) = 2595 * log10(1 + f/700)
@@ -141,15 +144,23 @@ def next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
+def frame_magnitudes(frames: np.ndarray, frame_length: int) -> np.ndarray:
+    """|FFT| on bins 0 .. frame_length//2 of each row of a C-contiguous float64
+    F x N buffer of windowed frames zero-padded to N = next_pow2(frame_length);
+    each row is one N/2-point complex FFT (even samples real, odd imaginary)."""
+    n_fft = frames.shape[1]
+    z = fft(frames.view(np.complex128))
+    # with m = n_fft/2 and z[m] = z[0], X[k] = (z[k] + conj z[m-k])/2
+    # - (i/2) W^k (z[k] - conj z[m-k]), W = exp(-2i*pi/n_fft)
+    m, k = n_fft // 2, np.arange(frame_length // 2 + 1)
+    iw = 0.5j * _phases(2, len(k), n_fft)[1]        # row 1: W^k
+    return np.abs(z[:, k % m] * (0.5 - iw) + np.conj(z[:, (m - k) % m]) * (0.5 + iw))
+
+
 def stft(clip: AudioClip, frame_length: int, hop_length: int,
          window: str = "hann") -> Spectrogram:
-    """Hann-windowed magnitude STFT.
-
-    n_frames = 1 + (len - frame_length) // hop_length; each frame is windowed,
-    zero-padded to the next power of two, and reduced to |FFT| on bins
-    0 .. frame_length//2.  Each real N-point frame is one N/2-point complex
-    FFT (even samples as real part, odd as imaginary).
-    """
+    """Hann-windowed magnitude STFT: 1 + (len - frame_length) // hop_length
+    frames, windowed and zero-padded in one buffer, then frame_magnitudes."""
     if window != "hann":
         raise ValueError(f"unsupported window {window!r}")
     if hop_length < 1:
@@ -162,19 +173,11 @@ def stft(clip: AudioClip, frame_length: int, hop_length: int,
             f"clip of {len(x)} samples shorter than one frame ({frame_length}); pad first")
 
     n_frames = 1 + (len(x) - frame_length) // hop_length
-    n_fft = next_pow2(frame_length)
-    n_bins = frame_length // 2 + 1
-
-    frames = np.zeros((n_frames, n_fft))
+    frames = np.zeros((n_frames, next_pow2(frame_length)))
     np.multiply(sliding_window_view(x, frame_length)[::hop_length],
                 hann_window(frame_length), out=frames[:, :frame_length])
-    z = fft(frames.view(np.complex128))
-    # with m = n_fft/2 and z[m] = z[0], X[k] = (z[k] + conj z[m-k])/2
-    # - (i/2) W^k (z[k] - conj z[m-k]), W = exp(-2i*pi/n_fft)
-    m, k = n_fft // 2, np.arange(n_bins)
-    iw = 0.5j * _phases(2, n_bins, n_fft)[1]        # row 1: W^k
-    mags = np.abs(z[:, k % m] * (0.5 - iw) + np.conj(z[:, (m - k) % m]) * (0.5 + iw))
-    return Spectrogram(mags, frame_length, hop_length, clip.sample_rate, n_fft)
+    return Spectrogram(frame_magnitudes(frames, frame_length), frame_length,
+                       hop_length, clip.sample_rate, frames.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +312,23 @@ class MfccMatrix:
         return "\n".join(lines) + "\n"
 
 
+def mel_cepstrum(magnitudes: np.ndarray, sample_rate: int, fft_length: int,
+                 n_mfcc: int, n_mels: int, f_min: float, f_max) -> np.ndarray:
+    """Magnitude frames (n_frames x n_bins) -> mel filterbank -> log -> DCT-II,
+    truncated to n_mfcc rows: an n_mfcc x n_frames coefficient matrix."""
+    if n_mfcc > n_mels:
+        raise ValueError(f"n_mfcc {n_mfcc} exceeds n_mels {n_mels}")
+    fb = mel_filterbank(n_mels, magnitudes.shape[1], sample_rate, f_min, f_max,
+                        fft_length=fft_length)
+    log_energy = np.log(magnitudes @ fb.weights.T + LOG_FLOOR)  # frames x mels
+    return dct2(log_energy, n_mfcc).T
+
+
 def mfcc(clip: AudioClip, n_mfcc: int, frame_length: int, hop_length: int,
          n_mels: int = 26, f_min: float = 0.0,
          f_max: float | None = None) -> MfccMatrix:
-    """MFCCs: |STFT| -> mel filterbank -> log -> DCT-II, truncated to n_mfcc rows."""
-    if n_mfcc > n_mels:
-        raise ValueError(f"n_mfcc {n_mfcc} exceeds n_mels {n_mels}")
+    """MFCCs: :func:`stft`, then :func:`mel_cepstrum` of its magnitudes."""
     spec = stft(clip, frame_length, hop_length)
-    fb = mel_filterbank(n_mels, spec.n_bins, clip.sample_rate, f_min, f_max,
-                        fft_length=spec.fft_length)
-    mel_energy = spec.magnitudes @ fb.weights.T            # n_frames x n_mels
-    log_energy = np.log(mel_energy + LOG_FLOOR)
-    coeffs = dct2(log_energy, n_mfcc).T                    # n_mfcc x n_frames
-    return MfccMatrix(coeffs, frame_length, hop_length, n_mels, n_mfcc)
+    return MfccMatrix(mel_cepstrum(spec.magnitudes, clip.sample_rate,
+                                   spec.fft_length, n_mfcc, n_mels, f_min, f_max),
+                      frame_length, hop_length, n_mels, n_mfcc)

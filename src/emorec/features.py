@@ -1,10 +1,12 @@
 """Clip -> classifier-ready feature window.
 
 The canonical unit fed to both classifiers is an ``n_mfcc x 26`` MFCC matrix
-(13 x 26 by default): clips are z-scored per clip, zero-padded head and tail
-to a fixed ``target_length``, run through the MFCC front end with a hop
-derived so the STFT yields at least 26 frames, cut to the first 26 frames,
-and finally z-scored over all entries of the window.
+(13 x 26 by default): clips are z-scored per clip, cut to their centered
+``target_length`` slice if over-long or zero-padded head and tail to it,
+run through the MFCC front end with a hop derived so the STFT yields at
+least 26 frames, cut to the first 26 frames, and finally z-scored over all
+entries of the window.  ``extract_window`` z-scores and pads only the
+samples inside the STFT frames, bit-identical to the whole-clip steps.
 
 Augmentations: time reversal and polarity inversion.  Inversion leaves the
 magnitude spectrum, hence the feature window, bit-identical to the original;
@@ -26,7 +28,8 @@ import numpy as np
 
 from .audio_io import AudioClip
 from .container import Reader, atomic_open
-from .dsp import mfcc
+from .dsp import frame_magnitudes, hann_window, mel_cepstrum, next_pow2
+from .dsp import mfcc  # noqa: F401  (unused; perfbench/trace.py wraps features.mfcc)
 from .errors import ConfigError, FormatError
 
 N_FRAMES = 26
@@ -152,39 +155,63 @@ def augment_invert(clip: AudioClip) -> AudioClip:
 AUGMENTATIONS = {"reverse": augment_reverse, "invert": augment_invert}
 
 
-def make_feature_window(clip: AudioClip, cfg: PipelineConfig) -> FeatureWindow:
-    """MFCC the (already normalized and padded) clip and z-score the window.
+def _window(clip: AudioClip, offset: int, mu, sigma,
+            cfg: PipelineConfig) -> FeatureWindow:
+    """Window of the target_length clip whose sample i is (x[i + offset] - mu)
+    / sigma, zero off the ends of x = clip.samples.  Only the frames dsp.stft
+    would make (26 unless hop_length < 25; BLAS results can depend on the row
+    count) are sliced out of x into the frame buffer and z-scored there."""
+    x, fl, hop = clip.samples, cfg.frame_length, cfg.hop_length
+    lo, hi = max(offset, 0), min(offset + cfg.target_length, len(x))
+    frames = np.zeros((1 + (cfg.target_length - fl) // hop, next_pow2(fl)))
+    for r in range(len(frames)):
+        start = offset + r * hop
+        a, b = max(start, lo), min(start + fl, hi)
+        if a < b:
+            row = frames[r, a - start : b - start]
+            np.subtract(x[a:b], mu, out=row)
+            row /= sigma
+    # silence (the kept span, not just the frames) is defined as all zeros:
+    # its MFCC is a nonzero constant in coefficient 0 only, no information
+    if not frames.any() and not np.any((x[lo:hi] - mu) / sigma):
+        return FeatureWindow(np.zeros((cfg.n_mfcc, N_FRAMES)), cfg.n_mfcc)
+    frames[:, :fl] *= hann_window(fl)
+    window = mel_cepstrum(frame_magnitudes(frames, fl), clip.sample_rate,
+                          frames.shape[1], cfg.n_mfcc, cfg.n_mels,
+                          cfg.f_min, cfg.f_max)[:, :N_FRAMES]
+    sd = window.std()
+    if sd < 1e-12:
+        window = np.zeros_like(window)
+    else:
+        window = (window - window.mean()) / sd
+    return FeatureWindow(window, cfg.n_mfcc)
 
-    The clip must be exactly cfg.target_length samples; the first 26 STFT
-    frames are kept.
-    """
+
+def make_feature_window(clip: AudioClip, cfg: PipelineConfig) -> FeatureWindow:
+    """MFCC the (already normalized and padded) clip of exactly
+    cfg.target_length samples, keep the first 26 frames, z-score the window."""
     if len(clip) != cfg.target_length:
         raise ValueError(
             f"clip of {len(clip)} samples is not padded to target_length "
             f"{cfg.target_length}")
-    # silence carries no information; its window is defined as all zeros
-    # (the MFCC of silence is a nonzero constant in coefficient 0 only)
-    if not np.any(clip.samples):
-        return FeatureWindow(np.zeros((cfg.n_mfcc, N_FRAMES)), cfg.n_mfcc)
-    m = mfcc(clip, cfg.n_mfcc, cfg.frame_length, cfg.hop_length,
-             n_mels=cfg.n_mels, f_min=cfg.f_min, f_max=cfg.f_max)
-    window = m.coeffs[:, :N_FRAMES]
-    mu = window.mean()
-    sigma = window.std()
-    if sigma < 1e-12:
-        window = np.zeros_like(window)
-    else:
-        window = (window - mu) / sigma
-    return FeatureWindow(window, cfg.n_mfcc)
+    # x - 0.0 and x / 1.0 are exact: the samples are framed as they are
+    return _window(clip, 0, 0.0, 1.0, cfg)
 
 
 def extract_window(clip: AudioClip, cfg: PipelineConfig) -> FeatureWindow:
-    """Full per-clip pipeline: normalize, truncate if over-long, pad, window."""
-    clip = normalize_loudness(clip)
-    if len(clip) > cfg.target_length:
-        clip = truncate_to_length(clip, cfg.target_length)
-    clip = pad_to_length(clip, cfg.target_length)
-    return make_feature_window(clip, cfg)
+    """Full per-clip pipeline, bit-identical to normalize_loudness, then
+    truncate_to_length if over-long, pad_to_length and make_feature_window,
+    but only the STFT frames are normalized and padded, not the whole clip.
+    """
+    x = clip.samples
+    mu, sigma = x.mean(), x.std()
+    if sigma < 1e-12:   # a constant clip z-scores to silence
+        return FeatureWindow(np.zeros((cfg.n_mfcc, N_FRAMES)), cfg.n_mfcc)
+    # padded sample 0 sits at x[offset]: truncation drops the larger half of
+    # the excess from the head, padding puts the larger half at the head
+    excess = len(x) - cfg.target_length
+    offset = -(-excess // 2) if excess > 0 else excess // 2
+    return _window(clip, offset, mu, sigma, cfg)
 
 
 def flatten(window: FeatureWindow) -> np.ndarray:

@@ -182,6 +182,21 @@ class TestExtract:
         assert "bit depth 24 for PCM (only 16)" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("target_args", [[], ["--target-length", "30000"]])
+    def test_mixed_sample_rates_fail_closed(self, tmp_path, capsys, target_args):
+        for actor, rate in ((1, 48000), (2, 24000)):
+            data, _ = audio_io.encode_wav(audio_io.synth_tone(440, 0.5, rate))
+            (tmp_path / f"03-01-01-01-01-01-{actor:02d}.wav").write_bytes(data)
+        manifest = tmp_path / "manifest.csv"
+        dataset.write_manifest(manifest,
+                               dataset.scan_corpus(str(tmp_path), "ravdess"))
+        out = tmp_path / "features.bin"
+        assert main(["extract", "--manifest", str(manifest), "--out", str(out),
+                     *target_args, "--out-dir", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "24000 Hz" in err and "48000 Hz" in err
+        assert not out.exists()
+
 
 class TestTrainAndEval:
     def test_eval_svm(self, workspace, capsys, tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emorec import audio_io, features
+from emorec import audio_io, dsp, features
 from emorec.audio_io import AudioClip
 from emorec.errors import ConfigError, FormatError
 
@@ -169,6 +169,95 @@ class TestFeatureWindow:
         clip = audio_io.synth_tone(300, 1.5, 4000)  # 6000 > 4200
         w = features.extract_window(clip, pipeline_cfg)
         assert w.matrix.shape == (13, 26)
+
+
+def whole_clip_steps(clip, cfg):
+    """z-score, truncate if over-long and pad the whole clip."""
+    clip = features.normalize_loudness(clip)
+    if len(clip) > cfg.target_length:
+        clip = features.truncate_to_length(clip, cfg.target_length)
+    return features.pad_to_length(clip, cfg.target_length)
+
+
+def mfcc_window(clip, cfg):
+    """The window of a padded clip framed by dsp.stft (through dsp.mfcc)."""
+    if not np.any(clip.samples):
+        return np.zeros((cfg.n_mfcc, features.N_FRAMES))
+    w = dsp.mfcc(clip, cfg.n_mfcc, cfg.frame_length, cfg.hop_length,
+                 n_mels=cfg.n_mels, f_min=cfg.f_min,
+                 f_max=cfg.f_max).coeffs[:, :features.N_FRAMES]
+    mu, sigma = w.mean(), w.std()
+    return np.zeros_like(w) if sigma < 1e-12 else (w - mu) / sigma
+
+
+def assert_same_window(clip, cfg):
+    """extract_window, make_feature_window of the whole-clip steps and the
+    dsp.mfcc window of them agree bit for bit."""
+    fused = features.extract_window(clip, cfg).matrix
+    padded = whole_clip_steps(clip, cfg)
+    assert np.array_equal(fused, features.make_feature_window(padded, cfg).matrix)
+    assert np.array_equal(fused, mfcc_window(padded, cfg))
+    return fused
+
+
+class TestFusedEqualsComposed:
+    """extract_window frames the raw clip; it must match the whole-clip
+    steps bit for bit."""
+
+    @pytest.mark.parametrize("delta", [-101, -100, 0, 101, 100])
+    def test_pad_exact_and_truncate(self, pipeline_cfg, delta):
+        rng = np.random.default_rng(500 + delta)
+        n = pipeline_cfg.target_length + delta
+        tone = audio_io.synth_tone(310, n / 4000, 4000).samples[:n]
+        clip = AudioClip(0.3 * tone + 0.05 * rng.normal(size=n), 4000)
+        assert len(clip) == n
+        assert np.any(assert_same_window(clip, pipeline_cfg))
+
+    @pytest.mark.parametrize("value", [0.4, 0.0])
+    def test_constant_and_zero_clips(self, pipeline_cfg, value):
+        clip = AudioClip(np.full(3000, value), 4000)
+        assert not np.any(assert_same_window(clip, pipeline_cfg))
+
+    def test_sound_only_after_last_frame(self, pipeline_cfg):
+        hop, fl = pipeline_cfg.hop_length, pipeline_cfg.frame_length
+        last_end = (features.N_FRAMES - 1) * hop + fl
+        tail = pipeline_cfg.target_length - last_end
+        assert 0 < tail < hop
+        samples = np.zeros(pipeline_cfg.target_length)
+        samples[last_end : last_end + tail // 2 * 2] = [0.5, -0.5] * (tail // 2)
+        # zero mean, so the z-scored frames are all zeros; the clip is not silent
+        assert np.any(assert_same_window(AudioClip(samples, 4000), pipeline_cfg))
+
+    def test_sound_only_in_truncated_excess(self, pipeline_cfg):
+        samples = np.zeros(pipeline_cfg.target_length + 8)
+        samples[:4] = samples[-4:] = [0.5, -0.5, 0.5, -0.5]
+        # truncation drops both ends, so what is kept is silence
+        assert not np.any(assert_same_window(AudioClip(samples, 4000), pipeline_cfg))
+
+    def test_polarity_inverted(self, pipeline_cfg):
+        clip = audio_io.synth_chirp(90, 1700, 0.9, 4000, 0.7)
+        inverted = features.augment_invert(clip)
+        assert np.array_equal(assert_same_window(inverted, pipeline_cfg),
+                              features.extract_window(clip, pipeline_cfg).matrix)
+
+    @pytest.mark.parametrize("frame_length,extra", [(512, 40), (2048, 49)])
+    def test_hop_below_25_keeps_every_stft_frame(self, frame_length, extra):
+        cfg = features.PipelineConfig(n_mfcc=13, target_length=frame_length + extra,
+                                      frame_length=frame_length)
+        assert 1 + extra // cfg.hop_length > features.N_FRAMES
+        rng = np.random.default_rng(extra)
+        assert_same_window(AudioClip(rng.normal(size=cfg.target_length), 16000), cfg)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([512, 1024, 2048]),
+           st.integers(25, 20000), st.floats(0.05, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_random_lengths(self, seed, frame_length, extra, scale):
+        rng = np.random.default_rng(seed)
+        target = frame_length + extra
+        cfg = features.PipelineConfig(n_mfcc=13, target_length=target,
+                                      frame_length=frame_length)
+        n = int(rng.integers(1, 2 * target))
+        assert_same_window(AudioClip(scale * rng.normal(size=n), 16000), cfg)
 
 
 class TestFlatten:

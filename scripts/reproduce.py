@@ -11,6 +11,9 @@ are not recoverable.
 
     python scripts/reproduce.py --ravdess-dir /data/RAVDESS --out repro_run
     python scripts/reproduce.py --ravdess-dir ... --tess-dir ... --augment
+
+Clips are decoded one at a time; mixed sample rates (RAVDESS is 48 kHz, TESS
+24,414 Hz) or a missing file exit 2, as in the `emorec` CLI.
 """
 
 import argparse
@@ -20,17 +23,8 @@ import time
 
 import numpy as np
 
-from emorec import dataset, features, nn, reference, svm, sweep
-from emorec.cli import _decode_file
-
-
-def load_windows(records, cfg):
-    windows, labels = [], []
-    for r in records:
-        clip = _decode_file(r.path, r.id)
-        windows.append(features.extract_window(clip, cfg))
-        labels.append(int(r.label))
-    return windows, np.asarray(labels)
+from emorec import audio_io, dataset, features, nn, reference, sweep
+from emorec.errors import EmorecError
 
 
 def main() -> int:
@@ -61,26 +55,21 @@ def main() -> int:
     dataset.apply_split(records, split)
     dataset.write_manifest(os.path.join(args.out, "manifest.csv"), records)
 
-    # pass 1: longest clip fixes the padding target; clips are re-decoded in
-    # pass 2 so the corpus never sits in memory whole
-    target = 0
-    for r in records:
-        target = max(target, len(_decode_file(r.path, r.id)))
+    target = audio_io.max_length(records)
     cfg = features.PipelineConfig(n_mfcc=13, target_length=target,
                                   frame_length=2048, n_mels=26)
     print(f"target_length={target} samples, hop={cfg.hop_length}")
 
     t0 = time.time()
     sets = {name: ([], []) for name in ("train", "val", "test")}
-    for r in records:
-        clip = _decode_file(r.path, r.id)
-        sets[r.split][0].append(features.extract_window(clip, cfg))
-        sets[r.split][1].append(int(r.label))
+    for r, clip in zip(records, audio_io.read_clips(records)):
+        variants = [clip]
         if args.augment and r.split == "train":
-            for aug_fn in (features.augment_reverse, features.augment_invert):
-                sets["train"][0].append(
-                    features.extract_window(aug_fn(clip), cfg))
-                sets["train"][1].append(int(r.label))
+            variants += [features.augment_reverse(clip),
+                         features.augment_invert(clip)]
+        for v in variants:
+            sets[r.split][0].extend(features.extract_clip(v, [cfg]))
+            sets[r.split][1].append(int(r.label))
     print(f"extracted {len(sets['train'][0]) + len(sets['val'][0]) + len(sets['test'][0])} "
           f"windows in {time.time() - t0:.0f}s")
     if args.augment:
@@ -117,12 +106,11 @@ def main() -> int:
         measured[f"acc_{name}"] = float(recalls[name])
 
     if args.sweep:
-        # the sweep re-extracts per coefficient count, so here the clips do
-        # get materialized; budget ~8 bytes/sample of RAM
+        # one more pass, each clip decoded once for all 13 points; memory
+        # holds their windows (~0.16 MB per clip), not the clips
         base = [r for r in records if r.augmented_from is None]
-        clips = [_decode_file(r.path, r.id) for r in base]
         result = sweep.run_svm_sweep(
-            clips, [int(r.label) for r in base], cfg,
+            audio_io.read_clips(base), [int(r.label) for r in base], cfg,
             runs=args.sweep_runs, base_seed=args.seed, records=base)
         with open(os.path.join(args.out, "sweep_raw.csv"), "w") as fh:
             fh.write(result.raw_csv())
@@ -140,4 +128,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except EmorecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

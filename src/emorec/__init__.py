@@ -11,9 +11,8 @@ from .dataset import (EmotionLabel, SampleRecord, parse_ravdess_filename,
 from .dsp import (MfccMatrix, dct2, fft, ifft, inverse_mel_scale,
                   mel_filterbank, mel_scale, mfcc, stft)
 from .features import (FeatureWindow, PipelineConfig, augment_invert,
-                       augment_reverse, extract_window, flatten,
-                       make_feature_window, normalize_loudness, pad_to_length,
-                       truncate_to_length)
+                       augment_reverse, extract_clip, extract_window, flatten,
+                       normalize_loudness, pad_to_length, truncate_to_length)
 from .metrics import (confusion_matrix, metrics_report, precision_recall_f1,
                       top_k_accuracy)
 from .nn import (CnnModel, TrainConfig, build_emotion_cnn, cross_entropy_loss,

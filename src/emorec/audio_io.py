@@ -7,7 +7,7 @@ average.  16-bit samples are scaled by 1/32768, so -32768 maps to -1.0 and
 +32767 to 32767/32768 (the usual asymmetric grid).
 
 No resampling happens here; clips keep their native rate and downstream DSP
-parameterizes on ``sample_rate``.
+parameterizes on ``sample_rate``; ``read_clips`` refuses mixed rates.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, UnsupportedFormatError
+from .errors import DataError, FormatError, UnsupportedFormatError
 
 _PCM = 1
 _IEEE_FLOAT = 3
@@ -146,6 +146,34 @@ def decode_wav(data: bytes, source_id: str | None = None) -> AudioClip:
         raw = raw.reshape(-1, 2).mean(axis=1)
 
     return AudioClip(raw, sample_rate, source_id=source_id)
+
+
+def read_file(path) -> bytes:
+    """The bytes of an audio file; a missing file is a DataError."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise DataError(f"audio file missing: {path}")
+
+
+def max_length(records) -> int:
+    """Longest clip of the records (anything with ``.path``) in samples, read
+    from the WAV headers alone."""
+    return max(wav_info(read_file(r.path))[0] for r in records)
+
+
+def read_clips(records):
+    """Decode the records (``.path``, ``.id``) lazily, one clip at a time;
+    DataError on a missing file or a rate other than the first clip's."""
+    rate = None
+    for r in records:
+        clip = decode_wav(read_file(r.path), source_id=r.id)
+        rate = rate or clip.sample_rate
+        if clip.sample_rate != rate:
+            raise DataError(f"{r.path}: sample rate {clip.sample_rate} Hz, but "
+                            f"earlier clips are {rate} Hz")
+        yield clip
 
 
 def encode_wav(clip: AudioClip) -> tuple[bytes, int]:

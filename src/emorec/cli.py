@@ -104,18 +104,6 @@ def _read_required_manifest(path):
     return dataset.read_manifest(path)
 
 
-def _read_audio(path) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except FileNotFoundError:
-        raise DataError(f"audio file missing: {path}")
-
-
-def _decode_file(path, source_id=None):
-    return audio_io.decode_wav(_read_audio(path), source_id=source_id)
-
-
 def _pipeline_sidecar(cache_path) -> str:
     return cache_path + ".json"
 
@@ -144,10 +132,7 @@ def cmd_extract(args, run: RunDir) -> int:
     if not records:
         raise DataError("empty manifest")
 
-    target = opts.target_length
-    if not target:
-        for r in records:
-            target = max(target, audio_io.wav_info(_read_audio(r.path))[0])
+    target = opts.target_length or audio_io.max_length(records)
     cfg = features.PipelineConfig(
         n_mfcc=opts.n_mfcc, target_length=target,
         frame_length=opts.frame_length,
@@ -155,20 +140,14 @@ def cmd_extract(args, run: RunDir) -> int:
         f_min=opts.f_min, f_max=opts.f_max)
 
     cache_records = []
-    sample_rate = None
-    for r in records:
-        clip = _decode_file(r.path, r.id)
-        sample_rate = sample_rate or clip.sample_rate
-        if clip.sample_rate != sample_rate:
-            raise DataError(f"{r.path}: sample rate {clip.sample_rate} Hz, but "
-                            f"earlier clips are {sample_rate} Hz")
+    for r, clip in zip(records, audio_io.read_clips(records)):
         window = features.extract_window(clip, cfg)
         cache_records.append((r.id, int(r.label), window.matrix))
     out = opts.out or run.file("features.bin")
     features.save_feature_cache(out, cache_records)
     with open(_pipeline_sidecar(out), "w") as fh:
         json.dump({"version": CONFIG_VERSION, "pipeline": cfg.to_dict(),
-                   "sample_rate": sample_rate}, fh, indent=2)
+                   "sample_rate": clip.sample_rate}, fh, indent=2)
     print(f"extracted {len(cache_records)} windows "
           f"({cfg.n_mfcc}x{features.N_FRAMES}, target_length={cfg.target_length}) -> {out}")
     return 0
@@ -332,7 +311,6 @@ def cmd_sweep_svm(args, run: RunDir) -> int:
                              target_length=0, n_mels=26))
     records = _read_required_manifest(opts.manifest)
     base = [r for r in records if r.augmented_from is None]
-    clips = [_decode_file(r.path, r.id) for r in base]
     labels = [int(r.label) for r in base]
 
     lo, hi, step = (int(x) for x in str(opts.range).split(":"))
@@ -341,16 +319,16 @@ def cmd_sweep_svm(args, run: RunDir) -> int:
         points |= {int(x) for x in str(opts.extra_points).split(",") if x}
     points = tuple(sorted(points))
 
-    target = opts.target_length or max(len(c) for c in clips)
+    target = opts.target_length or audio_io.max_length(base)
     base_cfg = features.PipelineConfig(
         n_mfcc=min(points), target_length=target,
         frame_length=int(opts.frame_length),
         n_mels=max(int(opts.n_mels), min(points)))
     kernels = tuple(str(opts.kernels).split(","))
-    result = sweep.run_svm_sweep(clips, labels, base_cfg, kernels=kernels,
-                                 points=points, runs=int(opts.runs),
-                                 base_seed=opts.seed, C=float(opts.C),
-                                 records=base)
+    result = sweep.run_svm_sweep(audio_io.read_clips(base), labels, base_cfg,
+                                 kernels=kernels, points=points,
+                                 runs=int(opts.runs), base_seed=opts.seed,
+                                 C=float(opts.C), records=base)
     run.write_text("sweep_raw.csv", result.raw_csv())
     run.write_text("sweep_mean.csv", result.mean_csv())
     best = max(result.mean().items(), key=lambda kv: kv[1])
@@ -371,10 +349,8 @@ def cmd_augment(args, run: RunDir) -> int:
     os.makedirs(wav_dir, exist_ok=True)
     out_records = list(records)
     n_written = 0
-    for r in records:
-        if r.augmented_from is not None:
-            continue
-        clip = _decode_file(r.path, r.id)
+    base = [r for r in records if r.augmented_from is None]
+    for r, clip in zip(base, audio_io.read_clips(base)):
         for aug in augs:
             new_id = f"{r.id}_{aug[:3]}"
             data, _clipped = audio_io.encode_wav(
@@ -410,7 +386,7 @@ def cmd_stream(args, run: RunDir) -> int:
     if not meta or "pipeline" not in meta:
         raise DataError("model carries no pipeline config; pass --pipeline-config")
     pipeline_cfg = features.PipelineConfig.from_dict(meta["pipeline"])
-    clip = _decode_file(opts.wav)
+    clip = audio_io.decode_wav(audio_io.read_file(opts.wav))
     if meta.get("sample_rate") and meta["sample_rate"] != clip.sample_rate:
         raise DataError(f"stream sample rate {clip.sample_rate} Hz does not "
                         f"match the training rate {meta['sample_rate']} Hz")

@@ -5,8 +5,9 @@ The canonical unit fed to both classifiers is an ``n_mfcc x 26`` MFCC matrix
 ``target_length`` slice if over-long or zero-padded head and tail to it,
 run through the MFCC front end with a hop derived so the STFT yields at
 least 26 frames, cut to the first 26 frames, and finally z-scored over all
-entries of the window.  ``extract_window`` z-scores and pads only the
-samples inside the STFT frames, bit-identical to the whole-clip steps.
+entries of the window.  ``extract_clip`` z-scores and pads only the samples
+inside the STFT frames, bit-identical to the whole-clip steps, and builds the
+windows of several configs (the points of a sweep) from one FFT of them.
 
 Augmentations: time reversal and polarity inversion.  Inversion leaves the
 magnitude spectrum, hence the feature window, bit-identical to the original;
@@ -155,13 +156,29 @@ def augment_invert(clip: AudioClip) -> AudioClip:
 AUGMENTATIONS = {"reverse": augment_reverse, "invert": augment_invert}
 
 
-def _window(clip: AudioClip, offset: int, mu, sigma,
-            cfg: PipelineConfig) -> FeatureWindow:
-    """Window of the target_length clip whose sample i is (x[i + offset] - mu)
-    / sigma, zero off the ends of x = clip.samples.  Only the frames dsp.stft
-    would make (26 unless hop_length < 25; BLAS results can depend on the row
-    count) are sliced out of x into the frame buffer and z-scored there."""
-    x, fl, hop = clip.samples, cfg.frame_length, cfg.hop_length
+def _silent(cfg: PipelineConfig) -> FeatureWindow:
+    return FeatureWindow(np.zeros((cfg.n_mfcc, N_FRAMES)), cfg.n_mfcc)
+
+
+def extract_clip(clip: AudioClip, cfgs) -> list[FeatureWindow]:
+    """The window of each config in cfgs, which must share target_length,
+    frame_length, f_min and f_max; bit-identical to normalize_loudness,
+    truncate_to_length or pad_to_length, then dsp.mfcc, but only the frames
+    dsp.stft would make (26 unless hop_length < 25; BLAS results can depend
+    on the row count) are built, z-scored and transformed, once for all."""
+    shared = {(c.target_length, c.frame_length, c.f_min, c.f_max) for c in cfgs}
+    if len(shared) != 1:
+        raise ConfigError("configs of one clip must share target_length, "
+                          f"frame_length, f_min and f_max; got {shared or 'none'}")
+    cfg, x = cfgs[0], clip.samples
+    mu, sigma = x.mean(), x.std()
+    if sigma < 1e-12:   # a constant clip z-scores to silence
+        return [_silent(c) for c in cfgs]
+    fl, hop = cfg.frame_length, cfg.hop_length
+    # padded sample 0 sits at x[offset]: truncation drops the larger half of
+    # the excess from the head, padding puts the larger half at the head
+    excess = len(x) - cfg.target_length
+    offset = -(-excess // 2) if excess > 0 else excess // 2
     lo, hi = max(offset, 0), min(offset + cfg.target_length, len(x))
     frames = np.zeros((1 + (cfg.target_length - fl) // hop, next_pow2(fl)))
     for r in range(len(frames)):
@@ -174,44 +191,29 @@ def _window(clip: AudioClip, offset: int, mu, sigma,
     # silence (the kept span, not just the frames) is defined as all zeros:
     # its MFCC is a nonzero constant in coefficient 0 only, no information
     if not frames.any() and not np.any((x[lo:hi] - mu) / sigma):
-        return FeatureWindow(np.zeros((cfg.n_mfcc, N_FRAMES)), cfg.n_mfcc)
+        return [_silent(c) for c in cfgs]
     frames[:, :fl] *= hann_window(fl)
-    window = mel_cepstrum(frame_magnitudes(frames, fl), clip.sample_rate,
-                          frames.shape[1], cfg.n_mfcc, cfg.n_mels,
-                          cfg.f_min, cfg.f_max)[:, :N_FRAMES]
-    sd = window.std()
-    if sd < 1e-12:
-        window = np.zeros_like(window)
-    else:
-        window = (window - window.mean()) / sd
-    return FeatureWindow(window, cfg.n_mfcc)
-
-
-def make_feature_window(clip: AudioClip, cfg: PipelineConfig) -> FeatureWindow:
-    """MFCC the (already normalized and padded) clip of exactly
-    cfg.target_length samples, keep the first 26 frames, z-score the window."""
-    if len(clip) != cfg.target_length:
-        raise ValueError(
-            f"clip of {len(clip)} samples is not padded to target_length "
-            f"{cfg.target_length}")
-    # x - 0.0 and x / 1.0 are exact: the samples are framed as they are
-    return _window(clip, 0, 0.0, 1.0, cfg)
+    magnitudes = frame_magnitudes(frames, fl)
+    out = []
+    for c in cfgs:   # each at the GEMM shapes it has alone, which keeps the bits
+        try:
+            window = mel_cepstrum(magnitudes, clip.sample_rate, frames.shape[1],
+                                  c.n_mfcc, c.n_mels, c.f_min,
+                                  c.f_max)[:, :N_FRAMES]
+        except ConfigError as exc:
+            raise ConfigError(f"n_mfcc={c.n_mfcc}: {exc}") from exc
+        sd = window.std()
+        if sd < 1e-12:
+            window = np.zeros_like(window)
+        else:
+            window = (window - window.mean()) / sd
+        out.append(FeatureWindow(window, c.n_mfcc))
+    return out
 
 
 def extract_window(clip: AudioClip, cfg: PipelineConfig) -> FeatureWindow:
-    """Full per-clip pipeline, bit-identical to normalize_loudness, then
-    truncate_to_length if over-long, pad_to_length and make_feature_window,
-    but only the STFT frames are normalized and padded, not the whole clip.
-    """
-    x = clip.samples
-    mu, sigma = x.mean(), x.std()
-    if sigma < 1e-12:   # a constant clip z-scores to silence
-        return FeatureWindow(np.zeros((cfg.n_mfcc, N_FRAMES)), cfg.n_mfcc)
-    # padded sample 0 sits at x[offset]: truncation drops the larger half of
-    # the excess from the head, padding puts the larger half at the head
-    excess = len(x) - cfg.target_length
-    offset = -(-excess // 2) if excess > 0 else excess // 2
-    return _window(clip, offset, mu, sigma, cfg)
+    """The full per-clip pipeline for one config: extract_clip of [cfg]."""
+    return extract_clip(clip, (cfg,))[0]
 
 
 def flatten(window: FeatureWindow) -> np.ndarray:

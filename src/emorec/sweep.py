@@ -1,9 +1,9 @@
 """Experiment orchestration: model evaluation and the SVM MFCC-count sweep.
 
-The sweep retrains an SVM per (kernel, n_mfcc) point on freshly extracted
-features — the coefficient count changes the front end, not just the model —
-over the documented point set {10, 20, ..., 120} plus 13 and 100, ten runs
-per point with a fresh split seed each, reporting raw and mean accuracies as
+The sweep retrains an SVM per (kernel, n_mfcc) point on features built in
+one pass over the clips, every point's window from one FFT of each clip, over
+the documented point set {10, 20, ..., 120} plus 13 and 100, ten runs per
+point with a fresh split seed each, reporting raw and mean accuracies as
 plot-ready CSV.
 """
 
@@ -89,7 +89,8 @@ def run_svm_sweep(clips, labels, base_cfg: features.PipelineConfig,
                   ratios=(0.6, 0.2, 0.2), eval_split="test") -> SweepResult:
     """Accuracy over the MFCC-count grid, `runs` split seeds per point.
 
-    clips: list of AudioClip; labels: matching integer class codes.  records
+    clips: iterable of AudioClip, read once (so a lazy reader keeps only the
+    windows in memory); labels: matching integer class codes.  records
     (optional) supplies SampleRecords for the stratified split; otherwise
     synthetic ids are used.  n_mels is raised to max(base n_mels, n_mfcc) so
     every point is extractable.
@@ -103,15 +104,13 @@ def run_svm_sweep(clips, labels, base_cfg: features.PipelineConfig,
     by_id = {r.id: i for i, r in enumerate(records)}
     labels = np.asarray(labels, dtype=np.int64)
 
+    cfgs = [replace(base_cfg, n_mfcc=n, n_mels=max(base_cfg.n_mels, n))
+            for n in points]
+    windows = [features.extract_clip(clip, cfgs) for clip in clips]
+
     result = SweepResult()
-    for n_mfcc in points:
-        try:
-            cfg = replace(base_cfg, n_mfcc=n_mfcc,
-                          n_mels=max(base_cfg.n_mels, n_mfcc))
-            windows = [features.extract_window(c, cfg) for c in clips]
-        except (ConfigError, ValueError) as exc:
-            raise ConfigError(f"sweep point n_mfcc={n_mfcc}: {exc}") from exc
-        X = np.stack([features.flatten(w) for w in windows])
+    for p, cfg in enumerate(cfgs):
+        X = np.stack([features.flatten(w[p]) for w in windows])
         for kernel in kernels:
             spec = svm.KernelSpec(kind=kernel, C=C)
             for run in range(runs):
@@ -123,5 +122,5 @@ def run_svm_sweep(clips, labels, base_cfg: features.PipelineConfig,
                                              spec)
                 preds = svm.predict(model, X[eval_idx])
                 acc = float((preds == labels[eval_idx]).mean())
-                result.rows.append(SweepRow(kernel, n_mfcc, run, seed, acc))
+                result.rows.append(SweepRow(kernel, cfg.n_mfcc, run, seed, acc))
     return result

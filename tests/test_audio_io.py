@@ -2,6 +2,7 @@ import io
 import math
 import struct
 import wave
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from emorec import audio_io
 from emorec.audio_io import AudioClip, decode_wav, encode_wav, synth_tone
-from emorec.errors import FormatError, UnsupportedFormatError
+from emorec.errors import DataError, FormatError, UnsupportedFormatError
 
 
 def stdlib_wav_bytes(samples_int16, sample_rate, n_channels=1):
@@ -132,6 +133,34 @@ class TestWavInfo:
                 parse(data)
             with pytest.raises(FormatError, match="missing data chunk"):
                 parse(data[:36])  # RIFF header and fmt chunk only
+
+
+class TestReadClips:
+    @staticmethod
+    def records(tmp_path, rates):
+        out = []
+        for i, rate in enumerate(rates):
+            path = tmp_path / f"c{i}.wav"
+            if rate:
+                path.write_bytes(encode_wav(synth_tone(440, 0.25 + i / 100, rate))[0])
+            out.append(SimpleNamespace(path=str(path), id=f"c{i}"))
+        return out
+
+    def test_yields_one_clip_at_a_time(self, tmp_path):
+        # the third file is missing: the first two still come out, in order
+        clips = audio_io.read_clips(self.records(tmp_path, [8000, 8000, None]))
+        assert [next(clips).source_id, next(clips).source_id] == ["c0", "c1"]
+        with pytest.raises(DataError, match="audio file missing"):
+            next(clips)
+
+    def test_mixed_rates_rejected(self, tmp_path):
+        records = self.records(tmp_path, [16000, 16000, 8000])
+        with pytest.raises(DataError, match="8000 Hz, but earlier clips are 16000 Hz"):
+            list(audio_io.read_clips(records))
+
+    def test_max_length_from_headers(self, tmp_path):
+        records = self.records(tmp_path, [8000, 16000, 8000])
+        assert audio_io.max_length(records) == 4160   # 0.26 s at 16 kHz
 
 
 class TestEncode:

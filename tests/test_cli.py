@@ -124,6 +124,19 @@ class TestSplitCmd:
         assert counts == {"train": 8 * 4, "val": 8, "test": 8}
 
 
+def mixed_rate_manifest(tmp_path, n_clips=2):
+    """A manifest of n_clips clips of one class, the last at 24 kHz and the
+    others at 48 kHz."""
+    for actor in range(1, n_clips + 1):
+        rate = 24000 if actor == n_clips else 48000
+        data, _ = audio_io.encode_wav(audio_io.synth_tone(440, 0.5, rate))
+        (tmp_path / f"03-01-01-01-01-01-{actor:02d}.wav").write_bytes(data)
+    manifest = tmp_path / "manifest.csv"
+    dataset.write_manifest(manifest,
+                           dataset.scan_corpus(str(tmp_path), "ravdess"))
+    return manifest
+
+
 class TestExtract:
     def test_cache_and_sidecar(self, workspace):
         from emorec import features as feat
@@ -184,18 +197,31 @@ class TestExtract:
 
     @pytest.mark.parametrize("target_args", [[], ["--target-length", "30000"]])
     def test_mixed_sample_rates_fail_closed(self, tmp_path, capsys, target_args):
-        for actor, rate in ((1, 48000), (2, 24000)):
-            data, _ = audio_io.encode_wav(audio_io.synth_tone(440, 0.5, rate))
-            (tmp_path / f"03-01-01-01-01-01-{actor:02d}.wav").write_bytes(data)
-        manifest = tmp_path / "manifest.csv"
-        dataset.write_manifest(manifest,
-                               dataset.scan_corpus(str(tmp_path), "ravdess"))
+        manifest = mixed_rate_manifest(tmp_path)
         out = tmp_path / "features.bin"
         assert main(["extract", "--manifest", str(manifest), "--out", str(out),
                      *target_args, "--out-dir", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert "24000 Hz" in err and "48000 Hz" in err
         assert not out.exists()
+
+
+class TestReproduceScript:
+    @pytest.mark.parametrize("sweep_args", [[], ["--sweep"]])
+    def test_mixed_sample_rates_exit_2(self, tmp_path, capsys, monkeypatch,
+                                       sweep_args):
+        import runpy
+        mixed_rate_manifest(tmp_path, n_clips=5)   # a split needs 5 per class
+        script = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                              "reproduce.py")
+        monkeypatch.setattr("sys.argv", [script, "--ravdess-dir", str(tmp_path),
+                                         "--out", str(tmp_path / "out"),
+                                         *sweep_args])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(script, run_name="__main__")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "24000 Hz" in err and "48000 Hz" in err
 
 
 class TestTrainAndEval:
@@ -241,6 +267,15 @@ class TestSweepCmd:
         assert len(raw) == 1 + 1 * 3 * 2  # header + kernels*points*runs
         mean = (run / "sweep_mean.csv").read_text().strip().splitlines()
         assert len(mean) == 1 + 3
+
+    def test_mixed_sample_rates_fail_closed(self, tmp_path, capsys):
+        manifest = mixed_rate_manifest(tmp_path)
+        run = tmp_path / "run"
+        assert main(["sweep-svm", "--manifest", str(manifest),
+                     "--out-dir", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert "24000 Hz" in err and "48000 Hz" in err
+        assert not (run / "sweep_raw.csv").exists()
 
     def test_golden_cardinality_formula(self):
         # the documented full sweep: 2 kernels x 13 points x 10 runs

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,16 +132,6 @@ class TestFeatureWindow:
         assert abs(w.matrix.mean()) < 1e-6
         assert abs(w.matrix.std() - 1.0) < 1e-6
 
-    def test_silent_clip_all_zero(self, pipeline_cfg):
-        clip = AudioClip(np.full(4200, 0.0), 4000)
-        w = features.make_feature_window(clip, pipeline_cfg)
-        assert np.all(w.matrix == 0.0)
-
-    def test_wrong_length_rejected(self, pipeline_cfg):
-        with pytest.raises(ValueError, match="not padded"):
-            features.make_feature_window(AudioClip(np.ones(100), 4000),
-                                         pipeline_cfg)
-
     def test_deterministic(self, pipeline_cfg):
         clip = audio_io.synth_chirp(80, 1200, 0.9, 4000)
         w1 = features.extract_window(clip, pipeline_cfg)
@@ -191,12 +183,10 @@ def mfcc_window(clip, cfg):
 
 
 def assert_same_window(clip, cfg):
-    """extract_window, make_feature_window of the whole-clip steps and the
-    dsp.mfcc window of them agree bit for bit."""
+    """extract_window and the dsp.mfcc window of the whole-clip steps agree
+    bit for bit."""
     fused = features.extract_window(clip, cfg).matrix
-    padded = whole_clip_steps(clip, cfg)
-    assert np.array_equal(fused, features.make_feature_window(padded, cfg).matrix)
-    assert np.array_equal(fused, mfcc_window(padded, cfg))
+    assert np.array_equal(fused, mfcc_window(whole_clip_steps(clip, cfg), cfg))
     return fused
 
 
@@ -258,6 +248,57 @@ class TestFusedEqualsComposed:
                                       frame_length=frame_length)
         n = int(rng.integers(1, 2 * target))
         assert_same_window(AudioClip(scale * rng.normal(size=n), 16000), cfg)
+
+
+SWEEP_POINTS = (10, 13, 20, 40, 120)   # the first three share n_mels 26
+TARGET = 2048 + 25 * 300
+
+
+class TestExtractClip:
+    """extract_clip frames and transforms a clip once for several configs;
+    each window must equal that config's window alone, bit for bit."""
+
+    @staticmethod
+    def configs():
+        return [features.PipelineConfig(n_mfcc=p, target_length=TARGET,
+                                        frame_length=2048, n_mels=max(26, p))
+                for p in SWEEP_POINTS]
+
+    @pytest.mark.parametrize("n,kind", [(TARGET + 1001, "sound"),   # over-long
+                                        (TARGET - 778, "sound"),    # even pad
+                                        (TARGET - 101, "sound"),    # odd pad
+                                        (TARGET - 101, "constant"),
+                                        (TARGET + 1001, "zeros"),
+                                        (TARGET + 8, "cut_away")])
+    def test_each_window_equals_extract_window(self, n, kind):
+        samples = np.zeros(n)
+        if kind == "sound":
+            rng = np.random.default_rng(n)
+            tone = audio_io.synth_tone(310, n / 16000, 16000).samples[:n]
+            samples = 0.3 * tone + 0.05 * rng.normal(size=n)
+        elif kind == "constant":
+            samples[:] = 0.4
+        elif kind == "cut_away":   # sound only where truncation cuts
+            samples[:4] = samples[-4:] = [0.5, -0.5, 0.5, -0.5]
+        clip = AudioClip(samples, 16000)
+        cfgs = self.configs()
+        windows = features.extract_clip(clip, cfgs)
+        assert [w.n_mfcc for w in windows] == list(SWEEP_POINTS)
+        for cfg, w in zip(cfgs, windows):
+            assert np.array_equal(w.matrix, assert_same_window(clip, cfg))
+            assert np.any(w.matrix) == (kind == "sound")
+
+    @pytest.mark.parametrize("other", [
+        {"target_length": TARGET + 1}, {"frame_length": 1024},
+        {"f_min": 20.0}, {"f_max": 7000.0}])
+    def test_configs_must_share_frames_and_band(self, other):
+        cfgs = self.configs()
+        cfgs[-1] = replace(cfgs[-1], **other)
+        clip = audio_io.synth_tone(310, 1.0, 16000)
+        with pytest.raises(ConfigError, match="must share"):
+            features.extract_clip(clip, cfgs)
+        with pytest.raises(ConfigError, match="must share"):
+            features.extract_clip(clip, [])
 
 
 class TestFlatten:

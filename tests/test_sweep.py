@@ -87,6 +87,17 @@ class TestSweep:
         assert sweep.SWEEP_DEFAULT_POINTS == (
             10, 13, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120)
 
+    def test_one_shot_generator_matches_list(self, tone_dataset):
+        clips, labels = tone_dataset
+        cfg = features.PipelineConfig(n_mfcc=10, target_length=4200,
+                                      frame_length=512, n_mels=26)
+        kw = dict(kernels=("rbf", "linear"), points=(10, 40), runs=2,
+                  base_seed=3)
+        from_list = sweep.run_svm_sweep(clips, labels, cfg, **kw)
+        from_gen = sweep.run_svm_sweep((c for c in clips), labels, cfg, **kw)
+        assert len(from_gen.rows) == 8
+        assert from_gen.raw_csv() == from_list.raw_csv()
+
     def test_bad_point_names_offender(self, tone_dataset):
         clips, labels = tone_dataset
         cfg = features.PipelineConfig(n_mfcc=10, target_length=4200,

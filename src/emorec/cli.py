@@ -311,6 +311,8 @@ def cmd_sweep_svm(args, run: RunDir) -> int:
                              target_length=0, n_mels=26))
     records = _read_required_manifest(opts.manifest)
     base = [r for r in records if r.augmented_from is None]
+    if not base:
+        raise DataError("empty manifest: no base records")
     labels = [int(r.label) for r in base]
 
     lo, hi, step = (int(x) for x in str(opts.range).split(":"))

@@ -16,9 +16,18 @@ The reference 13x26 model:
 
 which on a (13, 26, 1) input produces 233,448 trainable parameters.
 
+Memory: `train()` keeps one `Workspace` of per-layer buffers (im2col
+columns, activations, masks, the gradients passed between layers) and reuses
+it on every step, so a step allocates only parameter-sized arrays (gradients,
+RMSProp temporaries) and small ones.  ReLU works in place, and the first
+layer with parameters computes no input gradient.  `predict_proba` keeps no
+per-layer caches: each is dropped once the next layer has run.
+
 Determinism: weight init, shuffling and dropout all draw from seeded PCG64
 generators in a fixed single-threaded order, so identical seeds reproduce
-identical training histories bit for bit.
+identical training histories bit for bit.  Buffers change where results are
+written, never the operations or their order, so a run with a workspace
+matches one without it bit for bit.
 """
 
 from __future__ import annotations
@@ -45,6 +54,8 @@ PROB_FLOOR = 1e-12
 # name in checkpoints and the audit table), `out_shape`, `param_shapes`
 # ({} for parameterless layers), and one `forward` / `backward` step.  The
 # steps call the primitive ops below by module-global name at call time.
+# Both steps take `buf`, the layer's buffer source (see `Workspace`), and
+# hand it to the primitives, which write their large outputs into it.
 
 @dataclass
 class _Pass:
@@ -55,18 +66,54 @@ class _Pass:
     masks: list                   # masks applied, in layer order
 
 
-def _activate(x, activation):
+def _fresh(role, shape, dtype=np.float64):
+    """Buffer source without a workspace: a new array on every call."""
+    return np.empty(shape, dtype)
+
+
+class Workspace:
+    """Buffers keyed by (layer index, role) that `train()` reuses across steps.
+
+    `layer(i)` is layer i's buffer source: called with a role, shape and
+    dtype, it returns that layer's buffer for the role, allocated again only
+    when the shape or dtype changes (a short last batch).  A buffer holds its
+    contents until the same layer and role are asked for again, in the next
+    pass that uses the workspace.  Of what `loss_and_grads` returns, only the
+    dropout masks live in buffers; gradients and probabilities are fresh.
+    """
+
+    def __init__(self):
+        self._bufs = {}
+
+    def layer(self, i):
+        def buf(role, shape, dtype=np.float64):
+            a = self._bufs.get((i, role))
+            if a is None or a.shape != shape or a.dtype != dtype:
+                a = self._bufs[(i, role)] = np.empty(shape, dtype)
+            return a
+        return buf
+
+
+# The activation is applied in place: the pre-activation output and the
+# incoming gradient belong to the layer and nothing reads them afterwards.
+
+def _activate(x, activation, buf):
     if activation == "relu":
-        return relu_forward(x)
+        return relu_forward(x, buf=buf, out=x)
     return x, None
 
 
 def _deactivate(d, relu_mask):
-    return d if relu_mask is None else relu_backward(d, relu_mask)
+    return d if relu_mask is None else relu_backward(d, relu_mask, out=d)
 
 
 class _Layer:
-    """Defaults for a layer that has no parameters and keeps its input shape."""
+    """Defaults for a layer that has no parameters and keeps its input shape.
+
+    `backward(d, cache, buf, need_dx)` returns (input gradient, parameter
+    gradients); need_dx is False only for the first layer with parameters,
+    whose input gradient nothing reads.
+    """
 
     def out_shape(self, shape):
         return shape
@@ -96,14 +143,15 @@ class Conv2D(_Layer):
         k = self.kernel
         return {"W": (k, k, shape[-1], self.filters), "b": (self.filters,)}
 
-    def forward(self, x, p, run):
-        x, cache = conv2d_forward(x, p["W"], p["b"], self.padding)
-        x, relu_mask = _activate(x, self.activation)
+    def forward(self, x, p, run, buf):
+        x, cache = conv2d_forward(x, p["W"], p["b"], self.padding, buf=buf)
+        x, relu_mask = _activate(x, self.activation, buf)
         return x, (cache, relu_mask)
 
-    def backward(self, d, cache):
+    def backward(self, d, cache, buf, need_dx):
         conv_cache, relu_mask = cache
-        d, dW, db = conv2d_backward(_deactivate(d, relu_mask), conv_cache)
+        d, dW, db = conv2d_backward(_deactivate(d, relu_mask), conv_cache,
+                                    need_dx=need_dx, buf=buf)
         return d, {"W": dW, "b": db}
 
 
@@ -119,11 +167,11 @@ class MaxPool2D(_Layer):
             raise ConfigError(f"{h}x{w} too small for {self.size}x{self.size} pool")
         return (h // self.size, w // self.size, c)
 
-    def forward(self, x, p, run):
-        return maxpool2d_forward(x, self.size)
+    def forward(self, x, p, run, buf):
+        return maxpool2d_forward(x, self.size, buf=buf)
 
-    def backward(self, d, cache):
-        return maxpool2d_backward(d, cache), None
+    def backward(self, d, cache, buf, need_dx):
+        return maxpool2d_backward(d, cache, buf=buf), None
 
 
 @dataclass(frozen=True)
@@ -136,14 +184,15 @@ class DropoutSpec(_Layer):
         if not 0.0 <= self.rate < 1.0:
             raise ConfigError(f"dropout rate {self.rate} outside [0, 1)")
 
-    def forward(self, x, p, run):
+    def forward(self, x, p, run, buf):
         mask = next(run.replay) if run.replay is not None else None
-        x, mask = dropout_forward(x, self.rate, run.train, rng=run.rng, mask=mask)
+        x, mask = dropout_forward(x, self.rate, run.train, rng=run.rng,
+                                  mask=mask, buf=buf)
         run.masks.append(mask)
         return x, mask
 
-    def backward(self, d, mask):
-        return dropout_backward(d, mask, self.rate), None
+    def backward(self, d, mask, buf, need_dx):
+        return dropout_backward(d, mask, self.rate, buf=buf), None
 
 
 @dataclass(frozen=True)
@@ -153,10 +202,10 @@ class FlattenSpec(_Layer):
     def out_shape(self, shape):
         return (int(np.prod(shape)),)
 
-    def forward(self, x, p, run):
+    def forward(self, x, p, run, buf):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, d, x_shape):
+    def backward(self, d, x_shape, buf, need_dx):
         return d.reshape(x_shape), None
 
 
@@ -175,14 +224,15 @@ class Dense(_Layer):
     def param_shapes(self, shape):
         return {"W": (shape[0], self.units), "b": (self.units,)}
 
-    def forward(self, x, p, run):
-        x, cache = dense_forward(x, p["W"], p["b"])
-        x, relu_mask = _activate(x, self.activation)
+    def forward(self, x, p, run, buf):
+        x, cache = dense_forward(x, p["W"], p["b"], buf=buf)
+        x, relu_mask = _activate(x, self.activation, buf)
         return x, (cache, relu_mask)
 
-    def backward(self, d, cache):
+    def backward(self, d, cache, buf, need_dx):
         dense_cache, relu_mask = cache
-        d, dW, db = dense_backward(_deactivate(d, relu_mask), dense_cache)
+        d, dW, db = dense_backward(_deactivate(d, relu_mask), dense_cache,
+                                   need_dx=need_dx, buf=buf)
         return d, {"W": dW, "b": db}
 
 
@@ -193,36 +243,53 @@ _LAYER_TYPES = {cls.kind: cls for cls in (Conv2D, MaxPool2D, DropoutSpec,
 # ---------------------------------------------------------------------------
 # Primitive ops
 # ---------------------------------------------------------------------------
+#
+# `buf(role, shape, dtype)` supplies each large output; the default `_fresh`
+# allocates it, a `Workspace` layer reuses it.  Either way the arithmetic is
+# the same, so results do not depend on which one is passed.  Parameter
+# gradients are always fresh arrays.
 
-def conv2d_forward(x, W, b, padding="same"):
+def conv2d_forward(x, W, b, padding="same", buf=_fresh):
     """Cross-correlation plus bias.  x: (N,H,W,Cin), W: (k,k,Cin,Cout).
 
     same-padding pads symmetrically with zeros (odd kernels only); valid
     shrinks each spatial dim by k-1.
     """
     k = W.shape[0]
-    if W.shape[2] != x.shape[3]:
-        raise ValueError(f"channel mismatch: input {x.shape[3]}, kernel {W.shape[2]}")
+    n, h, w, cin = x.shape
+    if W.shape[2] != cin:
+        raise ValueError(f"channel mismatch: input {cin}, kernel {W.shape[2]}")
     if padding == "same":
         p = (k - 1) // 2
-        xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+        xp = buf("xp", (n, h + 2 * p, w + 2 * p, cin))
+        xp[:, :p] = 0.0
+        xp[:, p + h:] = 0.0
+        xp[:, :, :p] = 0.0
+        xp[:, :, p + w:] = 0.0
+        xp[:, p:p + h, p:p + w] = x
     elif padding == "valid":
         xp = x
     else:
         raise ValueError(f"unknown padding {padding!r}")
-    n, hp, wp, cin = xp.shape
-    ho, wo = hp - k + 1, wp - k + 1
+    ho, wo = xp.shape[1] - k + 1, xp.shape[2] - k + 1
     if ho < 1 or wo < 1:
         raise ValueError(f"input {x.shape[1:3]} too small for {k}x{k} valid conv")
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, k * k * cin)
-    out = cols @ W.reshape(k * k * cin, -1) + b
-    out = out.reshape(n, ho, wo, -1)
+    cols = buf("cols", (n * ho * wo, k * k * cin))
+    np.copyto(cols.reshape(n, ho, wo, k, k, cin), win.transpose(0, 1, 2, 4, 5, 3))
+    out = buf("out", (n, ho, wo, W.shape[3]))
+    np.matmul(cols, W.reshape(k * k * cin, -1), out=out.reshape(n * ho * wo, -1))
+    out += b
     cache = (cols, x.shape, xp.shape, W, padding)
     return out, cache
 
 
-def conv2d_backward(dout, cache):
+def conv2d_backward(dout, cache, need_dx=True, buf=_fresh):
+    """(dx, dW, db); dx is None when need_dx is False.
+
+    dx accumulates one (N*ho*wo, Cout) @ W[di, dj]^T GEMM per kernel tap into
+    the padded gradient, taps in row-major order.
+    """
     cols, x_shape, xp_shape, W, padding = cache
     k = W.shape[0]
     n, ho, wo, cout = dout.shape
@@ -230,12 +297,15 @@ def conv2d_backward(dout, cache):
     dflat = dout.reshape(n * ho * wo, cout)
     dW = (cols.T @ dflat).reshape(W.shape)
     db = dflat.sum(axis=0)
-    dcols = (dflat @ W.reshape(k * k * cin, cout).T)
-    dcols = dcols.reshape(n, ho, wo, k, k, cin)
-    dxp = np.zeros(xp_shape)
+    if not need_dx:
+        return None, dW, db
+    dxp = buf("dxp", xp_shape)
+    dxp.fill(0.0)
+    tap = buf("tap", (n * ho * wo, cin))
     for di in range(k):
         for dj in range(k):
-            dxp[:, di:di + ho, dj:dj + wo, :] += dcols[:, :, :, di, dj, :]
+            np.matmul(dflat, W[di, dj].T, out=tap)
+            dxp[:, di:di + ho, dj:dj + wo, :] += tap.reshape(n, ho, wo, cin)
     if padding == "same":
         p = (k - 1) // 2
         dx = dxp[:, p:p + x_shape[1], p:p + x_shape[2], :]
@@ -244,7 +314,7 @@ def conv2d_backward(dout, cache):
     return dx, dW, db
 
 
-def maxpool2d_forward(x, size=2):
+def maxpool2d_forward(x, size=2, buf=_fresh):
     """Non-overlapping size x size max; trailing odd rows/cols are dropped."""
     n, h, w, c = x.shape
     if h < size or w < size:
@@ -252,60 +322,81 @@ def maxpool2d_forward(x, size=2):
     ho, wo = h // size, w // size
     v = x[:, :ho * size, :wo * size, :]
     v = v.reshape(n, ho, size, wo, size, c).transpose(0, 1, 3, 5, 2, 4)
-    windows = v.reshape(n, ho, wo, c, size * size)
-    idx = windows.argmax(axis=-1)
+    windows = buf("windows", (n, ho, wo, c, size, size))
+    np.copyto(windows, v)
+    windows = windows.reshape(n, ho, wo, c, size * size)
+    idx = np.argmax(windows, axis=-1, out=buf("idx", (n, ho, wo, c), np.intp))
     out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
     return out, (idx, x.shape, size)
 
 
-def maxpool2d_backward(dout, cache):
+def maxpool2d_backward(dout, cache, buf=_fresh):
+    """Route each window's gradient to its argmax; other inputs get 0."""
     idx, x_shape, size = cache
     n, h, w, c = x_shape
     ho, wo = h // size, w // size
-    dwin = np.zeros((n, ho, wo, c, size * size))
+    dwin = buf("dwin", (n, ho, wo, c, size * size))
+    dwin.fill(0.0)
     np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
-    dwin = dwin.reshape(n, ho, wo, c, size, size).transpose(0, 1, 4, 2, 5, 3)
-    dx = np.zeros(x_shape)
-    dx[:, :ho * size, :wo * size, :] = dwin.reshape(n, ho * size, wo * size, c)
+    dx = buf("dx", x_shape)
+    dx[:, ho * size:] = 0.0
+    dx[:, :, wo * size:] = 0.0
+    # splitting the rows and columns of a slice keeps it a view of dx
+    top = dx[:, :ho * size, :wo * size, :].reshape(n, ho, size, wo, size, c)
+    np.copyto(top, dwin.reshape(n, ho, wo, c, size, size)
+              .transpose(0, 1, 4, 2, 5, 3))
     return dx
 
 
-def dense_forward(x, W, b):
+def dense_forward(x, W, b, buf=_fresh):
     if x.shape[1] != W.shape[0]:
         raise ValueError(f"dense input dim {x.shape[1]} != weight rows {W.shape[0]}")
-    return x @ W + b, (x, W)
+    out = np.matmul(x, W, out=buf("out", (x.shape[0], W.shape[1])))
+    out += b
+    return out, (x, W)
 
 
-def dense_backward(dout, cache):
+def dense_backward(dout, cache, need_dx=True, buf=_fresh):
+    """(dx, dW, db); dx is None when need_dx is False."""
     x, W = cache
-    return dout @ W.T, x.T @ dout, dout.sum(axis=0)
+    dx = np.matmul(dout, W.T, out=buf("dx", x.shape)) if need_dx else None
+    return dx, x.T @ dout, dout.sum(axis=0)
 
 
-def relu_forward(x):
-    return np.maximum(0.0, x), x > 0
+def relu_forward(x, buf=_fresh, out=None):
+    """max(0, x) and the mask x > 0; out=x rectifies x in place."""
+    mask = np.greater(x, 0, out=buf("relu_mask", x.shape, bool))
+    return np.maximum(0.0, x, out=out), mask
 
 
-def relu_backward(dout, mask):
-    return dout * mask
+def relu_backward(dout, mask, out=None):
+    return np.multiply(dout, mask, out=out)
 
 
-def dropout_forward(x, rate, train, rng=None, mask=None):
+def dropout_forward(x, rate, train, rng=None, mask=None, buf=_fresh):
     """Inverted dropout: zero with prob rate, scale survivors by 1/(1-rate).
 
     In infer mode (train=False) this is the identity.  A precomputed mask can
-    be supplied to replay a forward pass (finite-difference checks).
+    be supplied to replay a forward pass (finite-difference checks).  Fresh
+    draws land in the output buffer before it is overwritten.
     """
     if not train or rate == 0.0:
         return x, None
+    out = buf("drop", x.shape)
     if mask is None:
-        mask = rng.random(x.shape) >= rate
-    return x * mask / (1.0 - rate), mask
+        rng.random(out=out)
+        mask = np.greater_equal(out, rate, out=buf("drop_mask", x.shape, bool))
+    np.multiply(x, mask, out=out)
+    out /= 1.0 - rate
+    return out, mask
 
 
-def dropout_backward(dout, mask, rate):
+def dropout_backward(dout, mask, rate, buf=_fresh):
     if mask is None:
         return dout
-    return dout * mask / (1.0 - rate)
+    d = np.multiply(dout, mask, out=buf("ddrop", dout.shape))
+    d /= 1.0 - rate
+    return d
 
 
 def softmax(logits):
@@ -450,50 +541,69 @@ def audit_params(model: CnnModel) -> str:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
+def _buffers(work, i):
+    return _fresh if work is None else work.layer(i)
+
+
 def forward(model: CnnModel, x, train=False, rng=None, masks=None,
-            check_finite=False):
+            check_finite=False, work=None):
     """Run the network up to the output logits.
 
     Returns (logits, caches, used_masks).  masks replays a previous forward's
-    dropout decisions; otherwise train-mode dropout draws from rng.
+    dropout decisions; otherwise train-mode dropout draws from rng.  With a
+    `Workspace`, the activations and caches live in its buffers until the
+    next pass that uses it.
     """
     x = np.asarray(x, dtype=np.float64)
     run = _Pass(train=train, rng=rng,
                 replay=iter(masks) if masks is not None else None, masks=[])
     caches = []
-    for spec, p in zip(model.specs, model.params):
-        x, cache = spec.forward(x, p, run)
+    for i, (spec, p) in enumerate(zip(model.specs, model.params)):
+        x, cache = spec.forward(x, p, run, _buffers(work, i))
         caches.append(cache)
         if check_finite and not np.all(np.isfinite(x)):
             raise NumericalError(f"non-finite activation after {spec}")
     return x, caches, run.masks
 
 
-def backward(model: CnnModel, dlogits, caches):
-    """Gradients of the loss w.r.t. every parameter tensor (and the input)."""
+def backward(model: CnnModel, dlogits, caches, work=None):
+    """Gradients of the loss w.r.t. every parameter tensor.
+
+    Layers before the first one with parameters are not visited, and that
+    layer computes no input gradient.
+    """
     grads = [None] * len(model.specs)
+    first = next((i for i, p in enumerate(model.params) if p is not None),
+                 len(model.specs))
     d = dlogits
-    for i in range(len(model.specs) - 1, -1, -1):
-        d, grads[i] = model.specs[i].backward(d, caches[i])
-    return grads, d
+    for i in range(len(model.specs) - 1, first - 1, -1):
+        d, grads[i] = model.specs[i].backward(d, caches[i], _buffers(work, i),
+                                              need_dx=i > first)
+    return grads
 
 
 def loss_and_grads(model: CnnModel, x, labels, rng=None, masks=None,
-                   train=True):
+                   train=True, work=None):
     logits, caches, used_masks = forward(model, x, train=train, rng=rng,
-                                         masks=masks)
+                                         masks=masks, work=work)
     loss, dlogits, probs = softmax_cross_entropy(logits, labels)
-    grads, _ = backward(model, dlogits, caches)
+    grads = backward(model, dlogits, caches, work=work)
     return loss, grads, probs, used_masks
 
 
 def predict_proba(model: CnnModel, x, batch_size=256) -> np.ndarray:
-    """Softmax probabilities in infer mode (dropout off)."""
+    """Softmax probabilities in infer mode (dropout off).
+
+    Each layer's cache is dropped as soon as the next layer has run.
+    """
     x = np.asarray(x, dtype=np.float64)
     outs = []
     for start in range(0, len(x), batch_size):
-        logits, _, _ = forward(model, x[start:start + batch_size], train=False)
-        outs.append(softmax(logits))
+        run = _Pass(train=False, rng=None, replay=None, masks=[])
+        h = x[start:start + batch_size]
+        for spec, p in zip(model.specs, model.params):
+            h, _ = spec.forward(h, p, run, _fresh)
+        outs.append(softmax(h))
     return np.concatenate(outs, axis=0)
 
 
@@ -516,21 +626,34 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError(f"rho {self.rho} outside [0, 1)")
+        for name in ("batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, "
+                                  f"got {getattr(self, name)}")
 
 
 def rmsprop_step(params, grads, acc, cfg: TrainConfig, t: int):
     """In-place RMSProp update with iteration-decayed learning rate.
 
     lr_t = lr / (1 + decay*t); acc <- rho*acc + (1-rho)*g^2;
-    p <- p - lr_t * g / (sqrt(acc) + epsilon).
+    p <- p - lr_t * g / (sqrt(acc) + epsilon).  Each operation is the one the
+    formula names, in its order, so the bits match the out-of-place form;
+    the parameter and accumulator arrays are updated where they are.
     """
     lr_t = cfg.lr / (1.0 + cfg.decay * t)
     for p, g, a in zip(params, grads, acc):
         if p is None:
             continue
         for key in p:
-            a[key] = cfg.rho * a[key] + (1.0 - cfg.rho) * g[key] ** 2
-            p[key] = p[key] - lr_t * g[key] / (np.sqrt(a[key]) + cfg.epsilon)
+            step = np.square(g[key])
+            step *= 1.0 - cfg.rho
+            a[key] *= cfg.rho
+            a[key] += step
+            np.multiply(g[key], lr_t, out=step)
+            denom = np.sqrt(a[key])
+            denom += cfg.epsilon
+            step /= denom
+            p[key] -= step
 
 
 def _fresh_rms_state(params):
@@ -570,6 +693,7 @@ def train(model: CnnModel, x, labels, cfg: TrainConfig,
     if model.rms_state is None:
         model.rms_state = _fresh_rms_state(model.params)
     rng = np.random.default_rng(cfg.seed)
+    work = Workspace()
     history = []
     t = 0
     for epoch in range(1, cfg.epochs + 1):
@@ -578,7 +702,8 @@ def train(model: CnnModel, x, labels, cfg: TrainConfig,
         for start in range(0, len(order), cfg.batch_size):
             sel = order[start:start + cfg.batch_size]
             xb, yb = x[sel], labels[sel]
-            loss, grads, probs, _ = loss_and_grads(model, xb, yb, rng=rng)
+            loss, grads, probs, _ = loss_and_grads(model, xb, yb, rng=rng,
+                                                    work=work)
             rmsprop_step(model.params, grads, model.rms_state, cfg, t)
             t += 1
             losses.append(loss * len(sel))

@@ -254,6 +254,25 @@ class TestTrainAndEval:
         assert history.splitlines()[0] == "epoch,train_loss,train_acc,val_loss,val_acc"
         assert len(history.splitlines()) == 9  # header + 8 epochs
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--batch-size", "0", "batch_size"),
+        ("--batch-size", "-4", "batch_size"),
+        ("--epochs", "0", "epochs"),
+    ])
+    def test_bad_training_sizes_exit_2(self, workspace, capsys, tmp_path,
+                                       flag, value, field):
+        run = tmp_path / "r"
+        model = tmp_path / "cnn.bin"
+        assert main(["train-cnn", "--features", str(workspace["cache"]),
+                     "--manifest", str(workspace["split_manifest"]),
+                     flag, value, "--out", str(model),
+                     "--out-dir", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err
+        assert not model.exists()
+        assert not (run / "history.csv").exists()
+
 
 class TestSweepCmd:
     def test_small_sweep_row_count(self, workspace, tmp_path, capsys):
@@ -275,6 +294,15 @@ class TestSweepCmd:
                      "--out-dir", str(run)]) == 2
         err = capsys.readouterr().err
         assert "24000 Hz" in err and "48000 Hz" in err
+        assert not (run / "sweep_raw.csv").exists()
+
+    def test_empty_manifest_fails_closed(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        dataset.write_manifest(manifest, [])
+        run = tmp_path / "run"
+        assert main(["sweep-svm", "--manifest", str(manifest),
+                     "--out-dir", str(run)]) == 2
+        assert "empty manifest" in capsys.readouterr().err
         assert not (run / "sweep_raw.csv").exists()
 
     def test_golden_cardinality_formula(self):

@@ -36,6 +36,29 @@ def naive_conv2d(x, W, b, padding):
     return out
 
 
+def naive_conv2d_backward(x, W, dout, padding):
+    """dx, dW, db of naive_conv2d, accumulated output by output."""
+    k = W.shape[0]
+    p = (k - 1) // 2 if padding == "same" else 0
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    n, ho, wo, cout = dout.shape
+    cin = W.shape[2]
+    dxp = np.zeros_like(xp)
+    dW = np.zeros_like(W)
+    for s in range(n):
+        for i in range(ho):
+            for j in range(wo):
+                for co in range(cout):
+                    g = dout[s, i, j, co]
+                    for di in range(k):
+                        for dj in range(k):
+                            for ci in range(cin):
+                                dW[di, dj, ci, co] += xp[s, i + di, j + dj, ci] * g
+                                dxp[s, i + di, j + dj, ci] += W[di, dj, ci, co] * g
+    dx = dxp[:, p:p + x.shape[1], p:p + x.shape[2], :]
+    return dx, dW, dout.sum(axis=(0, 1, 2))
+
+
 class TestArchitecture:
     def test_table_shapes(self):
         model = nn.build_emotion_cnn()
@@ -85,6 +108,24 @@ class TestConv:
             got, _ = nn.conv2d_forward(x, W, b, padding)
             want = naive_conv2d(x, W, b, padding)
             assert np.abs(got - want).max() < 1e-12 * max(1, np.abs(want).max())
+
+    def test_backward_matches_naive_loops(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(3, 5, 6, 2))
+        W = rng.normal(size=(3, 3, 2, 4))
+        b = rng.normal(size=4)
+        for padding in ("same", "valid"):
+            out, cache = nn.conv2d_forward(x, W, b, padding)
+            dout = rng.normal(size=out.shape)
+            got = nn.conv2d_backward(dout, cache)
+            want = naive_conv2d_backward(x, W, dout, padding)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert np.abs(g - w).max() < 1e-12 * max(1, np.abs(w).max())
+            dx, dW, db = nn.conv2d_backward(dout, cache, need_dx=False)
+            assert dx is None
+            np.testing.assert_array_equal(dW, got[1])
+            np.testing.assert_array_equal(db, got[2])
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel mismatch"):
@@ -305,6 +346,46 @@ class TestTraining:
                                nn.TrainConfig(epochs=4, batch_size=2, seed=9))
             runs.append([(h.train_loss, h.train_acc) for h in history])
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("n", [12, 10])  # 10: a short last batch
+    def test_workspace_matches_plain_loop(self, n):
+        # two same-shape convs and two equal-rate dropouts ask the workspace
+        # for buffers of identical shape; any sharing between layers shows
+        specs = (nn.Conv2D(3, padding="same"), nn.Conv2D(3, padding="same"),
+                 nn.MaxPool2D(2), nn.DropoutSpec(0.3), nn.FlattenSpec(),
+                 nn.Dense(9, activation="relu"), nn.DropoutSpec(0.3),
+                 nn.Dense(4, activation="softmax"))
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(n, 6, 8, 1))
+        labels = np.arange(n) % 4
+        cfg = nn.TrainConfig(lr=1e-2, epochs=2, batch_size=4, seed=5)
+
+        model = nn.build_model(specs, (6, 8, 1), seed=1)
+        history = nn.train(model, x, labels, cfg)
+
+        plain = nn.build_model(specs, (6, 8, 1), seed=1)
+        acc = [None if p is None else {k: np.zeros_like(v) for k, v in p.items()}
+               for p in plain.params]
+        loop_rng = np.random.default_rng(cfg.seed)
+        t = 0
+        for epoch in range(cfg.epochs):
+            order = loop_rng.permutation(n)
+            losses = []
+            for start in range(0, n, cfg.batch_size):
+                sel = order[start:start + cfg.batch_size]
+                loss, grads, _, _ = nn.loss_and_grads(plain, x[sel], labels[sel],
+                                                      rng=loop_rng)
+                nn.rmsprop_step(plain.params, grads, acc, cfg, t)
+                t += 1
+                losses.append(loss * len(sel))
+            assert history[epoch].train_loss == float(np.sum(losses) / n)
+
+        for p, q in zip(model.params, plain.params):
+            if p is not None:
+                for key in p:
+                    assert np.array_equal(p[key], q[key])
+        assert np.array_equal(nn.predict_proba(model, x),
+                              nn.predict_proba(plain, x))
 
     def test_empty_split_rejected(self):
         model = nn.build_emotion_cnn()

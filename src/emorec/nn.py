@@ -20,14 +20,19 @@ Memory: `train()` keeps one `Workspace` of per-layer buffers (im2col
 columns, activations, masks, the gradients passed between layers) and reuses
 it on every step, so a step allocates only parameter-sized arrays (gradients,
 RMSProp temporaries) and small ones.  ReLU works in place, and the first
-layer with parameters computes no input gradient.  `predict_proba` keeps no
-per-layer caches: each is dropped once the next layer has run.
+layer with parameters computes no input gradient.  Max pooling compares the
+size x size strided views of its input in place of copying out windows.
+`predict_proba` runs blocks of 16 windows through one `Workspace` of its own,
+so inference of any length maps about 19 MB of buffers, once per call.
 
 Determinism: weight init, shuffling and dropout all draw from seeded PCG64
 generators in a fixed single-threaded order, so identical seeds reproduce
 identical training histories bit for bit.  Buffers change where results are
 written, never the operations or their order, so a run with a workspace
-matches one without it bit for bit.
+matches one without it bit for bit.  The block size of `predict_proba` is a
+GEMM row count, and a BLAS may round the last bit differently for another
+row count, so predictions are reproducible bit for bit at a fixed block size
+and agree to ~1e-16 across block sizes.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import read_model, write_model
-from .errors import ConfigError, FormatError, NumericalError
+from .errors import ConfigError, DataError, FormatError, NumericalError
 
 CNN_MAGIC = b"EMOCNN\x00\x00"
 CNN_VERSION = 1
@@ -314,19 +319,40 @@ def conv2d_backward(dout, cache, need_dx=True, buf=_fresh):
     return dx, dW, db
 
 
+def _pool_views(a, size, ho, wo):
+    """The size*size strided views a[:, di::size, dj::size] cut to ho x wo,
+    listed by window position k = di*size + dj (row-major)."""
+    return [a[:, di:ho * size:size, dj:wo * size:size]
+            for di in range(size) for dj in range(size)]
+
+
 def maxpool2d_forward(x, size=2, buf=_fresh):
-    """Non-overlapping size x size max; trailing odd rows/cols are dropped."""
+    """Non-overlapping size x size max; trailing odd rows/cols are dropped.
+
+    Compare-and-select over the window positions: view k replaces the running
+    max where it is larger, and sets the index to k where it is strictly
+    larger.  Positions come in increasing k, so idx is the row-major position
+    of the first maximum in each window, as np.argmax over the window gives.
+    """
     n, h, w, c = x.shape
     if h < size or w < size:
         raise ValueError(f"input {x.shape[1:3]} too small for {size}x{size} pooling")
     ho, wo = h // size, w // size
-    v = x[:, :ho * size, :wo * size, :]
-    v = v.reshape(n, ho, size, wo, size, c).transpose(0, 1, 3, 5, 2, 4)
-    windows = buf("windows", (n, ho, wo, c, size, size))
-    np.copyto(windows, v)
-    windows = windows.reshape(n, ho, wo, c, size * size)
-    idx = np.argmax(windows, axis=-1, out=buf("idx", (n, ho, wo, c), np.intp))
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    shape = (n, ho, wo, c)
+    out = buf("out", shape)
+    idx = buf("idx", shape, np.min_scalar_type(size * size - 1))
+    greater = buf("greater", shape, bool)
+    k_where = buf("k_where", shape, idx.dtype)
+    first, *rest = _pool_views(x, size, ho, wo)
+    np.copyto(out, first)
+    idx.fill(0)
+    for k, view in enumerate(rest, start=1):
+        np.greater(view, out, out=greater)
+        np.maximum(out, view, out=out)
+        # k exceeds every index set so far, so the max keeps idx where
+        # greater is False and sets k where it is True
+        np.multiply(greater, idx.dtype.type(k), out=k_where)
+        np.maximum(idx, k_where, out=idx)
     return out, (idx, x.shape, size)
 
 
@@ -335,16 +361,13 @@ def maxpool2d_backward(dout, cache, buf=_fresh):
     idx, x_shape, size = cache
     n, h, w, c = x_shape
     ho, wo = h // size, w // size
-    dwin = buf("dwin", (n, ho, wo, c, size * size))
-    dwin.fill(0.0)
-    np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
     dx = buf("dx", x_shape)
     dx[:, ho * size:] = 0.0
     dx[:, :, wo * size:] = 0.0
-    # splitting the rows and columns of a slice keeps it a view of dx
-    top = dx[:, :ho * size, :wo * size, :].reshape(n, ho, size, wo, size, c)
-    np.copyto(top, dwin.reshape(n, ho, wo, c, size, size)
-              .transpose(0, 1, 4, 2, 5, 3))
+    hit = buf("hit", idx.shape, bool)
+    for k, view in enumerate(_pool_views(dx, size, ho, wo)):
+        np.equal(idx, k, out=hit)
+        np.multiply(dout, hit, out=view)
     return dx
 
 
@@ -591,20 +614,24 @@ def loss_and_grads(model: CnnModel, x, labels, rng=None, masks=None,
     return loss, grads, probs, used_masks
 
 
-def predict_proba(model: CnnModel, x, batch_size=256) -> np.ndarray:
+def predict_proba(model: CnnModel, x, batch_size=16) -> np.ndarray:
     """Softmax probabilities in infer mode (dropout off).
 
-    Each layer's cache is dropped as soon as the next layer has run.
+    x must be shaped (N,) + model.input_shape; other shapes raise DataError
+    before any layer runs.  Windows run in blocks of batch_size through one
+    `Workspace`, so every block after the first reuses the buffers of the one
+    before; at 16 windows the largest (conv2's im2col columns) is ~10 MB.
     """
     x = np.asarray(x, dtype=np.float64)
-    outs = []
+    if x.shape[1:] != model.input_shape:
+        raise DataError(f"windows shaped {x.shape[1:]} do not fit the model's "
+                        f"input_shape {model.input_shape}")
+    work = Workspace()
+    probs = np.empty((len(x), model.n_classes))
     for start in range(0, len(x), batch_size):
-        run = _Pass(train=False, rng=None, replay=None, masks=[])
-        h = x[start:start + batch_size]
-        for spec, p in zip(model.specs, model.params):
-            h, _ = spec.forward(h, p, run, _fresh)
-        outs.append(softmax(h))
-    return np.concatenate(outs, axis=0)
+        logits, _, _ = forward(model, x[start:start + batch_size], work=work)
+        probs[start:start + len(logits)] = softmax(logits)
+    return probs
 
 
 # ---------------------------------------------------------------------------
@@ -817,6 +844,8 @@ def save_cnn(path, model: CnnModel) -> None:
 
 
 def load_cnn(path) -> CnnModel:
+    """Read a checkpoint; its float32 parameters come back as float64 arrays,
+    cast once here so that no forward pass casts them again."""
     meta, r = read_model(path, CNN_MAGIC, CNN_VERSION, "CNN checkpoint")
     if meta.get("rms_shapes"):
         raise FormatError("CNN checkpoint carries optimizer state, which is "

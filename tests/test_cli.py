@@ -249,6 +249,22 @@ class TestTrainAndEval:
         assert "cnn_top1" in out
         assert (run / "roc_auc.csv").exists()
 
+    def test_eval_cnn_on_windows_of_other_height_exits_2(self, workspace,
+                                                         capsys, tmp_path):
+        # 12 of the cache's 13 rows: pooling would drop the odd row and the
+        # 13-row model would score these windows without complaint
+        from emorec import features as feat
+        cache = tmp_path / "features12.bin"
+        feat.save_feature_cache(cache, [
+            (rid, label, matrix[:12])
+            for rid, label, matrix in feat.load_feature_cache(workspace["cache"])])
+        assert main(["eval", "--model", str(workspace["cnn_model"]),
+                     "--features", str(cache),
+                     "--manifest", str(workspace["split_manifest"]),
+                     "--split", "test", "--out-dir", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "(13, 26, 1)" in err and "(12, 26, 1)" in err
+
     def test_history_csv_written(self, workspace):
         history = (workspace["ws"] / "run_tcnn" / "history.csv").read_text()
         assert history.splitlines()[0] == "epoch,train_loss,train_acc,val_loss,val_acc"

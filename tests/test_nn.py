@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from emorec import nn
-from emorec.errors import ConfigError, FormatError
+from emorec.errors import ConfigError, DataError, FormatError
 from conftest import overfit_windows, rewrite_header
 
 TABLE_SHAPES = [(13, 26, 32), (11, 24, 32), (5, 12, 32), (5, 12, 32),
@@ -160,6 +160,59 @@ class TestMaxPool:
         expected = np.zeros_like(x)
         expected[0, 0, 1, 0] = 1.0
         np.testing.assert_array_equal(dx, expected)
+
+
+def argmax_pool(x, size):
+    """Explicit windows, np.argmax over each: the pooling oracle."""
+    n, h, w, c = x.shape
+    ho, wo = h // size, w // size
+    out = np.empty((n, ho, wo, c))
+    idx = np.empty((n, ho, wo, c), dtype=np.intp)
+    for i in range(ho):
+        for j in range(wo):
+            win = x[:, i * size:(i + 1) * size, j * size:(j + 1) * size, :]
+            win = win.reshape(n, size * size, c)
+            idx[:, i, j] = np.argmax(win, axis=1)
+            out[:, i, j] = np.take_along_axis(win, idx[:, i, j][:, None], 1)[:, 0]
+    return out, idx
+
+
+def argmax_pool_backward(dout, idx, x_shape, size):
+    dx = np.zeros(x_shape)
+    n, ho, wo, c = idx.shape
+    for s, i, j, ch in np.ndindex(n, ho, wo, c):
+        di, dj = divmod(int(idx[s, i, j, ch]), size)
+        dx[s, i * size + di, j * size + dj, ch] = dout[s, i, j, ch]
+    return dx
+
+
+class TestMaxPoolOracle:
+    @pytest.mark.parametrize("shape,size", [
+        ((32, 11, 24, 8), 2),     # conv2's output, odd trailing row
+        ((1, 3, 10, 4), 2),       # conv4's output at batch 1
+        ((32, 5, 7, 3), 2),       # odd trailing row and column
+        ((1, 11, 24, 5), 3),      # size 3, trailing row and column
+        ((32, 9, 9, 2), 3),
+    ])
+    def test_matches_argmax_reference(self, shape, size):
+        rng = np.random.default_rng(sum(shape) + size)
+        # ReLU output rounded to few levels: all-zero windows and equal
+        # maxima at every window position
+        x = np.maximum(0.0, np.round(rng.normal(size=shape), 0))
+        x[:, :size, :size] = 0.0
+        x[0, -size:, -size:] = 1.0
+        work = nn.Workspace().layer(0)
+        for buf in (nn._fresh, work, work):
+            out, (idx, x_shape, cache_size) = nn.maxpool2d_forward(x, size,
+                                                                   buf=buf)
+            ref_out, ref_idx = argmax_pool(x, size)
+            assert (x_shape, cache_size) == (shape, size)
+            assert np.array_equal(out, ref_out)
+            assert np.array_equal(idx, ref_idx)
+            dout = rng.normal(size=out.shape)
+            dx = nn.maxpool2d_backward(dout, (idx, x_shape, size), buf=buf)
+            assert np.array_equal(dx, argmax_pool_backward(dout, ref_idx,
+                                                           shape, size))
 
 
 class TestActivations:
@@ -387,6 +440,28 @@ class TestTraining:
         assert np.array_equal(nn.predict_proba(model, x),
                               nn.predict_proba(plain, x))
 
+    def test_predict_blocks_match_single_pass_and_per_window(self):
+        # 37 windows leave a short last block; the 512x8 head GEMM may change
+        # its last bit with the row count, so this is a tolerance check
+        model = nn.build_emotion_cnn(seed=3)
+        x = np.random.default_rng(8).normal(size=(37, 13, 26, 1))
+        probs = nn.predict_proba(model, x)
+        single = nn.softmax(nn.forward(model, x)[0])
+        per_window = np.concatenate(
+            [nn.softmax(nn.forward(model, x[i:i + 1])[0]) for i in range(len(x))])
+        for ref in (single, per_window):
+            np.testing.assert_allclose(probs, ref, rtol=0, atol=1e-15)
+            assert np.array_equal(probs.argmax(axis=1), ref.argmax(axis=1))
+
+    @pytest.mark.parametrize("height", [12, 14, 20])
+    def test_predict_rejects_other_window_shapes(self, height):
+        # pooling drops an odd row, so 12-row windows would reach the dense
+        # layer with the right width
+        model = nn.build_emotion_cnn(seed=0)
+        with pytest.raises(DataError, match=r"\(13, 26, 1\)") as exc:
+            nn.predict_proba(model, np.zeros((2, height, 26, 1)))
+        assert f"({height}, 26, 1)" in str(exc.value)
+
     def test_empty_split_rejected(self):
         model = nn.build_emotion_cnn()
         with pytest.raises(ConfigError, match="empty"):
@@ -418,6 +493,17 @@ class TestCheckpoint:
         p2 = nn.predict_proba(back, x)
         # storage is float32: predictions match to that precision
         np.testing.assert_allclose(p1, p2, atol=1e-5)
+
+    def test_loaded_params_are_float64_and_save_back_unchanged(self, tmp_path):
+        model = nn.build_emotion_cnn(seed=5)
+        path = tmp_path / "model.bin"
+        nn.save_cnn(path, model)
+        back = nn.load_cnn(path)
+        assert all(t.dtype == np.float64 for p in back.params if p is not None
+                   for t in p.values())
+        again = tmp_path / "again.bin"
+        nn.save_cnn(again, back)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_container_with_empty_rms_section_loads(self, tmp_path):
         # containers written while the optional optimizer-state section

@@ -138,7 +138,7 @@ def decode_wav(data: bytes, source_id: str | None = None) -> AudioClip:
     """
     audio_format, n_channels, sample_rate, _, payload = _parse_wav(data)
     if audio_format == _PCM:
-        raw = np.frombuffer(payload, dtype="<i2").astype(np.float64) / INT16_SCALE
+        raw = np.multiply(np.frombuffer(payload, "<i2"), 1 / INT16_SCALE, dtype=np.float64)
     else:
         raw = np.frombuffer(payload, dtype="<f4").astype(np.float64)
 

@@ -309,17 +309,22 @@ def cmd_sweep_svm(args, run: RunDir) -> int:
                              extra_points="13,100", runs=10,
                              kernels="rbf,linear", C=10.0, frame_length=2048,
                              target_length=0, n_mels=26))
+    try:   # a step below 1 fails as range's zero step does
+        lo, hi, step = (int(x) for x in str(opts.range).split(":"))
+        points = set(range(lo, hi + 1, max(step, 0)))
+    except ValueError:
+        raise ConfigError(f"--range must be lo:hi:step, step >= 1; got {opts.range!r}")
+    if opts.extra_points:
+        points |= {int(x) for x in str(opts.extra_points).split(",") if x}
+    points = tuple(sorted(points))
+    if not points or points[0] < 1 or int(opts.runs) < 1:
+        raise ConfigError(f"--range/--extra-points give n_mfcc {list(points)} and --runs "
+                          f"{opts.runs}; need points, all >= 1, and runs >= 1")
     records = _read_required_manifest(opts.manifest)
     base = [r for r in records if r.augmented_from is None]
     if not base:
         raise DataError("empty manifest: no base records")
     labels = [int(r.label) for r in base]
-
-    lo, hi, step = (int(x) for x in str(opts.range).split(":"))
-    points = set(range(lo, hi + 1, step))
-    if opts.extra_points:
-        points |= {int(x) for x in str(opts.extra_points).split(",") if x}
-    points = tuple(sorted(points))
 
     target = opts.target_length or audio_io.max_length(base)
     base_cfg = features.PipelineConfig(

@@ -147,14 +147,21 @@ def next_pow2(n: int) -> int:
 def frame_magnitudes(frames: np.ndarray, frame_length: int) -> np.ndarray:
     """|FFT| on bins 0 .. frame_length//2 of each row of a C-contiguous float64
     F x N buffer of windowed frames zero-padded to N = next_pow2(frame_length);
-    each row is one N/2-point complex FFT (even samples real, odd imaginary)."""
+    each row is one N/2-point complex FFT (even samples real, odd imaginary).
+    The result is column-major: the bits of a GEMM over it depend on that."""
     n_fft = frames.shape[1]
     z = fft(frames.view(np.complex128))
     # with m = n_fft/2 and z[m] = z[0], X[k] = (z[k] + conj z[m-k])/2
-    # - (i/2) W^k (z[k] - conj z[m-k]), W = exp(-2i*pi/n_fft)
-    m, k = n_fft // 2, np.arange(frame_length // 2 + 1)
-    iw = 0.5j * _phases(2, len(k), n_fft)[1]        # row 1: W^k
-    return np.abs(z[:, k % m] * (0.5 - iw) + np.conj(z[:, (m - k) % m]) * (0.5 + iw))
+    # - (i/2) W^k (z[k] - conj z[m-k]), W = exp(-2i*pi/n_fft); k < nb <= m + 1
+    m, nb = n_fft // 2, frame_length // 2 + 1
+    iw = 0.5j * _phases(2, nb, n_fft)[1]        # row 1: W^k
+    zk, zmk = np.empty((2, nb, len(z)), np.complex128).transpose(0, 2, 1)
+    zk[:, :m], zk[:, m:] = z[:, :nb], z[:, :1]
+    np.conjugate(z[:, 0], out=zmk[:, 0])
+    np.conjugate(z[:, m + 1 - nb : m][:, ::-1], out=zmk[:, 1:])
+    zk *= 0.5 - iw
+    zmk *= 0.5 + iw
+    return np.abs(np.add(zk, zmk, out=zk))
 
 
 def stft(clip: AudioClip, frame_length: int, hop_length: int,

@@ -5,9 +5,9 @@ The canonical unit fed to both classifiers is an ``n_mfcc x 26`` MFCC matrix
 ``target_length`` slice if over-long or zero-padded head and tail to it,
 run through the MFCC front end with a hop derived so the STFT yields at
 least 26 frames, cut to the first 26 frames, and finally z-scored over all
-entries of the window.  ``extract_clip`` z-scores and pads only the samples
-inside the STFT frames, bit-identical to the whole-clip steps, and builds the
-windows of several configs (the points of a sweep) from one FFT of them.
+entries of the window.  ``extract_clip`` z-scores, pads and transforms only
+the STFT frames holding clip samples, bit-identical to the whole-clip steps,
+and builds the windows of several configs (a sweep's points) from one FFT.
 
 Augmentations: time reversal and polarity inversion.  Inversion leaves the
 magnitude spectrum, hence the feature window, bit-identical to the original;
@@ -60,9 +60,9 @@ class PipelineConfig:
         if self.n_mels < self.n_mfcc:
             raise ConfigError(
                 f"n_mels {self.n_mels} smaller than n_mfcc {self.n_mfcc}")
-        if self.target_length < self.frame_length:
-            raise ConfigError(
-                f"target_length {self.target_length} below frame_length {self.frame_length}")
+        if not 2 <= self.frame_length <= self.target_length:
+            raise ConfigError(f"frame_length {self.frame_length} outside "
+                              f"[2, target_length {self.target_length}]")
         if self.hop_length < 1:
             raise ConfigError(
                 f"target_length {self.target_length} too short to produce "
@@ -160,18 +160,28 @@ def _silent(cfg: PipelineConfig) -> FeatureWindow:
     return FeatureWindow(np.zeros((cfg.n_mfcc, N_FRAMES)), cfg.n_mfcc)
 
 
+def _sum_sq_dev(x, mu, buf):
+    """np.add.reduce((x - mu)**2) as x.std() sums it, len(buf) at a time."""
+    if len(x) > len(buf):   # at numpy's pairwise-sum split of n > 128 items
+        n2 = len(x) // 2 - len(x) // 2 % 8
+        return _sum_sq_dev(x[:n2], mu, buf) + _sum_sq_dev(x[n2:], mu, buf)
+    d = np.subtract(x, mu, out=buf[:len(x)])
+    return np.add.reduce(np.multiply(d, d, out=d))
+
+
 def extract_clip(clip: AudioClip, cfgs) -> list[FeatureWindow]:
     """The window of each config in cfgs, which must share target_length,
     frame_length, f_min and f_max; bit-identical to normalize_loudness,
-    truncate_to_length or pad_to_length, then dsp.mfcc, but only the frames
-    dsp.stft would make (26 unless hop_length < 25; BLAS results can depend
-    on the row count) are built, z-scored and transformed, once for all."""
+    truncate_to_length or pad_to_length, then dsp.mfcc, but only frames that
+    hold a clip sample are built, z-scored and transformed, once for all; the
+    mel GEMM takes every frame dsp.stft makes (BLAS bits follow row counts)."""
     shared = {(c.target_length, c.frame_length, c.f_min, c.f_max) for c in cfgs}
     if len(shared) != 1:
         raise ConfigError("configs of one clip must share target_length, "
                           f"frame_length, f_min and f_max; got {shared or 'none'}")
     cfg, x = cfgs[0], clip.samples
-    mu, sigma = x.mean(), x.std()
+    mu = x.mean()   # sigma is x.std(), without computing the mean again
+    sigma = np.sqrt(_sum_sq_dev(x, mu, np.empty(min(len(x), 1 << 14))) / len(x))
     if sigma < 1e-12:   # a constant clip z-scores to silence
         return [_silent(c) for c in cfgs]
     fl, hop = cfg.frame_length, cfg.hop_length
@@ -180,20 +190,22 @@ def extract_clip(clip: AudioClip, cfgs) -> list[FeatureWindow]:
     excess = len(x) - cfg.target_length
     offset = -(-excess // 2) if excess > 0 else excess // 2
     lo, hi = max(offset, 0), min(offset + cfg.target_length, len(x))
-    frames = np.zeros((1 + (cfg.target_length - fl) // hop, next_pow2(fl)))
-    for r in range(len(frames)):
-        start = offset + r * hop
+    starts = range(offset, offset + cfg.target_length - fl + 1, hop)
+    live = [s for s in starts if s < hi and lo < s + fl]   # hold clip samples
+    frames = np.zeros((len(live), next_pow2(fl)))
+    for row, start in zip(frames, live):
         a, b = max(start, lo), min(start + fl, hi)
-        if a < b:
-            row = frames[r, a - start : b - start]
-            np.subtract(x[a:b], mu, out=row)
-            row /= sigma
+        np.subtract(x[a:b], mu, out=row[a - start : b - start])
+        row[a - start : b - start] /= sigma
     # silence (the kept span, not just the frames) is defined as all zeros:
     # its MFCC is a nonzero constant in coefficient 0 only, no information
     if not frames.any() and not np.any((x[lo:hi] - mu) / sigma):
         return [_silent(c) for c in cfgs]
     frames[:, :fl] *= hann_window(fl)
-    magnitudes = frame_magnitudes(frames, fl)
+    # padding-only rows stay +0.0; column-major, as frame_magnitudes returns
+    magnitudes = np.zeros((len(starts), fl // 2 + 1), order="F")
+    if live:
+        magnitudes[starts.index(live[0]):][:len(live)] = frame_magnitudes(frames, fl)
     out = []
     for c in cfgs:   # each at the GEMM shapes it has alone, which keeps the bits
         try:

@@ -19,9 +19,9 @@ which on a (13, 26, 1) input produces 233,448 trainable parameters.
 Memory: `train()` keeps one `Workspace` of per-layer buffers (im2col
 columns, activations, masks, the gradients passed between layers) and reuses
 it on every step, so a step allocates only parameter-sized arrays (gradients,
-RMSProp temporaries) and small ones.  ReLU works in place, and the first
-layer with parameters computes no input gradient.  Max pooling compares the
-size x size strided views of its input in place of copying out windows.
+RMSProp temporaries) and small ones.  ReLU works in place and backward reads
+its mask off the output; the first layer with parameters computes no input
+gradient.  Max pooling compares strided views in place of copying windows.
 `predict_proba` runs blocks of 16 windows through one `Workspace` of its own,
 so inference of any length maps about 19 MB of buffers, once per call.
 
@@ -102,14 +102,14 @@ class Workspace:
 # The activation is applied in place: the pre-activation output and the
 # incoming gradient belong to the layer and nothing reads them afterwards.
 
-def _activate(x, activation, buf):
+def _activate(x, activation):
     if activation == "relu":
-        return relu_forward(x, buf=buf, out=x)
+        return relu_forward(x, out=x)
     return x, None
 
 
-def _deactivate(d, relu_mask):
-    return d if relu_mask is None else relu_backward(d, relu_mask, out=d)
+def _deactivate(d, relu_out, buf):
+    return d if relu_out is None else relu_backward(d, relu_out, out=d, buf=buf)
 
 
 class _Layer:
@@ -150,12 +150,12 @@ class Conv2D(_Layer):
 
     def forward(self, x, p, run, buf):
         x, cache = conv2d_forward(x, p["W"], p["b"], self.padding, buf=buf)
-        x, relu_mask = _activate(x, self.activation, buf)
-        return x, (cache, relu_mask)
+        x, relu_out = _activate(x, self.activation)
+        return x, (cache, relu_out)
 
     def backward(self, d, cache, buf, need_dx):
-        conv_cache, relu_mask = cache
-        d, dW, db = conv2d_backward(_deactivate(d, relu_mask), conv_cache,
+        conv_cache, relu_out = cache
+        d, dW, db = conv2d_backward(_deactivate(d, relu_out, buf), conv_cache,
                                     need_dx=need_dx, buf=buf)
         return d, {"W": dW, "b": db}
 
@@ -231,12 +231,12 @@ class Dense(_Layer):
 
     def forward(self, x, p, run, buf):
         x, cache = dense_forward(x, p["W"], p["b"], buf=buf)
-        x, relu_mask = _activate(x, self.activation, buf)
-        return x, (cache, relu_mask)
+        x, relu_out = _activate(x, self.activation)
+        return x, (cache, relu_out)
 
     def backward(self, d, cache, buf, need_dx):
-        dense_cache, relu_mask = cache
-        d, dW, db = dense_backward(_deactivate(d, relu_mask), dense_cache,
+        dense_cache, relu_out = cache
+        d, dW, db = dense_backward(_deactivate(d, relu_out, buf), dense_cache,
                                    need_dx=need_dx, buf=buf)
         return d, {"W": dW, "b": db}
 
@@ -386,13 +386,14 @@ def dense_backward(dout, cache, need_dx=True, buf=_fresh):
     return dx, x.T @ dout, dout.sum(axis=0)
 
 
-def relu_forward(x, buf=_fresh, out=None):
-    """max(0, x) and the mask x > 0; out=x rectifies x in place."""
-    mask = np.greater(x, 0, out=buf("relu_mask", x.shape, bool))
-    return np.maximum(0.0, x, out=out), mask
+def relu_forward(x, out=None):
+    """max(0, x) and its cache, the output itself; out=x works in place."""
+    y = np.maximum(0.0, x, out=out)
+    return y, y
 
 
-def relu_backward(dout, mask, out=None):
+def relu_backward(dout, y, out=None, buf=_fresh):
+    mask = np.greater(y, 0, out=buf("relu_mask", y.shape, bool))
     return np.multiply(dout, mask, out=out)
 
 

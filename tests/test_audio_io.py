@@ -241,3 +241,19 @@ def test_decode_fuzz_valid_headers(n_frames, rate, stereo):
     assert clip.sample_rate == rate
     assert np.all(np.isfinite(clip.samples))
     assert np.all(np.abs(clip.samples) <= 1.0)
+
+
+@pytest.mark.parametrize("n_channels", [1, 2])
+def test_pcm16_scaling_is_exact(n_channels):
+    """One-pass scaling gives astype(float64) / 32768 bit for bit, extremes
+    included; stereo is the mean of the scaled channels."""
+    ints = np.array([-32768, 32767, 0, 1, -1, 12345, -32767, 32766] * 3,
+                    dtype=np.int16)
+    clip = decode_wav(stdlib_wav_bytes(ints, 8000, n_channels))
+    want = ints.astype(np.float64) / 32768.0
+    if n_channels == 2:
+        want = want.reshape(-1, 2).mean(axis=1)
+    assert clip.samples.dtype == np.float64
+    assert np.array_equal(clip.samples, want)
+    if n_channels == 1:
+        assert clip.samples[0] == -1.0 and clip.samples[1] == 32767 / 32768

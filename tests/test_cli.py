@@ -476,3 +476,43 @@ class TestConfigFileAndExitCodes:
     def test_artifacts_manifest_lists_files(self, workspace):
         artifacts = (workspace["ws"] / "run_tcnn" / "artifacts.csv").read_text()
         assert "history.csv" in artifacts
+
+
+class TestSweepOptionsFailClosed:
+    """Bad sweep options exit 2 naming the option, before any clip is read
+    or any CSV is written."""
+
+    @pytest.mark.parametrize("args,option", [
+        (["--runs", "0"], "--runs"),
+        (["--range", "13:13:0"], "--range"),
+        (["--range", "13:13"], "--range"),
+        (["--range", "13:40:-1", "--extra-points", ""], "--range"),
+        (["--range", "0:10:10", "--extra-points", ""], "--range"),
+    ])
+    def test_exit_2_naming_option(self, workspace, tmp_path, capsys,
+                                  monkeypatch, args, option):
+        reads = []
+        monkeypatch.setattr(audio_io, "read_file",
+                            lambda path: reads.append(path))
+        run = tmp_path / "run"
+        assert main(["sweep-svm", "--manifest", str(workspace["split_manifest"]),
+                     *args, "--out-dir", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert option in err
+        assert "Traceback" not in err and "unpack" not in err
+        assert reads == []
+        assert not (run / "sweep_raw.csv").exists()
+        assert not (run / "sweep_mean.csv").exists()
+
+
+class TestFrameLengthFailsClosed:
+    @pytest.mark.parametrize("value", ["1", "0", "-5"])
+    def test_extract_exits_2_naming_field(self, workspace, tmp_path, capsys,
+                                          value):
+        out = tmp_path / "features.bin"
+        assert main(["extract", "--manifest", str(workspace["split_manifest"]),
+                     "--out", str(out), "--frame-length", value,
+                     "--out-dir", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert f"frame_length {value} outside [2, target_length" in err
+        assert not out.exists()

@@ -304,3 +304,32 @@ class TestMfcc:
         parsed = np.array([[float(v) for v in line.split(",")]
                            for line in text.strip().split("\n")])
         np.testing.assert_array_equal(parsed, m.coeffs)
+
+
+def gathered_magnitudes(frames, frame_length):
+    """The bin split with fancy-index gathers, as frame_magnitudes once did."""
+    n_fft = frames.shape[1]
+    z = dsp.fft(frames.view(np.complex128))
+    m, k = n_fft // 2, np.arange(frame_length // 2 + 1)
+    iw = 0.5j * np.exp(-2j * math.pi * k / n_fft)
+    return np.abs(z[:, k % m] * (0.5 - iw) + np.conj(z[:, (m - k) % m]) * (0.5 + iw))
+
+
+class TestFrameMagnitudes:
+    """frame_magnitudes splits the bins with slices; it must give the gather
+    form's bits and its column-major layout, which the mel GEMM's bits
+    depend on."""
+
+    @pytest.mark.parametrize("frame_length", [400, 512, 1000, 2048])
+    @pytest.mark.parametrize("n_frames", [1, 11, 26])
+    def test_equals_gather_form(self, frame_length, n_frames):
+        n_fft = dsp.next_pow2(frame_length)
+        frames = np.zeros((n_frames, n_fft))
+        rng = np.random.default_rng(frame_length + n_frames)
+        frames[:, :frame_length] = (rng.normal(size=(n_frames, frame_length))
+                                    * dsp.hann_window(frame_length))
+        got = dsp.frame_magnitudes(frames, frame_length)
+        want = gathered_magnitudes(frames, frame_length)
+        assert got.shape == (n_frames, frame_length // 2 + 1)
+        assert np.array_equal(got, want)
+        assert got.strides == want.strides

@@ -103,6 +103,11 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             features.PipelineConfig(target_length=512, frame_length=512)
 
+    @pytest.mark.parametrize("frame_length", [1, 0, -5])
+    def test_frame_length_below_2_rejected(self, frame_length):
+        with pytest.raises(ConfigError, match=rf"frame_length {frame_length} outside \[2,"):
+            features.PipelineConfig(target_length=4200, frame_length=frame_length)
+
     def test_n_mels_must_cover_n_mfcc(self):
         with pytest.raises(ConfigError):
             features.PipelineConfig(n_mfcc=30, n_mels=26, target_length=4200,
@@ -248,6 +253,60 @@ class TestFusedEqualsComposed:
                                       frame_length=frame_length)
         n = int(rng.integers(1, 2 * target))
         assert_same_window(AudioClip(scale * rng.normal(size=n), 16000), cfg)
+
+
+class TestClipStats:
+    @pytest.mark.parametrize("n", [1, 7, 128, 129, 16384, 16385, 16392,
+                                   100_003, 254_400, 1_000_001])
+    def test_sum_of_squares_gives_std_bit_for_bit(self, n):
+        x = np.random.default_rng(n).normal(size=n) * 0.3 + 0.07
+        mu = x.mean()
+        for piece in (129, 1000, 1 << 14):
+            buf = np.empty(min(n, piece))
+            assert np.sqrt(features._sum_sq_dev(x, mu, buf) / n) == x.std()
+
+
+class TestPaddingFramesSkipped:
+    """Frames that hold no clip sample are not transformed; their +0.0
+    magnitudes are what transforming them gives, so the window is still
+    dsp.mfcc's over the whole padded clip, bit for bit."""
+
+    @pytest.mark.parametrize("n", [3000, 3001, 512, 2])
+    def test_head_and_tail_padding(self, n, monkeypatch):
+        cfg = features.PipelineConfig(n_mfcc=13, target_length=512 + 25 * 400,
+                                      frame_length=512)
+        head = (cfg.target_length - n + 1) // 2
+        starts = [r * cfg.hop_length for r in range(features.N_FRAMES)]
+        live = [s for s in starts if s < head + n and head < s + 512]
+        assert 0 < len(live) < features.N_FRAMES
+        assert live[0] > 0 and live[-1] < starts[-1]   # dead head and tail
+        rows = []
+        fft = dsp.fft
+
+        def spy(x):
+            rows.append(np.shape(x)[0])
+            return fft(x)
+
+        monkeypatch.setattr(dsp, "fft", spy)
+        rng = np.random.default_rng(n)
+        clip = AudioClip(0.2 * rng.normal(size=n) + 0.01, 16000)
+        fused = features.extract_window(clip, cfg).matrix
+        assert rows == [len(live)]
+        monkeypatch.undo()
+        assert np.array_equal(fused, mfcc_window(whole_clip_steps(clip, cfg), cfg))
+        assert np.any(fused)
+
+    def test_clip_between_frames_transforms_nothing(self, monkeypatch):
+        cfg = features.PipelineConfig(n_mfcc=13, target_length=512 + 25 * 1000,
+                                      frame_length=512)
+        # padded to [12706, 12806), between the frames at 12000 and 13000
+        clip = AudioClip(np.random.default_rng(5).normal(size=100), 16000)
+        calls = []
+        monkeypatch.setattr(dsp, "fft", lambda x: calls.append(x))
+        window = features.extract_window(clip, cfg).matrix
+        assert calls == []
+        monkeypatch.undo()
+        assert np.array_equal(window, mfcc_window(whole_clip_steps(clip, cfg), cfg))
 
 
 SWEEP_POINTS = (10, 13, 20, 40, 120)   # the first three share n_mels 26

@@ -232,6 +232,24 @@ class TestActivations:
         assert np.all(out >= 0)
 
 
+class TestReluWithoutMask:
+    def test_backward_reads_mask_off_output(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(6, 5, 4, 3))
+        x[0, 0, 0] = [0.0, -0.0, 1e-300]
+        d = rng.normal(size=x.shape)
+        y, cache = nn.relu_forward(x.copy())
+        assert cache is y
+        assert np.array_equal(nn.relu_backward(d, cache), d * (x > 0))
+
+    def test_inference_builds_no_mask(self):
+        model = nn.build_emotion_cnn(seed=0)
+        work = nn.Workspace()
+        x = np.random.default_rng(5).normal(size=(3,) + model.input_shape)
+        nn.forward(model, x, work=work)
+        assert work._bufs and all(role != "relu_mask" for _, role in work._bufs)
+
+
 class TestDropout:
     def test_rate_zero_identity(self):
         rng = np.random.default_rng(4)

@@ -60,16 +60,25 @@ def main() -> int:
                                   frame_length=2048, n_mels=26)
     print(f"target_length={target} samples, hop={cfg.hop_length}")
 
+    # one pass, each clip decoded once: with --sweep every sweep point's
+    # window comes from the same FFT as the CNN's, which is the n_mfcc 13
+    # point's (~0.16 MB of windows per clip in memory, not the clips)
+    cfgs = sweep.sweep_configs(cfg) if args.sweep else [cfg]
+    cnn_point = cfgs.index(cfg)
     t0 = time.time()
     sets = {name: ([], []) for name in ("train", "val", "test")}
+    base, sweep_windows = [], []
     for r, clip in zip(records, audio_io.read_clips(records)):
-        variants = [clip]
+        windows = features.extract_clip(clip, cfgs)
+        if args.sweep and r.augmented_from is None:
+            base.append(r)
+            sweep_windows.append(windows)
+        sets[r.split][0].append(windows[cnn_point])
+        sets[r.split][1].append(int(r.label))
         if args.augment and r.split == "train":
-            variants += [features.augment_reverse(clip),
-                         features.augment_invert(clip)]
-        for v in variants:
-            sets[r.split][0].extend(features.extract_clip(v, [cfg]))
-            sets[r.split][1].append(int(r.label))
+            for v in (features.augment_reverse(clip), features.augment_invert(clip)):
+                sets[r.split][0].extend(features.extract_clip(v, [cfg]))
+                sets[r.split][1].append(int(r.label))
     print(f"extracted {len(sets['train'][0]) + len(sets['val'][0]) + len(sets['test'][0])} "
           f"windows in {time.time() - t0:.0f}s")
     if args.augment:
@@ -106,11 +115,8 @@ def main() -> int:
         measured[f"acc_{name}"] = float(recalls[name])
 
     if args.sweep:
-        # one more pass, each clip decoded once for all 13 points; memory
-        # holds their windows (~0.16 MB per clip), not the clips
-        base = [r for r in records if r.augmented_from is None]
-        result = sweep.run_svm_sweep(
-            audio_io.read_clips(base), [int(r.label) for r in base], cfg,
+        result = sweep.fit_svm_sweep(
+            sweep_windows, [int(r.label) for r in base],
             runs=args.sweep_runs, base_seed=args.seed, records=base)
         with open(os.path.join(args.out, "sweep_raw.csv"), "w") as fh:
             fh.write(result.raw_csv())

@@ -8,10 +8,17 @@ average.  16-bit samples are scaled by 1/32768, so -32768 maps to -1.0 and
 
 No resampling happens here; clips keep their native rate and downstream DSP
 parameterizes on ``sample_rate``; ``read_clips`` refuses mixed rates.
+
+Finiteness is checked where it can fail: ``decode_wav`` rejects NaN or infinity
+in a float payload (FormatError); PCM 16-bit cannot hold one, and decoded clips
+skip ``AudioClip``'s own pass.  ``max_length`` reads only chunk headers, with
+``decode_wav``'s chunk walker and checks.  ``read_clips`` decodes into one
+buffer it owns: a clip's samples stay valid until the next clip is drawn.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -39,7 +46,7 @@ class AudioClip:
     sample_rate: int
     source_id: str | None = None
 
-    def __post_init__(self):
+    def __post_init__(self, finite_checked=False):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {self.samples.shape}")
@@ -47,8 +54,16 @@ class AudioClip:
             raise ValueError("empty clip")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        if not np.all(np.isfinite(self.samples)):
+        if not finite_checked and not np.all(np.isfinite(self.samples)):
             raise ValueError("clip contains non-finite samples")
+
+    @classmethod
+    def _of_finite(cls, samples, sample_rate, source_id=None) -> "AudioClip":
+        """A clip over samples the caller found finite: every check but that."""
+        clip = cls.__new__(cls)
+        clip.samples, clip.sample_rate, clip.source_id = samples, sample_rate, source_id
+        clip.__post_init__(finite_checked=True)
+        return clip
 
     def __len__(self):
         return len(self.samples)
@@ -58,40 +73,44 @@ class AudioClip:
         return len(self.samples) / self.sample_rate
 
 
-def _parse_wav(data: bytes):
-    """Walk the RIFF chunks and check the format, without decoding samples.
+def _walk_chunks(fh):
+    """Walk the RIFF chunks of the binary file fh and check the format,
+    reading only chunk headers and the fmt body: other payloads are sought
+    over, so a length scan never reads the samples.
 
-    Returns (audio_format, n_channels, sample_rate, n_frames, payload), the
-    payload cut to whole frames.  Raises as :func:`decode_wav` documents.
+    Returns (audio_format, n_channels, sample_rate, n_frames, offset), the
+    data payload's whole frames starting at byte offset.  Raises as
+    :func:`decode_wav` documents.
     """
-    if len(data) < 12:
+    size = fh.seek(0, io.SEEK_END)
+    fh.seek(0)
+    head = fh.read(12)
+    if len(head) < 12:
         raise FormatError("not a RIFF file: shorter than 12 bytes")
-    if data[0:4] != b"RIFF":
-        raise FormatError(f"bad RIFF magic {data[0:4]!r}")
-    if data[8:12] != b"WAVE":
-        raise FormatError(f"bad WAVE tag {data[8:12]!r}")
+    if head[0:4] != b"RIFF":
+        raise FormatError(f"bad RIFF magic {head[0:4]!r}")
+    if head[8:12] != b"WAVE":
+        raise FormatError(f"bad WAVE tag {head[8:12]!r}")
 
-    view = memoryview(data)
-    fmt = None
-    payload = None
+    fmt = data = None
     pos = 12
-    while pos + 8 <= len(data):
-        chunk_id = data[pos : pos + 4]
-        (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = view[pos + 8 : pos + 8 + chunk_size]
+    while pos + 8 <= size:
+        fh.seek(pos)
+        chunk_id, chunk_size = struct.unpack("<4sI", fh.read(8))
+        present = min(chunk_size, size - pos - 8)   # body bytes in the file
         if chunk_id == b"fmt ":
-            if len(body) < 16:
-                raise FormatError(f"fmt chunk truncated ({len(body)} bytes)")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            if present < 16:
+                raise FormatError(f"fmt chunk truncated ({present} bytes)")
+            fmt = struct.unpack("<HHIIHH", fh.read(16))
         elif chunk_id == b"data":
-            if len(body) < chunk_size:
+            if present < chunk_size:
                 raise FormatError("data chunk extends past end of file")
-            payload = body
+            data = pos + 8, chunk_size
         pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
 
     if fmt is None:
         raise FormatError("missing fmt chunk")
-    if payload is None:
+    if data is None:
         raise FormatError("missing data chunk")
 
     audio_format, n_channels, sample_rate, _, _, bits = fmt
@@ -104,71 +123,79 @@ def _parse_wav(data: bytes):
     if audio_format == _IEEE_FLOAT and bits != 32:
         raise UnsupportedFormatError(f"bit depth {bits} for IEEE float (only 32)")
 
-    frame_size = bits // 8 * n_channels
-    n_frames = len(payload) // frame_size
+    n_frames = data[1] // (bits // 8 * n_channels)
     if n_frames == 0:
         raise FormatError("data chunk holds no complete frame")
-    return audio_format, n_channels, sample_rate, n_frames, payload[: n_frames * frame_size]
+    return audio_format, n_channels, sample_rate, n_frames, data[0]
 
 
-def wav_info(data: bytes) -> tuple[int, int]:
-    """(n_frames, sample_rate) of a RIFF/WAVE byte string.
-
-    Runs every container and format check of :func:`decode_wav` and raises
-    the same errors, but decodes no samples; n_frames equals the length of
-    the decoded clip.
-    """
-    _, _, sample_rate, n_frames, _ = _parse_wav(data)
-    return n_frames, sample_rate
-
-
-def decode_wav(data: bytes, source_id: str | None = None) -> AudioClip:
+def decode_wav(data: bytes, source_id: str | None = None,
+               out: np.ndarray | None = None) -> AudioClip:
     """Decode a RIFF/WAVE byte string into a mono AudioClip.
 
     Accepts PCM 16-bit and IEEE float 32-bit, 1 or 2 channels.  Stereo is
-    averaged down to mono.  Unknown chunks are skipped.
+    averaged down to mono.  Unknown chunks are skipped.  The samples go into
+    ``out[:n_frames]`` when the float64 array ``out`` holds them, else into a
+    new array.
 
     Raises
     ------
     FormatError
-        Container is structurally malformed.
+        Container is structurally malformed, or a float payload holds NaN or
+        infinity (PCM 16-bit cannot).
     UnsupportedFormatError
         Valid container but unsupported codec, bit depth or channel count;
         the message names the offending field.
     """
-    audio_format, n_channels, sample_rate, _, payload = _parse_wav(data)
-    if audio_format == _PCM:
-        raw = np.multiply(np.frombuffer(payload, "<i2"), 1 / INT16_SCALE, dtype=np.float64)
-    else:
-        raw = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    audio_format, n_channels, sample_rate, n, offset = _walk_chunks(io.BytesIO(data))
+    pcm = audio_format == _PCM
+    raw = np.frombuffer(data, "<i2" if pcm else "<f4", n * n_channels, offset)
+    if not pcm and not np.isfinite(raw).all():
+        raise FormatError("float payload holds NaN or infinite samples")
+    samples = out[:n] if out is not None and len(out) >= n else np.empty(n)
+    scale = 1 / INT16_SCALE if pcm else 1.0
+    if n_channels == 1:
+        np.multiply(raw, scale, out=samples, dtype=np.float64)
+    else:   # the channel mean, (l*s + r*s) / 2 bit for bit: s/2 is exact
+        np.add(raw[0::2], raw[1::2], out=samples, dtype=np.float64)
+        samples *= scale / 2
+    return AudioClip._of_finite(samples, sample_rate, source_id)
 
-    if n_channels == 2:
-        raw = raw.reshape(-1, 2).mean(axis=1)
 
-    return AudioClip(raw, sample_rate, source_id=source_id)
-
-
-def read_file(path) -> bytes:
-    """The bytes of an audio file; a missing file is a DataError."""
+def _open(path):
     try:
-        with open(path, "rb") as fh:
-            return fh.read()
+        return open(path, "rb")
     except FileNotFoundError:
         raise DataError(f"audio file missing: {path}")
 
 
+def read_file(path) -> bytes:
+    """The bytes of an audio file; a missing file is a DataError."""
+    with _open(path) as fh:
+        return fh.read()
+
+
 def max_length(records) -> int:
     """Longest clip of the records (anything with ``.path``) in samples, read
-    from the WAV headers alone."""
-    return max(wav_info(read_file(r.path))[0] for r in records)
+    from the chunk headers alone, with the container and format errors of
+    :func:`decode_wav` (a non-finite float sample is found only by decoding)."""
+    def n_frames(path):
+        with _open(path) as fh:
+            return _walk_chunks(fh)[3]
+    return max(n_frames(r.path) for r in records)
 
 
 def read_clips(records):
     """Decode the records (``.path``, ``.id``) lazily, one clip at a time;
-    DataError on a missing file or a rate other than the first clip's."""
+    DataError on a missing file or a rate other than the first clip's.  The
+    clips share one buffer, grown to the longest: a clip's samples stay valid
+    until the next clip is drawn, so a caller keeping them copies them."""
     rate = None
+    buf = np.empty(0)
     for r in records:
-        clip = decode_wav(read_file(r.path), source_id=r.id)
+        clip = decode_wav(read_file(r.path), source_id=r.id, out=buf)
+        if len(clip) > len(buf):
+            buf = clip.samples
         rate = rate or clip.sample_rate
         if clip.sample_rate != rate:
             raise DataError(f"{r.path}: sample rate {clip.sample_rate} Hz, but "

@@ -12,6 +12,9 @@ Latency is wall-clock per event; the run summary reports p50/p95/max latency
 and the real-time factor (processing time / audio duration).  RTF < 1 means
 faster than real time; this artifact's service target is RTF < 0.25 on a
 desktop CPU.
+
+Samples are checked for finiteness once, at ``push``; the window classified is
+a view of the ring, with no copy and no second check.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import features
 from .audio_io import AudioClip
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -80,31 +83,30 @@ class StreamSummary:
 
 
 class _RingBuffer:
-    """Fixed-capacity sample buffer keeping the most recent `capacity` samples."""
+    """The most recent `capacity` samples, contiguous in a 2 x capacity buffer;
+    when a push would run past its end the kept samples slide to the front."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._buf = np.zeros(capacity)
-        self._pos = 0
+        self._buf = np.zeros(2 * capacity)
+        self._end = capacity   # the window is _buf[_end - capacity : _end]
         self.total = 0
 
     def push(self, samples: np.ndarray):
-        n = len(samples)
-        if n >= self.capacity:
-            self._buf[:] = samples[-self.capacity:]
-            self._pos = 0
-        else:
-            first = min(n, self.capacity - self._pos)
-            self._buf[self._pos : self._pos + first] = samples[:first]
-            rest = n - first
-            if rest:
-                self._buf[:rest] = samples[first:]
-            self._pos = (self._pos + n) % self.capacity
-        self.total += n
+        self.total += len(samples)
+        samples = samples[-self.capacity:]
+        end = self._end + len(samples)
+        if end > len(self._buf):
+            keep = self.capacity - len(samples)
+            self._buf[:keep] = self._buf[self._end - keep : self._end]
+            end = self.capacity
+        self._buf[end - len(samples) : end] = samples
+        self._end = end
 
     def window(self) -> np.ndarray:
-        """Samples in arrival order; zero-prefixed until the buffer fills."""
-        return np.concatenate([self._buf[self._pos:], self._buf[:self._pos]])
+        """Samples in arrival order, zero-prefixed until the buffer fills: a
+        view, valid until the next push."""
+        return self._buf[self._end - self.capacity : self._end]
 
 
 class StreamingClassifier:
@@ -139,7 +141,7 @@ class StreamingClassifier:
 
     def _classify(self) -> StreamEvent:
         t0 = time.perf_counter()
-        clip = AudioClip(self._ring.window(), self.sample_rate, source_id="stream")
+        clip = AudioClip._of_finite(self._ring.window(), self.sample_rate, "stream")
         window = features.extract_window(clip, self.pipeline_cfg)
         probs = self.model.probabilities(window.matrix[None])[0]
         elapsed = time.perf_counter() - t0
@@ -152,8 +154,11 @@ class StreamingClassifier:
                            latency_ms=latency_ms)
 
     def push(self, chunk) -> list[StreamEvent]:
-        """Feed new samples; returns the events they complete, in time order."""
+        """Feed new samples; returns the events they complete, in time order.
+        A chunk holding NaN or infinity is a DataError and changes nothing."""
         chunk = np.asarray(chunk, dtype=np.float64)
+        if not np.isfinite(chunk).all():
+            raise DataError("stream chunk holds NaN or infinite samples")
         events = []
         pos = 0
         while pos < len(chunk):

@@ -83,17 +83,31 @@ class SweepResult:
         return buf.getvalue()
 
 
+def sweep_configs(base_cfg, points=SWEEP_DEFAULT_POINTS) -> list:
+    """Per point, base_cfg at that n_mfcc with n_mels raised to cover it."""
+    return [replace(base_cfg, n_mfcc=n, n_mels=max(base_cfg.n_mels, n)) for n in points]
+
+
 def run_svm_sweep(clips, labels, base_cfg: features.PipelineConfig,
                   kernels=("rbf", "linear"), points=SWEEP_DEFAULT_POINTS,
-                  runs=10, base_seed=0, C=10.0, records=None,
-                  ratios=(0.6, 0.2, 0.2), eval_split="test") -> SweepResult:
-    """Accuracy over the MFCC-count grid, `runs` split seeds per point.
+                  **fit_args) -> SweepResult:
+    """Accuracy over the MFCC-count grid: fit_svm_sweep over the windows of
+    sweep_configs(base_cfg, points), built in one pass over clips (a lazy
+    reader keeps only the windows in memory) with matching labels."""
+    cfgs = sweep_configs(base_cfg, points)
+    return fit_svm_sweep([features.extract_clip(clip, cfgs) for clip in clips],
+                         labels, kernels=kernels, **fit_args)
 
-    clips: iterable of AudioClip, read once (so a lazy reader keeps only the
-    windows in memory); labels: matching integer class codes.  records
-    (optional) supplies SampleRecords for the stratified split; otherwise
-    synthetic ids are used.  n_mels is raised to max(base n_mels, n_mfcc) so
-    every point is extractable.
+
+def fit_svm_sweep(windows, labels, kernels=("rbf", "linear"), runs=10,
+                  base_seed=0, C=10.0, records=None, ratios=(0.6, 0.2, 0.2),
+                  eval_split="test") -> SweepResult:
+    """`runs` split seeds per point and kernel.
+
+    windows: per clip, its FeatureWindow of each point (extract_clip over
+    sweep_configs); labels: matching integer class codes.  records (optional)
+    supplies SampleRecords for the stratified split; otherwise synthetic ids
+    are used.
     """
     from .dataset import SampleRecord  # local to avoid cycle at import time
 
@@ -104,12 +118,8 @@ def run_svm_sweep(clips, labels, base_cfg: features.PipelineConfig,
     by_id = {r.id: i for i, r in enumerate(records)}
     labels = np.asarray(labels, dtype=np.int64)
 
-    cfgs = [replace(base_cfg, n_mfcc=n, n_mels=max(base_cfg.n_mels, n))
-            for n in points]
-    windows = [features.extract_clip(clip, cfgs) for clip in clips]
-
     result = SweepResult()
-    for p, cfg in enumerate(cfgs):
+    for p, point in enumerate(windows[0]):
         X = np.stack([features.flatten(w[p]) for w in windows])
         for kernel in kernels:
             spec = svm.KernelSpec(kind=kernel, C=C)
@@ -122,5 +132,5 @@ def run_svm_sweep(clips, labels, base_cfg: features.PipelineConfig,
                                              spec)
                 preds = svm.predict(model, X[eval_idx])
                 acc = float((preds == labels[eval_idx]).mean())
-                result.rows.append(SweepRow(kernel, cfg.n_mfcc, run, seed, acc))
+                result.rows.append(SweepRow(kernel, point.n_mfcc, run, seed, acc))
     return result

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emorec import audio_io
+from emorec import audio_io, features
 from emorec.audio_io import AudioClip, decode_wav, encode_wav, synth_tone
 from emorec.errors import DataError, FormatError, UnsupportedFormatError
 
@@ -111,7 +111,16 @@ def float32_wav_bytes(samples, sample_rate, n_channels=1):
             + b"data" + struct.pack("<I", len(payload)) + payload)
 
 
+def length_scan(tmp_path, data):
+    """max_length over one file holding data."""
+    path = tmp_path / "a.wav"
+    path.write_bytes(data)
+    return audio_io.max_length([SimpleNamespace(path=str(path))])
+
+
 class TestWavInfo:
+    """The header-only length scan: the decoded length, decode's errors."""
+
     @pytest.mark.parametrize("data", [
         stdlib_wav_bytes(np.arange(-500, 501, dtype=np.int16), 16000),
         stdlib_wav_bytes(np.arange(-500, 500, dtype=np.int16), 8000,
@@ -119,20 +128,38 @@ class TestWavInfo:
         float32_wav_bytes(np.linspace(-1, 1, 777), 48000),
         float32_wav_bytes(np.linspace(-1, 1, 10), 44100, n_channels=2),
     ], ids=["mono_pcm16", "stereo_pcm16", "float32", "float32_stereo"])
-    def test_matches_decoded_length(self, data):
-        clip = decode_wav(data)
-        assert audio_io.wav_info(data) == (len(clip), clip.sample_rate)
+    def test_matches_decoded_length(self, tmp_path, data):
+        assert length_scan(tmp_path, data) == len(decode_wav(data))
 
-    def test_same_errors_as_decode(self):
+    def test_same_errors_as_decode(self, tmp_path):
         payload = b"\x00" * 12
         data = (b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
                 + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 8000, 24000, 3, 24)
                 + b"data" + struct.pack("<I", len(payload)) + payload)
-        for parse in (decode_wav, audio_io.wav_info):
+        for parse in (decode_wav, lambda data: length_scan(tmp_path, data)):
             with pytest.raises(UnsupportedFormatError, match="bit depth 24"):
                 parse(data)
             with pytest.raises(FormatError, match="missing data chunk"):
                 parse(data[:36])  # RIFF header and fmt chunk only
+
+
+def riff(*chunks):
+    """A RIFF/WAVE byte string of (id, body) chunks, odd bodies padded."""
+    body = b"WAVE" + b"".join(cid + struct.pack("<I", len(b)) + b + b"\x00" * (len(b) & 1)
+                              for cid, b in chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+FMT_MONO_16K = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n_channels", [1, 2])
+def test_non_finite_float_payload_is_format_error(bad, n_channels):
+    samples = np.full(8 * n_channels, 0.25)
+    samples[5] = bad
+    with pytest.raises(FormatError, match="NaN or infinite"):
+        decode_wav(float32_wav_bytes(samples, 8000, n_channels))
 
 
 class TestReadClips:
@@ -161,6 +188,58 @@ class TestReadClips:
     def test_max_length_from_headers(self, tmp_path):
         records = self.records(tmp_path, [8000, 16000, 8000])
         assert audio_io.max_length(records) == 4160   # 0.26 s at 16 kHz
+
+    @pytest.mark.parametrize("chunks", [
+        [(b"fmt ", FMT_MONO_16K), (b"LIST", b"INFOabcde"),
+         (b"data", b"\x01\x00" * 301)],
+        [(b"fmt ", FMT_MONO_16K), (b"data", b"\x01\x00" * 300),
+         (b"LIST", b"INFOab")],
+        [(b"fmt ", FMT_MONO_16K), (b"data", b"\x01\x00" * 300 + b"\x07"),
+         (b"LIST", b"INFOabc")],
+        [(b"LIST", b"x"), (b"fmt ", FMT_MONO_16K + b"\x00\x00"),
+         (b"junk", b"123"), (b"data", b"\x02\x00" * 299)],
+    ], ids=["list_before_data", "list_after_data", "odd_data_then_list",
+            "odd_chunks_and_fmt_extension"])
+    def test_max_length_walks_chunks_as_decode_does(self, tmp_path, chunks):
+        data = riff(*chunks)
+        assert length_scan(tmp_path, data) == len(decode_wav(data))
+
+    def test_data_past_end_fails_in_length_pass(self, tmp_path):
+        data = riff((b"fmt ", FMT_MONO_16K), (b"data", b"\x01\x00" * 100))
+        with pytest.raises(FormatError, match="data chunk extends past end of file"):
+            length_scan(tmp_path, data[:-10])   # the chunk still declares 200 bytes
+
+    @pytest.mark.parametrize("kind", ["mono_pcm16", "stereo_pcm16",
+                                      "float32", "float32_stereo"])
+    def test_windows_match_decode_wav(self, tmp_path, kind):
+        """Clips decoded into the reader's buffer, which is reused and
+        regrown (long, shorter, longest), give the windows of a fresh
+        decode_wav bit for bit; float32 stereo is the float64 channel mean."""
+        rng = np.random.default_rng(3)
+        channels = 2 if "stereo" in kind else 1
+        records, expected = [], []
+        for i, n in enumerate([5000, 4300, 5600]):
+            x = 0.3 * rng.standard_normal(n * channels)
+            if kind.startswith("float32"):
+                data = float32_wav_bytes(x, 8000, channels)
+                want = x.astype("<f4").astype(np.float64)
+                if channels == 2:
+                    want = want.reshape(-1, 2).mean(axis=1)
+                assert np.array_equal(decode_wav(data).samples, want)
+            else:
+                ints = np.clip(np.round(x * 32768), -32768, 32767)
+                data = stdlib_wav_bytes(ints, 8000, channels)
+            path = tmp_path / f"c{i}.wav"
+            path.write_bytes(data)
+            records.append(SimpleNamespace(path=str(path), id=f"c{i}"))
+        cfg = features.PipelineConfig(n_mfcc=13, target_length=5600,
+                                      frame_length=512, n_mels=26)
+        assert audio_io.max_length(records) == 5600
+        for r, clip in zip(records, audio_io.read_clips(records)):
+            fresh = decode_wav(audio_io.read_file(r.path))
+            assert np.array_equal(clip.samples, fresh.samples)
+            assert np.array_equal(features.extract_window(clip, cfg).matrix,
+                                  features.extract_window(fresh, cfg).matrix)
 
 
 class TestEncode:

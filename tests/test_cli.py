@@ -155,9 +155,9 @@ class TestExtract:
         calls = []
         decode = audio_io.decode_wav
 
-        def counting_decode(data, source_id=None):
+        def counting_decode(data, source_id=None, **kwargs):
             calls.append(source_id)
-            return decode(data, source_id=source_id)
+            return decode(data, source_id=source_id, **kwargs)
 
         monkeypatch.setattr(audio_io, "decode_wav", counting_decode)
         out = tmp_path / "features.bin"
@@ -194,6 +194,24 @@ class TestExtract:
                      "--out-dir", str(tmp_path / "run")]) == 2
         assert "bit depth 24 for PCM (only 16)" in capsys.readouterr().err
         assert calls == []
+
+    def test_non_finite_float_wav_exits_2(self, tmp_path, capsys):
+        import struct
+        samples = np.full(3000, 0.1, dtype="<f4")
+        samples[1234] = np.nan
+        payload = samples.tobytes()
+        wav = tmp_path / "03-01-01-01-01-01-01.wav"
+        wav.write_bytes(
+            b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+            + b"fmt " + struct.pack("<IHHIIHH", 16, 3, 1, 8000, 32000, 4, 32)
+            + b"data" + struct.pack("<I", len(payload)) + payload)
+        manifest = tmp_path / "manifest.csv"
+        dataset.write_manifest(manifest,
+                               dataset.scan_corpus(str(tmp_path), "ravdess"))
+        assert main(["extract", "--manifest", str(manifest),
+                     "--out-dir", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "NaN or infinite" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("target_args", [[], ["--target-length", "30000"]])
     def test_mixed_sample_rates_fail_closed(self, tmp_path, capsys, target_args):

@@ -1,0 +1,46 @@
+import importlib.util
+import os
+import sys
+
+from emorec import audio_io, dataset, features, sweep
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+
+def run_script(name, argv, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(SCRIPTS, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [name] + [str(a) for a in argv])
+    assert module.main() == 0
+
+
+def test_sweep_run_decodes_each_clip_once(tmp_path, monkeypatch, capsys):
+    """`reproduce.py --sweep` builds the CNN windows and every sweep point's
+    windows in one pass, and its sweep equals run_svm_sweep's."""
+    demo, out = tmp_path / "demo", tmp_path / "out"
+    run_script("make_demo_data", ["--out", demo, "--per-class", 5], monkeypatch)
+    calls = []
+    decode = audio_io.decode_wav
+
+    def counting_decode(data, source_id=None, **kwargs):
+        calls.append(source_id)
+        return decode(data, source_id=source_id, **kwargs)
+
+    monkeypatch.setattr(audio_io, "decode_wav", counting_decode)
+    run_script("reproduce", ["--ravdess-dir", demo, "--out", out, "--epochs", 1,
+                             "--sweep", "--sweep-runs", 1], monkeypatch)
+    records = dataset.read_manifest(out / "manifest.csv")
+    assert sorted(calls) == sorted(r.id for r in records)
+
+    monkeypatch.setattr(audio_io, "decode_wav", decode)
+    cfg = features.PipelineConfig(n_mfcc=13,
+                                  target_length=audio_io.max_length(records),
+                                  frame_length=2048, n_mels=26)
+    want = sweep.run_svm_sweep(audio_io.read_clips(records),
+                               [int(r.label) for r in records], cfg, runs=1,
+                               base_seed=0, records=records)
+    assert (out / "sweep_raw.csv").read_text() == want.raw_csv()
+    assert (out / "sweep_mean.csv").read_text() == want.mean_csv()
+

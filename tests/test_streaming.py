@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from emorec import audio_io, features, nn, streaming, svm
-from emorec.errors import ConfigError
+from emorec.errors import ConfigError, DataError
 from emorec.streaming import StreamConfig, StreamingClassifier, stream_infer
 from conftest import class_tone_clip, overfit_windows
 
@@ -149,6 +149,30 @@ class TestGuards:
             StreamingClassifier(model, stream_pipeline_cfg,
                                 StreamConfig(3.0, 0.5), 4000)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_chunk_rejected_before_ring(self, trained_cnn,
+                                                   stream_pipeline_cfg, bad):
+        """A rejected chunk changes nothing: the events equal those of a run
+        that never saw it."""
+        samples = ten_second_clip().samples
+        cfg = StreamConfig(3.0, 0.5)
+        clean = StreamingClassifier(trained_cnn, stream_pipeline_cfg, cfg, 4000)
+        hit = StreamingClassifier(trained_cnn, stream_pipeline_cfg, cfg, 4000)
+        want, got = [], []
+        for k, pos in enumerate(range(0, len(samples), 1000)):
+            chunk = samples[pos:pos + 1000]
+            want += clean.push(chunk)
+            if k == 14:   # mid-stream, with the ring full
+                poisoned = chunk.copy()
+                poisoned[500] = bad
+                with pytest.raises(DataError, match="NaN or infinite"):
+                    hit.push(poisoned)
+            got += hit.push(chunk)
+        assert len(got) == len(want) == 15
+        for a, b in zip(got, want):
+            assert (a.t_start, a.t_end, a.label) == (b.t_start, b.t_end, b.label)
+            np.testing.assert_array_equal(a.probs, b.probs)
+
     def test_bad_stream_config(self):
         with pytest.raises(ConfigError):
             StreamConfig(window_seconds=1.0, hop_seconds=2.0)
@@ -164,3 +188,13 @@ class TestRingBuffer:
         rb.push(np.arange(10, 22, dtype=float))  # longer than capacity
         np.testing.assert_array_equal(rb.window(), [17, 18, 19, 20, 21])
         assert rb.total == 19
+
+    def test_window_is_last_samples_for_any_chunking(self):
+        rng = np.random.default_rng(0)
+        rb = streaming._RingBuffer(7)
+        seen = np.zeros(7)
+        for n in rng.integers(0, 10, 60):
+            chunk = rng.standard_normal(n)
+            rb.push(chunk)
+            seen = np.concatenate([seen, chunk])
+            np.testing.assert_array_equal(rb.window(), seen[-7:])

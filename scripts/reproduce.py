@@ -109,10 +109,7 @@ def main() -> int:
     with open(os.path.join(args.out, "per_class.csv"), "w") as fh:
         fh.write(test_report.per_class_csv())
 
-    measured = {"cnn_top1": test_report.accuracy}
-    recalls = dict(zip(test_report.class_names, test_report.recall))
-    for name in reference.REFERENCE["per_class_accuracy"]:
-        measured[f"acc_{name}"] = float(recalls[name])
+    measured = reference.measured("cnn_top1", test_report)
 
     if args.sweep:
         result = sweep.fit_svm_sweep(

@@ -4,9 +4,10 @@ Subcommands: extract, validate-dataset, split, train-svm, train-cnn, eval,
 sweep-svm, augment, stream, gradient-check, audit-params.
 
 Every subcommand accepts ``--config FILE`` (a flat JSON key/value document
-with a "version" key; command-line flags override config values), ``--seed``,
-and ``--out-dir`` (run directory; every produced file is listed in its
-``artifacts.csv``).
+with a "version" key), ``--seed``, and ``--out-dir`` (run directory; every
+produced file is listed in its ``artifacts.csv``).  Config keys are the flag
+names in snake_case, ``seed`` and ``out_dir`` included; ``main`` resolves each
+option once, explicit flag > config file > default.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -67,35 +68,25 @@ class RunDir:
                 w.writerow([name])
 
 
-def _load_config_file(path) -> dict:
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ConfigError("config file must hold a JSON object")
-    version = cfg.pop("version", CONFIG_VERSION)
-    if version != CONFIG_VERSION:
-        raise ConfigError(f"config version {version}, expected {CONFIG_VERSION}")
-    return cfg
-
-
-def _merge(args, defaults: dict) -> argparse.Namespace:
-    """Resolve each option: explicit flag > config file > default."""
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    unknown = set(file_cfg) - set(defaults) - {"seed", "out_dir"}
+def _resolve(args) -> argparse.Namespace:
+    """The options of args' subcommand: explicit flag > config file > default."""
+    file_cfg = {}
+    if args.config:
+        with open(args.config) as fh:
+            file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ConfigError("config file must hold a JSON object")
+        version = file_cfg.pop("version", CONFIG_VERSION)
+        if version != CONFIG_VERSION:
+            raise ConfigError(f"config version {version}, expected {CONFIG_VERSION}")
+    unknown = set(file_cfg) - set(args.defaults)
     if unknown:
         raise ConfigError(f"config keys not understood: {sorted(unknown)}")
-    merged = {}
-    for key, default in defaults.items():
-        v = getattr(args, key, None)
-        if v is None:
-            v = file_cfg.get(key, default)
-        merged[key] = v
-    for key in ("seed", "out_dir"):
-        v = getattr(args, key, None)
-        if v is None:
-            v = file_cfg.get(key, 0 if key == "seed" else None)
-        merged[key] = v
-    return argparse.Namespace(**merged)
+    opts = {}
+    for key, default in args.defaults.items():
+        flag = getattr(args, key)
+        opts[key] = file_cfg.get(key, default) if flag is None else flag
+    return argparse.Namespace(**opts)
 
 
 def _read_required_manifest(path):
@@ -124,10 +115,7 @@ def _pipeline_meta(cache_path):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_extract(args, run: RunDir) -> int:
-    opts = _merge(args, dict(manifest=None, out=None, n_mfcc=13,
-                             frame_length=2048, n_mels=26, target_length=0,
-                             f_min=0.0, f_max=None))
+def cmd_extract(opts, run: RunDir) -> int:
     records = _read_required_manifest(opts.manifest)
     if not records:
         raise DataError("empty manifest")
@@ -153,8 +141,7 @@ def cmd_extract(args, run: RunDir) -> int:
     return 0
 
 
-def cmd_validate_dataset(args, run: RunDir) -> int:
-    opts = _merge(args, dict(manifest=None, data_root=None, corpus="ravdess"))
+def cmd_validate_dataset(opts, run: RunDir) -> int:
     if opts.manifest:
         records = dataset.read_manifest(opts.manifest)
     elif opts.data_root:
@@ -167,9 +154,7 @@ def cmd_validate_dataset(args, run: RunDir) -> int:
     return 0 if report.passed else 2
 
 
-def cmd_split(args, run: RunDir) -> int:
-    opts = _merge(args, dict(manifest=None, ratios="0.6,0.2,0.2",
-                             actor_disjoint=False, out=None))
+def cmd_split(opts, run: RunDir) -> int:
     records = _read_required_manifest(opts.manifest)
     ratios = tuple(float(x) for x in str(opts.ratios).split(","))
     split = dataset.stratified_split(records, ratios=ratios, seed=opts.seed,
@@ -185,32 +170,39 @@ def cmd_split(args, run: RunDir) -> int:
     return 0
 
 
-def _load_cache_and_split(cache_path, manifest_path, split_name):
+def _load_splits(cache_path, manifest_path, *names, optional=()):
+    """Per split name, its (windows, labels), from one read of the feature
+    cache and the manifest.  A split without records is a DataError, or None
+    when it is named in optional; an id missing from the cache is a
+    DataError."""
     if not cache_path:
         raise UsageError("--features is required")
     cache = {rid: (label, matrix)
              for rid, label, matrix in features.load_feature_cache(cache_path)}
     records = _read_required_manifest(manifest_path)
-    wanted = [r for r in records if r.split == split_name]
-    if not wanted:
-        raise DataError(f"no records in split {split_name!r}; run `split` first")
-    missing = [r.id for r in wanted if r.id not in cache]
-    if missing:
-        raise DataError(f"{len(missing)} ids missing from cache, e.g. {missing[:3]}")
-    windows = []
-    labels = []
-    for r in wanted:
-        label, matrix = cache[r.id]
-        windows.append(features.FeatureWindow(matrix, matrix.shape[0]))
-        labels.append(label)
-    return windows, np.asarray(labels, dtype=np.int64)
+    splits = []
+    for name in names:
+        wanted = [r for r in records if r.split == name]
+        if not wanted and name in optional:
+            splits.append(None)
+            continue
+        if not wanted:
+            raise DataError(f"no records in split {name!r}; run `split` first")
+        missing = [r.id for r in wanted if r.id not in cache]
+        if missing:
+            raise DataError(f"{len(missing)} ids missing from cache, e.g. {missing[:3]}")
+        windows = []
+        labels = []
+        for r in wanted:
+            label, matrix = cache[r.id]
+            windows.append(features.FeatureWindow(matrix, matrix.shape[0]))
+            labels.append(label)
+        splits.append((windows, np.asarray(labels, dtype=np.int64)))
+    return splits
 
 
-def cmd_train_svm(args, run: RunDir) -> int:
-    opts = _merge(args, dict(features=None, manifest=None, kernel="rbf",
-                             C=10.0, gamma="scale", tol=1e-3,
-                             max_passes=10_000_000, out=None))
-    windows, labels = _load_cache_and_split(opts.features, opts.manifest, "train")
+def cmd_train_svm(opts, run: RunDir) -> int:
+    [(windows, labels)] = _load_splits(opts.features, opts.manifest, "train")
     if opts.gamma == "scale":
         spec = svm.KernelSpec(kind=opts.kernel, C=float(opts.C))
     else:
@@ -230,17 +222,13 @@ def cmd_train_svm(args, run: RunDir) -> int:
     return 0
 
 
-def cmd_train_cnn(args, run: RunDir) -> int:
-    opts = _merge(args, dict(features=None, manifest=None, epochs=10,
-                             batch_size=32, lr=1e-4, decay=1e-6,
-                             dense_units=512, out=None))
-    windows, labels = _load_cache_and_split(opts.features, opts.manifest, "train")
-    try:
-        val_windows, val_labels = _load_cache_and_split(
-            opts.features, opts.manifest, "val")
-        x_val = np.stack([w.matrix for w in val_windows])[..., None]
-    except DataError:
-        x_val, val_labels = None, None
+def cmd_train_cnn(opts, run: RunDir) -> int:
+    (windows, labels), val = _load_splits(opts.features, opts.manifest,
+                                          "train", "val", optional=("val",))
+    x_val = val_labels = None
+    if val is not None:   # a manifest without val records trains unvalidated
+        x_val = np.stack([w.matrix for w in val[0]])[..., None]
+        val_labels = val[1]
     x = np.stack([w.matrix for w in windows])[..., None]
     n_mfcc = x.shape[1]
     model = nn.build_emotion_cnn(n_mfcc=n_mfcc, n_frames=x.shape[2],
@@ -276,14 +264,11 @@ def _sniff_model(path):
     return loader(path), reference_key
 
 
-def cmd_eval(args, run: RunDir) -> int:
-    opts = _merge(args, dict(model=None, features=None, manifest=None,
-                             split="test", roc=False, compare_reference=False))
+def cmd_eval(opts, run: RunDir) -> int:
     if not opts.model:
         raise UsageError("--model is required")
     model, reference_key = _sniff_model(opts.model)
-    windows, labels = _load_cache_and_split(opts.features, opts.manifest,
-                                            opts.split)
+    [(windows, labels)] = _load_splits(opts.features, opts.manifest, opts.split)
     report = sweep.evaluate_model(model, windows, labels,
                                   with_roc=bool(opts.roc))
     print(report.to_text(), end="")
@@ -295,20 +280,12 @@ def cmd_eval(args, run: RunDir) -> int:
             lines.append(f"{name},{'' if np.isnan(auc) else repr(float(auc))}")
         run.write_text("roc_auc.csv", "\n".join(lines) + "\n")
     if opts.compare_reference:
-        measured = {reference_key: report.accuracy}
-        recalls = dict(zip(report.class_names, report.recall))
-        for name in reference.REFERENCE["per_class_accuracy"]:
-            if name in recalls:
-                measured[f"acc_{name}"] = float(recalls[name])
-        print(reference.comparison_table(measured), end="")
+        print(reference.comparison_table(reference.measured(reference_key, report)),
+              end="")
     return 0
 
 
-def cmd_sweep_svm(args, run: RunDir) -> int:
-    opts = _merge(args, dict(manifest=None, range="10:120:10",
-                             extra_points="13,100", runs=10,
-                             kernels="rbf,linear", C=10.0, frame_length=2048,
-                             target_length=0, n_mels=26))
+def cmd_sweep_svm(opts, run: RunDir) -> int:
     try:   # a step below 1 fails as range's zero step does
         lo, hi, step = (int(x) for x in str(opts.range).split(":"))
         points = set(range(lo, hi + 1, max(step, 0)))
@@ -344,9 +321,7 @@ def cmd_sweep_svm(args, run: RunDir) -> int:
     return 0
 
 
-def cmd_augment(args, run: RunDir) -> int:
-    opts = _merge(args, dict(manifest=None, augmentations="reverse,invert",
-                             out=None))
+def cmd_augment(opts, run: RunDir) -> int:
     records = _read_required_manifest(opts.manifest)
     augs = [a for a in str(opts.augmentations).split(",") if a]
     bad = set(augs) - set(features.AUGMENTATIONS)
@@ -379,10 +354,7 @@ def cmd_augment(args, run: RunDir) -> int:
     return 0
 
 
-def cmd_stream(args, run: RunDir) -> int:
-    opts = _merge(args, dict(model=None, wav=None, window=3.0, hop=0.5,
-                             emit="text", chunk_size=4096,
-                             pipeline_config=None))
+def cmd_stream(opts, run: RunDir) -> int:
     if not opts.model or not opts.wav:
         raise UsageError("--model and --wav are required")
     model, _ = _sniff_model(opts.model)
@@ -402,22 +374,19 @@ def cmd_stream(args, run: RunDir) -> int:
     events, summary = streaming.stream_infer(clip, model, pipeline_cfg,
                                              stream_cfg,
                                              chunk_size=int(opts.chunk_size))
-    names = [l.name for l in dataset.EmotionLabel]
+    text = streaming.events_csv(events)
+    run.write_text("stream_events.csv", text)
     if opts.emit == "csv":
-        text = streaming.events_csv(events)
         print(text, end="")
-        run.write_text("stream_events.csv", text)
     else:
+        names = [l.name for l in dataset.EmotionLabel]
         for e in events:
             print(e.text_line(names))
-        run.write_text("stream_events.csv", streaming.events_csv(events))
     print(summary.to_text(), end="")
     return 0
 
 
-def cmd_gradient_check(args, run: RunDir) -> int:
-    opts = _merge(args, dict(filters=8, dense_units=16, batch=2,
-                             threshold=1e-4, full_width=False))
+def cmd_gradient_check(opts, run: RunDir) -> int:
     if opts.full_width:
         model = nn.build_emotion_cnn(seed=opts.seed)
     else:
@@ -438,8 +407,7 @@ def cmd_gradient_check(args, run: RunDir) -> int:
     return 0
 
 
-def cmd_audit_params(args, run: RunDir) -> int:
-    opts = _merge(args, dict(n_mfcc=13, n_frames=26))
+def cmd_audit_params(opts, run: RunDir) -> int:
     model = nn.build_emotion_cnn(n_mfcc=int(opts.n_mfcc),
                                  n_frames=int(opts.n_frames))
     print(nn.audit_params(model), end="")
@@ -452,65 +420,69 @@ def cmd_audit_params(args, run: RunDir) -> int:
 
 @functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
-    """The argparse tree, built once per process; parse_args keeps no state."""
+    """The argparse tree, built once per process; parse_args keeps no state.
+
+    Each subcommand's options are one table of name=default, and the default
+    fixes the flag: a bool is a switch, a tuple lists the choices (the first
+    is the default), a type means that type and no default, and any other
+    value gives the flag its type.  An absent flag parses to None, so
+    `_resolve` can fall back to the config file and then the default.
+    """
     parser = _Parser(prog="emorec",
                      description="speech emotion recognition toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **flags):
+    def add(name, fn, **table):
         p = sub.add_parser(name)
-        p.set_defaults(fn=fn)
         p.add_argument("--config", help="flat JSON key/value config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out-dir", dest="out_dir", default=None)
-        for flag, kw in flags.items():
-            p.add_argument("--" + flag.replace("_", "-"), dest=flag, **kw)
-        return p
+        defaults = {}
+        for key, default in dict(seed=0, out_dir=str, **table).items():
+            if isinstance(default, bool):
+                kw = {"action": "store_true"}
+            elif isinstance(default, tuple):
+                kw, default = {"choices": default}, default[0]
+            elif isinstance(default, type):
+                kw, default = {"type": default}, None
+            else:
+                kw = {"type": type(default)}
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           default=None, **kw)
+            defaults[key] = default
+        p.set_defaults(fn=fn, defaults=defaults)
 
-    add("extract", cmd_extract, manifest={}, out={},
-        n_mfcc={"type": int}, frame_length={"type": int},
-        n_mels={"type": int}, target_length={"type": int},
-        f_min={"type": float}, f_max={"type": float})
-    add("validate-dataset", cmd_validate_dataset, manifest={},
-        data_root={}, corpus={"choices": ["ravdess", "tess"]})
-    add("split", cmd_split, manifest={}, ratios={}, out={},
-        actor_disjoint={"action": "store_true", "default": None})
-    add("train-svm", cmd_train_svm, features={}, manifest={},
-        kernel={"choices": ["rbf", "linear"]}, C={"type": float}, gamma={},
-        tol={"type": float}, max_passes={"type": int}, out={})
-    add("train-cnn", cmd_train_cnn, features={}, manifest={},
-        epochs={"type": int}, batch_size={"type": int}, lr={"type": float},
-        decay={"type": float}, dense_units={"type": int}, out={})
-    add("eval", cmd_eval, model={}, features={}, manifest={}, split={},
-        roc={"action": "store_true", "default": None},
-        compare_reference={"action": "store_true", "default": None})
-    add("sweep-svm", cmd_sweep_svm, manifest={}, range={},
-        extra_points={}, runs={"type": int}, kernels={}, C={"type": float},
-        frame_length={"type": int}, target_length={"type": int},
-        n_mels={"type": int})
-    add("augment", cmd_augment, manifest={}, augmentations={}, out={})
-    add("stream", cmd_stream, model={}, wav={}, window={"type": float},
-        hop={"type": float}, emit={"choices": ["text", "csv"]},
-        chunk_size={"type": int}, pipeline_config={})
-    add("gradient-check", cmd_gradient_check, filters={"type": int},
-        dense_units={"type": int}, batch={"type": int},
-        threshold={"type": float},
-        full_width={"action": "store_true", "default": None})
-    add("audit-params", cmd_audit_params, n_mfcc={"type": int},
-        n_frames={"type": int})
+    add("extract", cmd_extract, manifest=str, out=str, n_mfcc=13,
+        frame_length=2048, n_mels=26, target_length=0, f_min=0.0, f_max=float)
+    add("validate-dataset", cmd_validate_dataset, manifest=str, data_root=str,
+        corpus=("ravdess", "tess"))
+    add("split", cmd_split, manifest=str, ratios="0.6,0.2,0.2",
+        actor_disjoint=False, out=str)
+    add("train-svm", cmd_train_svm, features=str, manifest=str,
+        kernel=("rbf", "linear"), C=10.0, gamma="scale", tol=1e-3,
+        max_passes=10_000_000, out=str)
+    add("train-cnn", cmd_train_cnn, features=str, manifest=str, epochs=10,
+        batch_size=32, lr=1e-4, decay=1e-6, dense_units=512, out=str)
+    add("eval", cmd_eval, model=str, features=str, manifest=str, split="test",
+        roc=False, compare_reference=False)
+    add("sweep-svm", cmd_sweep_svm, manifest=str, range="10:120:10",
+        extra_points="13,100", runs=10, kernels="rbf,linear", C=10.0,
+        frame_length=2048, target_length=0, n_mels=26)
+    add("augment", cmd_augment, manifest=str, augmentations="reverse,invert",
+        out=str)
+    add("stream", cmd_stream, model=str, wav=str, window=3.0, hop=0.5,
+        emit=("text", "csv"), chunk_size=4096, pipeline_config=str)
+    add("gradient-check", cmd_gradient_check, filters=8, dense_units=16,
+        batch=2, threshold=1e-4, full_width=False)
+    add("audit-params", cmd_audit_params, n_mfcc=13, n_frames=26)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    run = None
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    run = RunDir(args.out_dir or os.path.join("runs", args.command))
-    try:
-        code = args.fn(args, run)
+        args = build_parser().parse_args(argv)
+        opts = _resolve(args)
+        run = RunDir(opts.out_dir or os.path.join("runs", args.command))
+        return args.fn(opts, run)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -521,8 +493,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        run.finalize()
-    return code
+        if run is not None:
+            run.finalize()
 
 
 if __name__ == "__main__":

@@ -202,6 +202,7 @@ def validate_manifest(records, corpus: str) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 SPLIT_NAMES = ("train", "val", "test")
+MIN_PER_CLASS = 5   # a stratified split refuses a class with fewer samples
 
 
 @dataclass
@@ -228,7 +229,6 @@ def _apportion(n: int, ratios) -> list[int]:
 
 
 def stratified_split(records, ratios=(0.6, 0.2, 0.2), seed: int = 0,
-                     min_per_class: int = 5,
                      actor_disjoint: bool = False) -> SplitAssignment:
     """Per-class seeded shuffle, then proportional cut.
 
@@ -242,29 +242,37 @@ def stratified_split(records, ratios=(0.6, 0.2, 0.2), seed: int = 0,
     if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError(f"ratios {ratios} must be three values summing to 1")
     base = [r for r in records if r.augmented_from is None]
-    augmented = [r for r in records if r.augmented_from is not None]
-
-    if actor_disjoint:
-        return _actor_disjoint_split(base, augmented, ratios, seed)
-
     ids = [r.id for r in base]
     if len(set(ids)) != len(ids):
         raise DataError("duplicate ids in manifest")
 
-    by_class: dict = {}
-    for r in sorted(base, key=lambda r: r.id):
-        by_class.setdefault(EmotionLabel(r.label), []).append(r.id)
+    draw = _actor_disjoint_split if actor_disjoint else _class_stratified_split
+    assignment = draw(sorted(base, key=lambda r: r.id), ratios, seed)
+    for r in records:
+        if r.augmented_from is not None:
+            src = assignment.get(r.augmented_from)
+            if src is None:
+                raise DataError(
+                    f"augmented record {r.id} points at unknown source {r.augmented_from}")
+            assignment[r.id] = src
+    return SplitAssignment(assignment, seed, tuple(ratios))
 
+
+def _class_stratified_split(base, ratios, seed) -> dict:
+    # base sorted by id; per class, a seeded shuffle cut by _apportion
+    by_class: dict = {}
+    for r in base:
+        by_class.setdefault(EmotionLabel(r.label), []).append(r.id)
     rng = np.random.default_rng(seed)
     assignment = {}
     for label in EmotionLabel:
         members = by_class.get(label)
         if members is None:
             continue
-        if len(members) < min_per_class:
+        if len(members) < MIN_PER_CLASS:
             raise DataError(
                 f"class {label.name} has {len(members)} samples, "
-                f"below the minimum {min_per_class}")
+                f"below the minimum {MIN_PER_CLASS}")
         perm = rng.permutation(len(members))
         shuffled = [members[i] for i in perm]
         n_train, n_val, _ = _apportion(len(members), ratios)
@@ -275,21 +283,13 @@ def stratified_split(records, ratios=(0.6, 0.2, 0.2), seed: int = 0,
                 assignment[sample_id] = "val"
             else:
                 assignment[sample_id] = "test"
-
-    for r in augmented:
-        src = assignment.get(r.augmented_from)
-        if src is None:
-            raise DataError(
-                f"augmented record {r.id} points at unknown source {r.augmented_from}")
-        assignment[r.id] = src
-
-    return SplitAssignment(assignment, seed, tuple(ratios))
+    return assignment
 
 
-def _actor_disjoint_split(base, augmented, ratios, seed):
-    # assign whole actors to splits by cumulative sample fraction
+def _actor_disjoint_split(base, ratios, seed) -> dict:
+    # base sorted by id; whole actors go to splits by cumulative sample fraction
     by_actor: dict = {}
-    for r in sorted(base, key=lambda r: r.id):
+    for r in base:
         by_actor.setdefault(r.actor, []).append(r.id)
     actors = sorted(by_actor)
     rng = np.random.default_rng(seed)
@@ -304,13 +304,7 @@ def _actor_disjoint_split(base, augmented, ratios, seed):
         for sample_id in by_actor[actor]:
             assignment[sample_id] = split
         placed += len(by_actor[actor])
-    for r in augmented:
-        src = assignment.get(r.augmented_from)
-        if src is None:
-            raise DataError(
-                f"augmented record {r.id} points at unknown source {r.augmented_from}")
-        assignment[r.id] = src
-    return SplitAssignment(assignment, seed, tuple(ratios))
+    return assignment
 
 
 # ---------------------------------------------------------------------------

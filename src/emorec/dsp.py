@@ -164,12 +164,9 @@ def frame_magnitudes(frames: np.ndarray, frame_length: int) -> np.ndarray:
     return np.abs(np.add(zk, zmk, out=zk))
 
 
-def stft(clip: AudioClip, frame_length: int, hop_length: int,
-         window: str = "hann") -> Spectrogram:
+def stft(clip: AudioClip, frame_length: int, hop_length: int) -> Spectrogram:
     """Hann-windowed magnitude STFT: 1 + (len - frame_length) // hop_length
     frames, windowed and zero-padded in one buffer, then frame_magnitudes."""
-    if window != "hann":
-        raise ValueError(f"unsupported window {window!r}")
     if hop_length < 1:
         raise ValueError(f"hop_length must be >= 1, got {hop_length}")
     if frame_length < 2:

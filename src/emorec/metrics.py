@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,8 +98,8 @@ class MetricsReport:
     support: np.ndarray
     accuracy: float
     top_k: dict                      # k -> accuracy
-    roc_auc: np.ndarray | None = None
-    class_names: list = field(default_factory=lambda: [l.name for l in EmotionLabel])
+    roc_auc: np.ndarray | None
+    class_names: list
 
     def per_class_csv(self) -> str:
         buf = io.StringIO()
@@ -131,7 +131,7 @@ class MetricsReport:
 
 
 def metrics_report(true_labels, scores, n_classes=N_CLASSES, ks=(1, 2, 3),
-                   class_names=None, with_roc=False) -> MetricsReport:
+                   with_roc=False) -> MetricsReport:
     """Full report from per-class score rows (probabilities or decision values)."""
     scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     labels = np.asarray(true_labels, dtype=np.int64)
@@ -143,10 +143,9 @@ def metrics_report(true_labels, scores, n_classes=N_CLASSES, ks=(1, 2, 3),
     top_k = {k: top_k_accuracy(scores, labels, k)
              for k in ks if k <= scores.shape[1]}
     roc = roc_auc_ovr(scores, labels, n_classes) if with_roc else None
-    if class_names is None:
-        if n_classes == N_CLASSES:
-            class_names = [l.name for l in EmotionLabel]
-        else:
-            class_names = [f"class{i}" for i in range(n_classes)]
+    if n_classes == N_CLASSES:
+        class_names = [l.name for l in EmotionLabel]
+    else:
+        class_names = [f"class{i}" for i in range(n_classes)]
     return MetricsReport(confusion, precision, recall, f1, support, accuracy,
                          top_k, roc, class_names)

@@ -16,30 +16,22 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import features, svm
-from .dataset import stratified_split
+from .dataset import SampleRecord, stratified_split
 from .errors import ConfigError
 from .metrics import MetricsReport, metrics_report
 
 SWEEP_DEFAULT_POINTS = tuple(sorted(set(range(10, 121, 10)) | {13, 100}))
 
 
-def model_scores(model, windows) -> np.ndarray:
-    """Per-class score rows for either classifier.
-
-    CNN models yield softmax probabilities; SVM models yield raw decision
-    values (unscaled, fine for argmax/top-k ranking).
-    """
-    return model.scores(np.stack([w.matrix for w in windows]))
-
-
 def evaluate_model(model, windows, labels, with_roc=False) -> MetricsReport:
-    """MetricsReport for a trained model over feature windows + integer labels."""
+    """MetricsReport for a trained model over feature windows + integer labels,
+    ranked by the model's per-class scores: softmax probabilities for a CNN,
+    raw decision values for an SVM (unscaled, fine for argmax/top-k)."""
     if len(windows) == 0:
         raise ConfigError("empty evaluation split")
-    scores = model_scores(model, windows)
-    n_classes = scores.shape[1]
-    return metrics_report(labels, scores, n_classes=n_classes,
-                          ks=(1, 2, 3), with_roc=with_roc)
+    scores = model.scores(np.stack([w.matrix for w in windows]))
+    return metrics_report(labels, scores, n_classes=scores.shape[1],
+                          with_roc=with_roc)
 
 
 # ---------------------------------------------------------------------------
@@ -100,17 +92,15 @@ def run_svm_sweep(clips, labels, base_cfg: features.PipelineConfig,
 
 
 def fit_svm_sweep(windows, labels, kernels=("rbf", "linear"), runs=10,
-                  base_seed=0, C=10.0, records=None, ratios=(0.6, 0.2, 0.2),
-                  eval_split="test") -> SweepResult:
-    """`runs` split seeds per point and kernel.
+                  base_seed=0, C=10.0, records=None) -> SweepResult:
+    """`runs` 60/20/20 split seeds per point and kernel, each scored on its
+    test split.
 
     windows: per clip, its FeatureWindow of each point (extract_clip over
     sweep_configs); labels: matching integer class codes.  records (optional)
     supplies SampleRecords for the stratified split; otherwise synthetic ids
     are used.
     """
-    from .dataset import SampleRecord  # local to avoid cycle at import time
-
     if records is None:
         records = [SampleRecord(id=f"s{idx:05d}", path="", label=int(lab),
                                 corpus="synthetic")
@@ -125,9 +115,9 @@ def fit_svm_sweep(windows, labels, kernels=("rbf", "linear"), runs=10,
             spec = svm.KernelSpec(kind=kernel, C=C)
             for run in range(runs):
                 seed = base_seed + run
-                split = stratified_split(records, ratios=ratios, seed=seed)
+                split = stratified_split(records, seed=seed)
                 train_idx = [by_id[i] for i in split.ids("train")]
-                eval_idx = [by_id[i] for i in split.ids(eval_split)]
+                eval_idx = [by_id[i] for i in split.ids("test")]
                 model = svm.train_multiclass(X[train_idx], labels[train_idx],
                                              spec)
                 preds = svm.predict(model, X[eval_idx])

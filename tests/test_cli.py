@@ -307,6 +307,37 @@ class TestTrainAndEval:
         assert not model.exists()
         assert not (run / "history.csv").exists()
 
+    def test_val_ids_missing_from_cache_exit_2(self, workspace, capsys,
+                                               tmp_path):
+        from emorec import features as feat
+        manifest = workspace["split_manifest"]
+        val_ids = {r.id for r in dataset.read_manifest(manifest)
+                   if r.split == "val"}
+        cache = tmp_path / "features.bin"
+        feat.save_feature_cache(cache, [
+            entry for entry in feat.load_feature_cache(workspace["cache"])
+            if entry[0] not in val_ids])
+        run = tmp_path / "r"
+        assert main(["train-cnn", "--features", str(cache),
+                     "--manifest", str(manifest), "--epochs", "1",
+                     "--out-dir", str(run)]) == 2
+        assert "ids missing from cache" in capsys.readouterr().err
+        assert not (run / "history.csv").exists()
+
+    def test_manifest_without_val_trains_unvalidated(self, workspace,
+                                                     tmp_path):
+        records = dataset.read_manifest(workspace["split_manifest"])
+        for r in records:
+            r.split = "test" if r.split == "val" else r.split
+        manifest = tmp_path / "no_val.csv"
+        dataset.write_manifest(manifest, records)
+        run = tmp_path / "r"
+        assert main(["train-cnn", "--features", str(workspace["cache"]),
+                     "--manifest", str(manifest), "--epochs", "1",
+                     "--batch-size", "8", "--out-dir", str(run)]) == 0
+        rows = (run / "history.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].endswith(",,")
+
 
 class TestSweepCmd:
     def test_small_sweep_row_count(self, workspace, tmp_path, capsys):
@@ -443,6 +474,30 @@ class TestConfigFileAndExitCodes:
         cfg.write_text(json.dumps({"version": 99}))
         assert main(["audit-params", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "r")]) == 2
+
+    def test_config_out_dir_places_the_run(self, tmp_path, monkeypatch,
+                                           capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"version": 1, "out_dir": "wanted"}))
+        assert main(["audit-params", "--config", str(cfg)]) == 0
+        assert (tmp_path / "wanted" / "artifacts.csv").exists()
+        assert not (tmp_path / "runs").exists()
+        assert main(["audit-params", "--config", str(cfg),
+                     "--out-dir", "flagged"]) == 0
+        assert (tmp_path / "flagged" / "artifacts.csv").exists()
+
+    @pytest.mark.parametrize("text", [
+        '{"version": 99}', '{"version": 1, "bogus_key": 5}', '{"version": 1',
+        '[1]'])
+    def test_bad_config_exits_2_without_run_dir(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        run = tmp_path / "r"
+        assert main(["audit-params", "--config", str(cfg),
+                     "--out-dir", str(run)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not run.exists()
 
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["audit-params", "--bogus"]) == 1

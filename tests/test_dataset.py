@@ -171,8 +171,10 @@ class TestStratifiedSplit:
         records = make_records(10, [EmotionLabel.sad, EmotionLabel.angry])
         orphan = SampleRecord(id="ghost_rev", path="", label=EmotionLabel.sad,
                               corpus="synthetic", augmented_from="ghost")
-        with pytest.raises(DataError, match="unknown source"):
-            stratified_split(records + [orphan], seed=1)
+        for actor_disjoint in (False, True):
+            with pytest.raises(DataError, match="unknown source"):
+                stratified_split(records + [orphan], seed=1,
+                                 actor_disjoint=actor_disjoint)
 
     def test_small_class_rejected(self):
         records = make_records(4, [EmotionLabel.sad, EmotionLabel.angry])
@@ -181,8 +183,10 @@ class TestStratifiedSplit:
 
     def test_duplicate_ids_rejected(self):
         records = make_records(6, [EmotionLabel.sad])
-        with pytest.raises(DataError, match="duplicate ids"):
-            stratified_split(records + [records[0]], seed=0)
+        for actor_disjoint in (False, True):
+            with pytest.raises(DataError, match="duplicate ids"):
+                stratified_split(records + [records[0]], seed=0,
+                                 actor_disjoint=actor_disjoint)
 
     def test_actor_disjoint_mode(self):
         records = make_records(24, list(EmotionLabel))

@@ -7,7 +7,9 @@ Every subcommand accepts ``--config FILE`` (a flat JSON key/value document
 with a "version" key), ``--seed``, and ``--out-dir`` (run directory; every
 produced file is listed in its ``artifacts.csv``).  Config keys are the flag
 names in snake_case, ``seed`` and ``out_dir`` included; ``main`` resolves each
-option once, explicit flag > config file > default.
+option once, explicit flag > config file > default.  A config value must have
+its flag's type (any JSON number for a float; a string or a number, read as
+its text, for a text option) and choices, or is a ConfigError.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -68,6 +70,12 @@ class RunDir:
                 w.writerow([name])
 
 
+# JSON types a config value may take, by its flag's type; a number given for
+# a text option (``"gamma": 0.5``, ``"extra_points": 20``) is read as its text
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float),
+               str: (str, int, float)}
+
+
 def _resolve(args) -> argparse.Namespace:
     """The options of args' subcommand: explicit flag > config file > default."""
     file_cfg = {}
@@ -79,13 +87,20 @@ def _resolve(args) -> argparse.Namespace:
         version = file_cfg.pop("version", CONFIG_VERSION)
         if version != CONFIG_VERSION:
             raise ConfigError(f"config version {version}, expected {CONFIG_VERSION}")
-    unknown = set(file_cfg) - set(args.defaults)
+    unknown = set(file_cfg) - set(args.options)
     if unknown:
         raise ConfigError(f"config keys not understood: {sorted(unknown)}")
     opts = {}
-    for key, default in args.defaults.items():
-        flag = getattr(args, key)
-        opts[key] = file_cfg.get(key, default) if flag is None else flag
+    for key, (default, kind, choices) in args.options.items():
+        value = getattr(args, key)
+        if value is None and key in file_cfg:   # checked as the flag's value
+            value = file_cfg[key]
+            if (type(value) not in _JSON_TYPES[kind]
+                    or choices and value not in choices):
+                raise ConfigError(f"config key {key!r}: got {value!r}, expected "
+                                  f"{list(choices) if choices else kind.__name__}")
+            value = kind(value)
+        opts[key] = default if value is None else value
     return argparse.Namespace(**opts)
 
 
@@ -156,9 +171,9 @@ def cmd_validate_dataset(opts, run: RunDir) -> int:
 
 def cmd_split(opts, run: RunDir) -> int:
     records = _read_required_manifest(opts.manifest)
-    ratios = tuple(float(x) for x in str(opts.ratios).split(","))
+    ratios = tuple(float(x) for x in opts.ratios.split(","))
     split = dataset.stratified_split(records, ratios=ratios, seed=opts.seed,
-                                     actor_disjoint=bool(opts.actor_disjoint))
+                                     actor_disjoint=opts.actor_disjoint)
     dataset.apply_split(records, split)
     out = opts.out or run.file("manifest_split.csv")
     dataset.write_manifest(out, records)
@@ -204,13 +219,13 @@ def _load_splits(cache_path, manifest_path, *names, optional=()):
 def cmd_train_svm(opts, run: RunDir) -> int:
     [(windows, labels)] = _load_splits(opts.features, opts.manifest, "train")
     if opts.gamma == "scale":
-        spec = svm.KernelSpec(kind=opts.kernel, C=float(opts.C))
+        spec = svm.KernelSpec(kind=opts.kernel, C=opts.C)
     else:
-        spec = svm.KernelSpec(kind=opts.kernel, C=float(opts.C),
+        spec = svm.KernelSpec(kind=opts.kernel, C=opts.C,
                               gamma_mode="fixed", gamma_value=float(opts.gamma))
     X = np.stack([features.flatten(w) for w in windows])
-    model = svm.train_multiclass(X, labels, spec, tol=float(opts.tol),
-                                 max_passes=int(opts.max_passes))
+    model = svm.train_multiclass(X, labels, spec, tol=opts.tol,
+                                 max_passes=opts.max_passes)
     model.pipeline_config = _pipeline_meta(opts.features)
     out = opts.out or run.file("svm_model.bin")
     svm.save_svm(out, model)
@@ -232,12 +247,11 @@ def cmd_train_cnn(opts, run: RunDir) -> int:
     x = np.stack([w.matrix for w in windows])[..., None]
     n_mfcc = x.shape[1]
     model = nn.build_emotion_cnn(n_mfcc=n_mfcc, n_frames=x.shape[2],
-                                 dense_units=int(opts.dense_units),
-                                 seed=opts.seed)
+                                 dense_units=opts.dense_units, seed=opts.seed)
     model.pipeline_config = _pipeline_meta(opts.features)
-    cfg = nn.TrainConfig(lr=float(opts.lr), decay=float(opts.decay),
-                         batch_size=int(opts.batch_size),
-                         epochs=int(opts.epochs), seed=opts.seed)
+    cfg = nn.TrainConfig(lr=opts.lr, decay=opts.decay,
+                         batch_size=opts.batch_size, epochs=opts.epochs,
+                         seed=opts.seed)
     history = nn.train(model, x, labels, cfg, x_val=x_val,
                        labels_val=val_labels, verbose=True)
     run.write_text("history.csv", nn.history_to_csv(history))
@@ -270,7 +284,7 @@ def cmd_eval(opts, run: RunDir) -> int:
     model, reference_key = _sniff_model(opts.model)
     [(windows, labels)] = _load_splits(opts.features, opts.manifest, opts.split)
     report = sweep.evaluate_model(model, windows, labels,
-                                  with_roc=bool(opts.roc))
+                                  with_roc=opts.roc)
     print(report.to_text(), end="")
     run.write_text("confusion.csv", report.confusion_csv())
     run.write_text("per_class.csv", report.per_class_csv())
@@ -287,14 +301,14 @@ def cmd_eval(opts, run: RunDir) -> int:
 
 def cmd_sweep_svm(opts, run: RunDir) -> int:
     try:   # a step below 1 fails as range's zero step does
-        lo, hi, step = (int(x) for x in str(opts.range).split(":"))
+        lo, hi, step = (int(x) for x in opts.range.split(":"))
         points = set(range(lo, hi + 1, max(step, 0)))
     except ValueError:
         raise ConfigError(f"--range must be lo:hi:step, step >= 1; got {opts.range!r}")
     if opts.extra_points:
-        points |= {int(x) for x in str(opts.extra_points).split(",") if x}
+        points |= {int(x) for x in opts.extra_points.split(",") if x}
     points = tuple(sorted(points))
-    if not points or points[0] < 1 or int(opts.runs) < 1:
+    if not points or points[0] < 1 or opts.runs < 1:
         raise ConfigError(f"--range/--extra-points give n_mfcc {list(points)} and --runs "
                           f"{opts.runs}; need points, all >= 1, and runs >= 1")
     records = _read_required_manifest(opts.manifest)
@@ -306,13 +320,13 @@ def cmd_sweep_svm(opts, run: RunDir) -> int:
     target = opts.target_length or audio_io.max_length(base)
     base_cfg = features.PipelineConfig(
         n_mfcc=min(points), target_length=target,
-        frame_length=int(opts.frame_length),
-        n_mels=max(int(opts.n_mels), min(points)))
-    kernels = tuple(str(opts.kernels).split(","))
+        frame_length=opts.frame_length,
+        n_mels=max(opts.n_mels, min(points)))
+    kernels = tuple(opts.kernels.split(","))
     result = sweep.run_svm_sweep(audio_io.read_clips(base), labels, base_cfg,
                                  kernels=kernels, points=points,
-                                 runs=int(opts.runs), base_seed=opts.seed,
-                                 C=float(opts.C), records=base)
+                                 runs=opts.runs, base_seed=opts.seed,
+                                 C=opts.C, records=base)
     run.write_text("sweep_raw.csv", result.raw_csv())
     run.write_text("sweep_mean.csv", result.mean_csv())
     best = max(result.mean().items(), key=lambda kv: kv[1])
@@ -323,7 +337,7 @@ def cmd_sweep_svm(opts, run: RunDir) -> int:
 
 def cmd_augment(opts, run: RunDir) -> int:
     records = _read_required_manifest(opts.manifest)
-    augs = [a for a in str(opts.augmentations).split(",") if a]
+    augs = [a for a in opts.augmentations.split(",") if a]
     bad = set(augs) - set(features.AUGMENTATIONS)
     if bad:
         raise UsageError(f"unknown augmentations {sorted(bad)}")
@@ -369,11 +383,11 @@ def cmd_stream(opts, run: RunDir) -> int:
     if meta.get("sample_rate") and meta["sample_rate"] != clip.sample_rate:
         raise DataError(f"stream sample rate {clip.sample_rate} Hz does not "
                         f"match the training rate {meta['sample_rate']} Hz")
-    stream_cfg = streaming.StreamConfig(window_seconds=float(opts.window),
-                                        hop_seconds=float(opts.hop))
+    stream_cfg = streaming.StreamConfig(window_seconds=opts.window,
+                                        hop_seconds=opts.hop)
     events, summary = streaming.stream_infer(clip, model, pipeline_cfg,
                                              stream_cfg,
-                                             chunk_size=int(opts.chunk_size))
+                                             chunk_size=opts.chunk_size)
     text = streaming.events_csv(events)
     run.write_text("stream_events.csv", text)
     if opts.emit == "csv":
@@ -390,26 +404,25 @@ def cmd_gradient_check(opts, run: RunDir) -> int:
     if opts.full_width:
         model = nn.build_emotion_cnn(seed=opts.seed)
     else:
-        f = int(opts.filters)
+        f = opts.filters
         model = nn.build_emotion_cnn(conv_filters=(f, f, f, f),
-                                     dense_units=int(opts.dense_units),
+                                     dense_units=opts.dense_units,
                                      seed=opts.seed)
     rng = np.random.default_rng(opts.seed)
-    x = rng.normal(size=(int(opts.batch),) + model.input_shape)
-    labels = rng.integers(0, model.n_classes, size=int(opts.batch))
+    x = rng.normal(size=(opts.batch,) + model.input_shape)
+    labels = rng.integers(0, model.n_classes, size=opts.batch)
     worst, per_tensor = nn.gradient_check(model, x, labels, seed=opts.seed)
     for name, err in sorted(per_tensor.items()):
         print(f"{name:<16} rel err {err:.3e}")
     print(f"max relative error: {worst:.3e}")
-    if worst > float(opts.threshold):
+    if worst > opts.threshold:
         raise NumericalError(
             f"gradient check failed: {worst:.3e} > {opts.threshold}")
     return 0
 
 
 def cmd_audit_params(opts, run: RunDir) -> int:
-    model = nn.build_emotion_cnn(n_mfcc=int(opts.n_mfcc),
-                                 n_frames=int(opts.n_frames))
+    model = nn.build_emotion_cnn(n_mfcc=opts.n_mfcc, n_frames=opts.n_frames)
     print(nn.audit_params(model), end="")
     return 0
 
@@ -426,7 +439,8 @@ def build_parser() -> _Parser:
     fixes the flag: a bool is a switch, a tuple lists the choices (the first
     is the default), a type means that type and no default, and any other
     value gives the flag its type.  An absent flag parses to None, so
-    `_resolve` can fall back to the config file and then the default.
+    `_resolve` can fall back to the config file, whose values it checks
+    against the same type and choices, and then the default.
     """
     parser = _Parser(prog="emorec",
                      description="speech emotion recognition toolkit")
@@ -435,20 +449,19 @@ def build_parser() -> _Parser:
     def add(name, fn, **table):
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat JSON key/value config file")
-        defaults = {}
+        options = {}
         for key, default in dict(seed=0, out_dir=str, **table).items():
-            if isinstance(default, bool):
-                kw = {"action": "store_true"}
-            elif isinstance(default, tuple):
-                kw, default = {"choices": default}, default[0]
-            elif isinstance(default, type):
-                kw, default = {"type": default}, None
-            else:
-                kw = {"type": type(default)}
+            choices = None
+            if isinstance(default, tuple):
+                choices, default = default, default[0]
+            kind, default = ((default, None) if isinstance(default, type)
+                             else (type(default), default))
+            kw = ({"action": "store_true"} if kind is bool
+                  else {"type": kind, "choices": choices})
             p.add_argument("--" + key.replace("_", "-"), dest=key,
                            default=None, **kw)
-            defaults[key] = default
-        p.set_defaults(fn=fn, defaults=defaults)
+            options[key] = (default, kind, choices)
+        p.set_defaults(fn=fn, options=options)
 
     add("extract", cmd_extract, manifest=str, out=str, n_mfcc=13,
         frame_length=2048, n_mels=26, target_length=0, f_min=0.0, f_max=float)

@@ -78,12 +78,6 @@ def fft(x) -> np.ndarray:
     return z.transpose(1, 2, 0).reshape(x.shape)
 
 
-def ifft(x) -> np.ndarray:
-    """Inverse of :func:`fft`; ifft(fft(v)) == v to ~1e-9 relative."""
-    x = np.asarray(x)
-    return np.conj(fft(np.conj(x))) / x.shape[-1]
-
-
 # ---------------------------------------------------------------------------
 # Mel scale
 # ---------------------------------------------------------------------------
@@ -284,14 +278,6 @@ def dct2(v, n_out: int | None = None) -> np.ndarray:
     return v @ _dct2_matrix(n)[:n_out].T
 
 
-def idct2(c, n: int | None = None) -> np.ndarray:
-    """Inverse of the orthonormal DCT-II (transpose of the basis)."""
-    c = np.asarray(c, dtype=np.float64)
-    if n is None:
-        n = c.shape[-1]
-    return c @ _dct2_matrix(n)[: c.shape[-1]]
-
-
 # ---------------------------------------------------------------------------
 # MFCC
 # ---------------------------------------------------------------------------
@@ -309,11 +295,6 @@ class MfccMatrix:
     @property
     def n_frames(self) -> int:
         return self.coeffs.shape[1]
-
-    def to_csv(self) -> str:
-        """One row per coefficient, one column per frame, shortest round-trip floats."""
-        lines = [",".join(repr(float(v)) for v in row) for row in self.coeffs]
-        return "\n".join(lines) + "\n"
 
 
 def mel_cepstrum(magnitudes: np.ndarray, sample_rate: int, fft_length: int,

@@ -5,8 +5,10 @@ The canonical unit fed to both classifiers is an ``n_mfcc x 26`` MFCC matrix
 ``target_length`` slice if over-long or zero-padded head and tail to it,
 run through the MFCC front end with a hop derived so the STFT yields at
 least 26 frames, cut to the first 26 frames, and finally z-scored over all
-entries of the window.  ``extract_clip`` z-scores, pads and transforms only
-the STFT frames holding clip samples, bit-identical to the whole-clip steps,
+entries of the window.  ``extract_clip`` is the one path that does this:
+it z-scores, pads and transforms only the STFT frames holding clip samples,
+bit-identical to running those steps on the whole clip
+(``normalize_loudness`` here, the cut and the padding in ``tests/oracles.py``),
 and builds the windows of several configs (a sweep's points) from one FFT.
 
 Augmentations: time reversal and polarity inversion.  Inversion leaves the
@@ -23,14 +25,13 @@ All integers and floats little-endian.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .audio_io import AudioClip
 from .container import Reader, atomic_open
 from .dsp import frame_magnitudes, hann_window, mel_cepstrum, next_pow2
-from .dsp import mfcc  # noqa: F401  (unused; perfbench/trace.py wraps features.mfcc)
 from .errors import ConfigError, FormatError
 
 N_FRAMES = 26
@@ -73,14 +74,7 @@ class PipelineConfig:
         return (self.target_length - self.frame_length) // (N_FRAMES - 1)
 
     def to_dict(self) -> dict:
-        return {
-            "n_mfcc": self.n_mfcc,
-            "target_length": self.target_length,
-            "frame_length": self.frame_length,
-            "n_mels": self.n_mels,
-            "f_min": self.f_min,
-            "f_max": self.f_max,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
@@ -97,7 +91,6 @@ class FeatureWindow:
 
     matrix: np.ndarray
     n_mfcc: int
-    standardized: bool = True
 
     def __post_init__(self):
         if self.matrix.shape != (self.n_mfcc, N_FRAMES):
@@ -106,7 +99,8 @@ class FeatureWindow:
 
 
 def normalize_loudness(clip: AudioClip) -> AudioClip:
-    """Per-clip z-score: (x - mean) / population std; constant clips go to zero."""
+    """Per-clip z-score: (x - mean) / population std; constant clips go to zero.
+    Only tests call it; the benchmark's tracer times it as features.prep."""
     x = clip.samples
     mu = x.mean()
     sigma = x.std()
@@ -115,31 +109,6 @@ def normalize_loudness(clip: AudioClip) -> AudioClip:
     else:
         y = (x - mu) / sigma
     return AudioClip(y, clip.sample_rate, source_id=clip.source_id)
-
-
-def pad_to_length(clip: AudioClip, target: int) -> AudioClip:
-    """Zero-pad head and tail to reach target; head gets the odd extra sample."""
-    n = len(clip)
-    if n > target:
-        raise ValueError(
-            f"clip of {n} samples exceeds target {target}; truncate explicitly")
-    pad = target - n
-    head = (pad + 1) // 2
-    y = np.concatenate([np.zeros(head), clip.samples, np.zeros(pad - head)])
-    return AudioClip(y, clip.sample_rate, source_id=clip.source_id)
-
-
-def truncate_to_length(clip: AudioClip, target: int) -> AudioClip:
-    """Keep the centered target-sample slice, dropping the head-heavy excess.
-
-    Exact inverse of pad_to_length on padded clips.
-    """
-    n = len(clip)
-    if n < target:
-        raise ValueError(f"clip of {n} samples shorter than target {target}")
-    start = (n - target + 1) // 2
-    return AudioClip(clip.samples[start : start + target].copy(),
-                     clip.sample_rate, source_id=clip.source_id)
 
 
 def augment_reverse(clip: AudioClip) -> AudioClip:
@@ -171,8 +140,8 @@ def _sum_sq_dev(x, mu, buf):
 
 def extract_clip(clip: AudioClip, cfgs) -> list[FeatureWindow]:
     """The window of each config in cfgs, which must share target_length,
-    frame_length, f_min and f_max; bit-identical to normalize_loudness,
-    truncate_to_length or pad_to_length, then dsp.mfcc, but only frames that
+    frame_length, f_min and f_max; bit-identical to normalize_loudness, then
+    truncating or padding the whole clip, then dsp.mfcc, but only frames that
     hold a clip sample are built, z-scored and transformed, once for all; the
     mel GEMM takes every frame dsp.stft makes (BLAS bits follow row counts)."""
     shared = {(c.target_length, c.frame_length, c.f_min, c.f_max) for c in cfgs}

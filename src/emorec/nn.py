@@ -31,8 +31,8 @@ identical training histories bit for bit.  Buffers change where results are
 written, never the operations or their order, so a run with a workspace
 matches one without it bit for bit.  The block size of `predict_proba` is a
 GEMM row count, and a BLAS may round the last bit differently for another
-row count, so predictions are reproducible bit for bit at a fixed block size
-and agree to ~1e-16 across block sizes.
+row count, so it is a constant: predictions are reproducible bit for bit,
+and agree to ~1e-16 with a pass over any other number of windows.
 """
 
 from __future__ import annotations
@@ -43,12 +43,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import read_model, write_model
+from .dataset import N_CLASSES
 from .errors import ConfigError, DataError, FormatError, NumericalError
 
 CNN_MAGIC = b"EMOCNN\x00\x00"
 CNN_VERSION = 1
 
 PROB_FLOOR = 1e-12
+PREDICT_BLOCK = 16   # windows per predict_proba pass (see Determinism)
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +431,14 @@ def softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy_loss(probs, labels, n_classes=None):
+def cross_entropy_loss(probs, labels):
     """Mean over the batch of -ln p_true, with p clamped to >= 1e-12.
 
-    labels: integer class indices, shape (N,).
+    labels: integer class indices into probs' columns, shape (N,).
     """
     probs = np.asarray(probs)
     labels = np.asarray(labels, dtype=np.int64)
-    n_classes = probs.shape[1] if n_classes is None else n_classes
+    n_classes = probs.shape[1]
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"label outside 0..{n_classes - 1}")
     p = probs[np.arange(len(labels)), labels]
@@ -528,24 +530,23 @@ def build_model(specs, input_shape, seed=0) -> CnnModel:
                     params=init_params(specs, input_shape, seed), seed=seed)
 
 
-def build_emotion_cnn(n_mfcc=13, n_frames=26, n_classes=8, seed=0,
-                      conv_filters=(32, 32, 64, 64), dense_units=512,
-                      dropout_rates=(0.25, 0.25, 0.5)) -> CnnModel:
+def build_emotion_cnn(n_mfcc=13, n_frames=26, seed=0,
+                      conv_filters=(32, 32, 64, 64), dense_units=512) -> CnnModel:
     """The reference two-block CNN over an (n_mfcc, n_frames, 1) window."""
     f1, f2, f3, f4 = conv_filters
     specs = (
         Conv2D(f1, padding="same"),
         Conv2D(f2, padding="valid"),
         MaxPool2D(2),
-        DropoutSpec(dropout_rates[0]),
+        DropoutSpec(0.25),
         Conv2D(f3, padding="same"),
         Conv2D(f4, padding="valid"),
         MaxPool2D(2),
-        DropoutSpec(dropout_rates[1]),
+        DropoutSpec(0.25),
         FlattenSpec(),
         Dense(dense_units, activation="relu"),
-        DropoutSpec(dropout_rates[2]),
-        Dense(n_classes, activation="softmax"),
+        DropoutSpec(0.5),
+        Dense(N_CLASSES, activation="softmax"),
     )
     return build_model(specs, (n_mfcc, n_frames, 1), seed=seed)
 
@@ -569,8 +570,7 @@ def _buffers(work, i):
     return _fresh if work is None else work.layer(i)
 
 
-def forward(model: CnnModel, x, train=False, rng=None, masks=None,
-            check_finite=False, work=None):
+def forward(model: CnnModel, x, train=False, rng=None, masks=None, work=None):
     """Run the network up to the output logits.
 
     Returns (logits, caches, used_masks).  masks replays a previous forward's
@@ -585,8 +585,6 @@ def forward(model: CnnModel, x, train=False, rng=None, masks=None,
     for i, (spec, p) in enumerate(zip(model.specs, model.params)):
         x, cache = spec.forward(x, p, run, _buffers(work, i))
         caches.append(cache)
-        if check_finite and not np.all(np.isfinite(x)):
-            raise NumericalError(f"non-finite activation after {spec}")
     return x, caches, run.masks
 
 
@@ -615,11 +613,11 @@ def loss_and_grads(model: CnnModel, x, labels, rng=None, masks=None,
     return loss, grads, probs, used_masks
 
 
-def predict_proba(model: CnnModel, x, batch_size=16) -> np.ndarray:
+def predict_proba(model: CnnModel, x) -> np.ndarray:
     """Softmax probabilities in infer mode (dropout off).
 
     x must be shaped (N,) + model.input_shape; other shapes raise DataError
-    before any layer runs.  Windows run in blocks of batch_size through one
+    before any layer runs.  Windows run in blocks of PREDICT_BLOCK through one
     `Workspace`, so every block after the first reuses the buffers of the one
     before; at 16 windows the largest (conv2's im2col columns) is ~10 MB.
     """
@@ -629,8 +627,8 @@ def predict_proba(model: CnnModel, x, batch_size=16) -> np.ndarray:
                         f"input_shape {model.input_shape}")
     work = Workspace()
     probs = np.empty((len(x), model.n_classes))
-    for start in range(0, len(x), batch_size):
-        logits, _, _ = forward(model, x[start:start + batch_size], work=work)
+    for start in range(0, len(x), PREDICT_BLOCK):
+        logits, _, _ = forward(model, x[start:start + PREDICT_BLOCK], work=work)
         probs[start:start + len(logits)] = softmax(logits)
     return probs
 
@@ -767,7 +765,7 @@ def history_to_csv(history) -> str:
 # Gradient check
 # ---------------------------------------------------------------------------
 
-def gradient_check(model: CnnModel, x, labels, h=1e-5, seed=0):
+def gradient_check(model: CnnModel, x, labels, seed=0):
     """Central finite differences against backprop on every parameter.
 
     Dropout masks are drawn once and replayed for every evaluation so the
@@ -778,6 +776,7 @@ def gradient_check(model: CnnModel, x, labels, h=1e-5, seed=0):
     argmax or a ReLU gate invalidates the finite-difference model, so
     fixtures must keep activations away from those ties.
     """
+    h = 1e-5   # central-difference step
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     rng = np.random.default_rng(seed)
@@ -817,12 +816,6 @@ def gradient_check(model: CnnModel, x, labels, h=1e-5, seed=0):
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def _spec_to_dict(spec):
-    d = {"type": spec.kind}
-    d.update(spec.__dict__)
-    return d
-
-
 def _spec_from_dict(d):
     d = dict(d)
     kind = d.pop("type")
@@ -835,7 +828,7 @@ def save_cnn(path, model: CnnModel) -> None:
     """Versioned binary checkpoint; parameters stored as little-endian float32."""
     tensors = [t for p in model.params if p is not None for t in p.values()]
     meta = {
-        "specs": [_spec_to_dict(s) for s in model.specs],
+        "specs": [{"type": s.kind, **s.__dict__} for s in model.specs],
         "input_shape": list(model.input_shape),
         "seed": model.seed,
         "shapes": [list(t.shape) for t in tensors],

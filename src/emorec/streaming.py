@@ -187,8 +187,10 @@ def stream_infer(clip: AudioClip, model, pipeline_cfg: features.PipelineConfig,
     """File-feed streaming: push the clip through in chunks.
 
     A D-second clip with window W and hop H yields floor((D-W)/H) + 1 events,
-    the first at t_end = W.
+    the first at t_end = W.  chunk_size below 1 is a ConfigError.
     """
+    if chunk_size < 1:
+        raise ConfigError(f"chunk_size must be at least 1, got {chunk_size}")
     engine = StreamingClassifier(model, pipeline_cfg, stream_cfg,
                                  clip.sample_rate)
     events = []

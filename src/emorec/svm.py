@@ -25,7 +25,7 @@ meaning 1 / (n_features * population variance of all entries of X).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,19 +72,6 @@ def resolve_gamma(X: np.ndarray, spec: KernelSpec) -> float:
     if var <= 0:
         raise ValueError("zero variance data; gamma='scale' undefined")
     return 1.0 / (X.shape[1] * var)
-
-
-def kernel_eval(x: np.ndarray, z: np.ndarray, spec: KernelSpec,
-                gamma: float | None = None) -> float:
-    """Single kernel value: <x, z> (linear) or exp(-gamma ||x-z||^2) (rbf)."""
-    x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if x.shape != z.shape:
-        raise ValueError(f"dimension mismatch {x.shape} vs {z.shape}")
-    if spec.kind == "linear":
-        return float(x @ z)
-    d = x - z
-    return float(np.exp(-gamma * (d @ d)))
 
 
 def kernel_matrix(A: np.ndarray, B: np.ndarray, spec: KernelSpec,
@@ -298,9 +285,7 @@ def predict(model: SvmModel, X) -> np.ndarray:
 def save_svm(path, model: SvmModel) -> None:
     """Versioned binary container: JSON header + float64 LE tensors."""
     meta = {
-        "kernel": {"kind": model.kernel.kind, "C": model.kernel.C,
-                   "gamma_mode": model.kernel.gamma_mode,
-                   "gamma_value": model.kernel.gamma_value},
+        "kernel": asdict(model.kernel),
         "gamma": model.gamma,
         "classes": model.classes,
         "n_features": model.n_features,

@@ -436,6 +436,15 @@ class TestStreamCmd:
                      "--wav", str(wav), "--emit", "csv",
                      "--out-dir", str(run)]) == 0
 
+    @pytest.mark.parametrize("chunk_size", ["0", "-5"])
+    def test_stream_chunk_size_below_one_exits_2(self, workspace, tmp_path,
+                                                 capsys, chunk_size):
+        wav = sorted(workspace["corpus"].glob("*.wav"))[0]
+        assert main(["stream", "--model", str(workspace["cnn_model"]),
+                     "--wav", str(wav), "--chunk-size", chunk_size,
+                     "--out-dir", str(tmp_path / "r")]) == 2
+        assert "chunk_size" in capsys.readouterr().err
+
     @pytest.mark.parametrize("model", ["cnn_model", "svm_model"])
     def test_stream_rate_mismatch_exits_2(self, workspace, tmp_path, capsys,
                                           model):
@@ -497,6 +506,33 @@ class TestConfigFileAndExitCodes:
         assert main(["audit-params", "--config", str(cfg),
                      "--out-dir", str(run)]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not run.exists()
+
+    @pytest.mark.parametrize("command, entry", [
+        ("extract", {"n_mfcc": "13"}), ("gradient-check", {"seed": "3"}),
+        ("stream", {"emit": "xml"}), ("train-cnn", {"epochs": 1.5}),
+        ("eval", {"roc": 1})])
+    def test_config_value_checked_as_its_flag(self, workspace, tmp_path, capsys,
+                                              command, entry):
+        # the inputs each command needs to get past its own checks
+        ws = workspace
+        inputs = {
+            "extract": ["--manifest", ws["split_manifest"]],
+            "gradient-check": [],
+            "stream": ["--model", ws["cnn_model"],
+                       "--wav", sorted(ws["corpus"].glob("*.wav"))[0]],
+            "train-cnn": ["--features", ws["cache"],
+                          "--manifest", ws["split_manifest"]],
+            "eval": ["--model", ws["svm_model"], "--features", ws["cache"],
+                     "--manifest", ws["split_manifest"]],
+        }[command]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"version": 1, **entry}))
+        run = tmp_path / "r"
+        argv = [command, "--config", cfg, *inputs, "--out-dir", run]
+        assert main([str(a) for a in argv]) == 2
+        [key] = entry
+        assert f"config key {key!r}" in capsys.readouterr().err
         assert not run.exists()
 
     def test_unknown_flag_exits_1(self, capsys):

@@ -152,3 +152,19 @@ def test_config_keys_are_the_options(name, tmp_path):
     for key in ("bogus_key", "config", "command"):
         cfg.write_text(json.dumps({"version": 1, key: 1}))
         assert cli.main([name, "--config", str(cfg)]) == 2
+
+
+def test_config_number_for_float_option(tmp_path):
+    # a JSON integer is a number, as "50" on the command line is a float
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"version": 1, "f_min": 50, "f_max": 4000}))
+    got = resolved(["extract", "--config", str(cfg)])
+    assert_same({k: got[k] for k in ("f_min", "f_max")},
+                {"f_min": 50.0, "f_max": 4000.0})
+
+
+def test_config_number_for_text_option(tmp_path):
+    # "gamma": 0.5 trains with gamma 0.5, as the flag --gamma 0.5 does
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"version": 1, "gamma": 0.5}))
+    assert resolved(["train-svm", "--config", str(cfg)])["gamma"] == "0.5"

@@ -61,12 +61,6 @@ class TestFft:
             assert got.shape == (n,)
             assert np.abs(got - want).max() / np.abs(want).max() < 1e-9, n
 
-    def test_inverse_roundtrip(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=128) + 1j * rng.normal(size=128)
-        err = np.abs(dsp.ifft(dsp.fft(x)) - x).max() / np.abs(x).max()
-        assert err < 1e-9
-
     def test_non_pow2_rejected(self):
         with pytest.raises(ValueError):
             dsp.fft(np.zeros(12))
@@ -238,9 +232,12 @@ class TestDct:
                                    atol=1e-12)
 
     def test_orthonormal_roundtrip(self):
-        rng = np.random.default_rng(5)
-        v = rng.normal(size=32)
-        np.testing.assert_allclose(dsp.idct2(dsp.dct2(v)), v, atol=1e-9)
+        # dct2 of the identity is the transposed basis B: B B^T = I, and
+        # multiplying by B^T undoes dct2
+        basis = dsp.dct2(np.eye(32))
+        np.testing.assert_allclose(basis @ basis.T, np.eye(32), atol=1e-12)
+        v = np.random.default_rng(5).normal(size=32)
+        np.testing.assert_allclose(dsp.dct2(v) @ basis.T, v, atol=1e-9)
 
     def test_matches_naive_cosine_sum(self):
         rng = np.random.default_rng(6)
@@ -296,14 +293,6 @@ class TestMfcc:
         clip = audio_io.synth_tone(440, 1.0, 8000)
         with pytest.raises(ValueError):
             dsp.mfcc(clip, 30, 1024, 256, n_mels=26)
-
-    def test_csv_roundtrip_format(self):
-        clip = audio_io.synth_tone(500, 0.5, 8000)
-        m = dsp.mfcc(clip, 4, 1024, 512)
-        text = m.to_csv()
-        parsed = np.array([[float(v) for v in line.split(",")]
-                           for line in text.strip().split("\n")])
-        np.testing.assert_array_equal(parsed, m.coeffs)
 
 
 def gathered_magnitudes(frames, frame_length):

@@ -177,6 +177,13 @@ class TestGuards:
         with pytest.raises(ConfigError):
             StreamConfig(window_seconds=1.0, hop_seconds=2.0)
 
+    @pytest.mark.parametrize("chunk_size", [0, -5])
+    def test_chunk_size_below_one_rejected(self, trained_cnn,
+                                           stream_pipeline_cfg, chunk_size):
+        with pytest.raises(ConfigError, match="chunk_size"):
+            stream_infer(ten_second_clip(), trained_cnn, stream_pipeline_cfg,
+                         StreamConfig(), chunk_size=chunk_size)
+
 
 class TestRingBuffer:
     def test_keeps_most_recent(self):

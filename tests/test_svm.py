@@ -7,7 +7,8 @@ from emorec import svm
 from emorec.cli import main
 from emorec.errors import DataError, FormatError
 from conftest import rewrite_header
-from emorec.svm import KernelSpec, kernel_eval, resolve_gamma, train_binary
+from emorec.svm import KernelSpec, resolve_gamma, train_binary
+from oracles import kernel_eval
 
 XOR_POINTS = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 XOR_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])
@@ -98,22 +99,25 @@ class TestResolveGamma:
 
 
 class TestKernelEval:
+    """kernel_matrix's values, and its agreement with the scalar oracle."""
+
     def test_rbf_self_is_one(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=10)
-        assert kernel_eval(x, x, KernelSpec(), gamma=0.3) == 1.0
+        x = rng.normal(size=(1, 10))
+        K = svm.kernel_matrix(x, x, KernelSpec(), gamma=0.3)
+        assert abs(K[0, 0] - 1.0) < 1e-12
 
     def test_linear_dot(self):
-        assert kernel_eval([1.0, 2.0], [3.0, 4.0],
-                           KernelSpec(kind="linear")) == 11.0
+        K = svm.kernel_matrix([[1.0, 2.0]], [[3.0, 4.0]], KernelSpec(kind="linear"))
+        assert K[0, 0] == 11.0
 
     def test_rbf_known_value(self):
-        got = kernel_eval([0.0, 0.0], [1.0, 0.0], KernelSpec(), gamma=0.5)
-        assert abs(got - np.exp(-0.5)) < 1e-12
+        K = svm.kernel_matrix([[0.0, 0.0]], [[1.0, 0.0]], KernelSpec(), gamma=0.5)
+        assert abs(K[0, 0] - np.exp(-0.5)) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            kernel_eval([1.0], [1.0, 2.0], KernelSpec(kind="linear"))
+            svm.kernel_matrix([[1.0]], [[1.0, 2.0]], KernelSpec(kind="linear"))
 
     def test_matrix_agrees_with_scalar(self):
         rng = np.random.default_rng(4)

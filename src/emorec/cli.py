@@ -20,6 +20,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 
@@ -170,8 +171,13 @@ def cmd_validate_dataset(opts, run: RunDir) -> int:
 
 
 def cmd_split(opts, run: RunDir) -> int:
+    try:
+        ratios = tuple(float(x) for x in opts.ratios.split(","))
+    except ValueError:
+        ratios = ()
+    if len(ratios) != 3 or not all(0.0 <= r < math.inf for r in ratios):
+        raise ConfigError(f"--ratios must be three numbers >= 0; got {opts.ratios!r}")
     records = _read_required_manifest(opts.manifest)
-    ratios = tuple(float(x) for x in opts.ratios.split(","))
     split = dataset.stratified_split(records, ratios=ratios, seed=opts.seed,
                                      actor_disjoint=opts.actor_disjoint)
     dataset.apply_split(records, split)
@@ -217,12 +223,15 @@ def _load_splits(cache_path, manifest_path, *names, optional=()):
 
 
 def cmd_train_svm(opts, run: RunDir) -> int:
+    try:
+        gamma = None if opts.gamma == "scale" else float(opts.gamma)
+    except ValueError:
+        gamma = math.nan
+    if gamma is not None and not 0.0 < gamma < math.inf:
+        raise ConfigError(f"--gamma must be 'scale' or a positive number; got {opts.gamma!r}")
+    spec = svm.KernelSpec(kind=opts.kernel, C=opts.C, gamma_value=gamma,
+                          gamma_mode="scale" if gamma is None else "fixed")
     [(windows, labels)] = _load_splits(opts.features, opts.manifest, "train")
-    if opts.gamma == "scale":
-        spec = svm.KernelSpec(kind=opts.kernel, C=opts.C)
-    else:
-        spec = svm.KernelSpec(kind=opts.kernel, C=opts.C,
-                              gamma_mode="fixed", gamma_value=float(opts.gamma))
     X = np.stack([features.flatten(w) for w in windows])
     model = svm.train_multiclass(X, labels, spec, tol=opts.tol,
                                  max_passes=opts.max_passes)

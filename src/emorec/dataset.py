@@ -172,13 +172,10 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["class", "count", "expected", "ok"])
-        for label in EmotionLabel:
-            w.writerow([label.name, self.counts[label], self.expected[label],
-                        int(self.counts[label] == self.expected[label])])
-        return buf.getvalue()
+        return csv_text(["class", "count", "expected", "ok"],
+                        ([label.name, self.counts[label], self.expected[label],
+                          int(self.counts[label] == self.expected[label])]
+                         for label in EmotionLabel))
 
 
 def validate_manifest(records, corpus: str) -> ValidationReport:
@@ -313,6 +310,15 @@ def _actor_disjoint_split(base, ratios, seed) -> dict:
 
 _MANIFEST_FIELDS = ["id", "path", "corpus", "label", "actor", "split",
                     "augmented_from", "augmentation"]
+
+
+def csv_text(header, rows) -> str:
+    """A header and rows as CSV text, each line ending in a bare LF."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 def write_manifest(path, records) -> None:

@@ -8,13 +8,11 @@ toward the lower class code.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import EmotionLabel, N_CLASSES
+from .dataset import EmotionLabel, N_CLASSES, csv_text
 from .errors import DataError
 
 
@@ -102,22 +100,16 @@ class MetricsReport:
     class_names: list
 
     def per_class_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["class", "precision", "recall", "f1", "support"])
-        for i, name in enumerate(self.class_names):
-            w.writerow([name, repr(float(self.precision[i])),
-                        repr(float(self.recall[i])), repr(float(self.f1[i])),
-                        int(self.support[i])])
-        return buf.getvalue()
+        return csv_text(["class", "precision", "recall", "f1", "support"],
+                        ([name, repr(float(self.precision[i])),
+                          repr(float(self.recall[i])), repr(float(self.f1[i])),
+                          int(self.support[i])]
+                         for i, name in enumerate(self.class_names)))
 
     def confusion_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["true\\pred"] + list(self.class_names))
-        for i, name in enumerate(self.class_names):
-            w.writerow([name] + [int(v) for v in self.confusion[i]])
-        return buf.getvalue()
+        return csv_text(["true\\pred"] + list(self.class_names),
+                        ([name] + [int(v) for v in self.confusion[i]]
+                         for i, name in enumerate(self.class_names)))
 
     def to_text(self) -> str:
         lines = [f"accuracy: {self.accuracy:.4f}"]

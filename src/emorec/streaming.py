@@ -19,8 +19,6 @@ a view of the ring, with no copy and no second check.
 
 from __future__ import annotations
 
-import csv
-import io
 import time
 from dataclasses import dataclass
 
@@ -28,6 +26,7 @@ import numpy as np
 
 from . import features
 from .audio_io import AudioClip
+from .dataset import csv_text
 from .errors import ConfigError, DataError
 
 
@@ -201,10 +200,5 @@ def stream_infer(clip: AudioClip, model, pipeline_cfg: features.PipelineConfig,
 
 def events_csv(events) -> str:
     n_classes = len(events[0].probs) if events else 8
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["t_start", "t_end"] + [f"p{i}" for i in range(n_classes)]
-               + ["label", "latency_ms"])
-    for e in events:
-        w.writerow(e.csv_row())
-    return buf.getvalue()
+    return csv_text(["t_start", "t_end"] + [f"p{i}" for i in range(n_classes)]
+                    + ["label", "latency_ms"], (e.csv_row() for e in events))

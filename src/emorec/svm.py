@@ -12,11 +12,14 @@ second-order gain b^2/a and takes the clipped two-variable step, updating the
 gradient from rows i and j of the kernel matrix; nothing is random.  Training
 stops when the gap m(alpha) - M(alpha) drops below tol (default 1e-3), which
 bounds every KKT violation by tol under the returned bias, or after
-max_passes iterations.  `kkt_violation` records the largest violation left.
+max_passes iterations; `n_passes` counts the iterations from SMO's start and
+`kkt_violation` records the largest violation left.
 
 Multiclass is one-vs-rest: one binary per class against the rest, sharing
 one kernel matrix; the prediction is the argmax of the decision values, ties
-to the lower class code.
+to the lower class code.  Linear fits on at most START_MAX_N samples start SMO
+from `interior_start`, all the duals solved together by dense primal-dual
+Newton steps; larger sets and RBF, where cold SMO is faster, start at alpha = 0.
 
 Defaults follow the training setup used throughout: C = 10, gamma = "scale"
 meaning 1 / (n_features * population variance of all entries of X).
@@ -35,6 +38,7 @@ from .nn import softmax
 
 SUPPORT_THRESHOLD = 1e-8
 TAU = 1e-12   # floor on the curvature a of a working-set pair
+START_MAX_N = 256   # started linear fits win 1.3-4x up to n = 256, lose at 432
 
 SVM_MAGIC = b"EMOSVM\x00\x00"
 SVM_VERSION = 1
@@ -99,7 +103,7 @@ class BinarySvm:
     dual_coef: np.ndarray         # alpha_i * y_i per support vector
     bias: float
     objective: float
-    n_passes: int                 # working-set iterations
+    n_passes: int                 # working-set iterations from the start
     converged: bool
     kkt_violation: float = math.nan   # max KKT violation under the bias
 
@@ -114,17 +118,18 @@ def _kkt_violation(alpha, y, E, C, eps=SUPPORT_THRESHOLD):
 def train_binary(X, y, spec: KernelSpec, tol: float = 1e-3,
                  max_passes: int = 10_000_000,
                  K: np.ndarray | None = None,
-                 gamma: float | None = None) -> BinarySvm:
+                 gamma: float | None = None,
+                 alpha0: np.ndarray | None = None) -> BinarySvm:
     """Fit one soft-margin binary SVM with labels y in {-1, +1}.
 
     A precomputed kernel matrix K (against X itself) can be shared across
-    one-vs-rest subproblems.  max_passes caps working-set iterations.
+    one-vs-rest subproblems.  SMO starts from `feasible_start(alpha0)`, else
+    alpha = 0; the gap test alone decides convergence.  max_passes caps, and
+    n_passes counts, working-set iterations from the start.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = len(y)
-    if n < 2:
-        raise DataError(f"need at least 2 samples, got {n}")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise DataError("labels must be -1/+1")
     if len(set(y)) < 2:
@@ -138,15 +143,18 @@ def train_binary(X, y, spec: KernelSpec, tol: float = 1e-3,
         K = kernel_matrix(X, X, spec, gamma)
     C = spec.C
     diag = np.diag(K)
+    curv = np.maximum(diag[:, None] + diag[None, :] - 2.0 * K, TAU)
     pos = (y > 0).tolist()
     signs = y.tolist()
-    alpha = [0.0] * n
+    start = None if alpha0 is None else feasible_start(alpha0, y, C)
+    alpha = np.zeros(n) if start is None else start
     # E_t = sum_s alpha_s y_s K_ts - y_t, the decision value minus the label
     # without bias (LIBSVM's y_t G_t).  Penalties hide the indices outside
     # I_up (alpha_t cannot move along y_t) and I_low (cannot move along -y_t).
-    E = -y
-    up_pen = np.where(y > 0, 0.0, np.inf)
-    low_pen = np.where(y > 0, -np.inf, 0.0)
+    E = K @ (alpha * y) - y
+    up_pen = np.where(np.where(y > 0, alpha < C, alpha > 0.0), 0.0, np.inf)
+    low_pen = np.where(np.where(y > 0, alpha > 0.0, alpha < C), 0.0, -np.inf)
+    alpha = alpha.tolist()
 
     n_iter = 0
     while True:
@@ -157,7 +165,7 @@ def train_binary(X, y, spec: KernelSpec, tol: float = 1e-3,
         if gap < tol or n_iter >= max_passes:
             break
         # second-order partner: largest guaranteed decrease b^2 / a
-        a = np.maximum(diag[i] + diag - 2.0 * K[i], TAU)
+        a = curv[i]
         np.maximum(b, 0.0, out=b)
         j = int((b * b / a).argmax())
         # step t along alpha_i += y_i t, alpha_j -= y_j t, clipped to the box
@@ -190,6 +198,64 @@ def train_binary(X, y, spec: KernelSpec, tol: float = 1e-3,
                      bias=bias, objective=dual_objective(alpha, y, K),
                      n_passes=n_iter, converged=kkt < tol,
                      kkt_violation=kkt)
+
+
+def feasible_start(alpha0, y, C: float) -> np.ndarray | None:
+    """alpha0 with values within 1e-6 C of a bound put on it and y'alpha
+    moved onto the most interior value; None if it is NaN or leaves the box."""
+    alpha = np.array(alpha0, dtype=np.float64)
+    eps = 1e-6 * C
+    if alpha.shape != y.shape or not -eps <= alpha.min() <= alpha.max() <= C + eps:
+        return None
+    alpha[alpha < eps] = 0.0
+    alpha[alpha > C - eps] = C
+    k = int(np.minimum(alpha, C - alpha).argmax())
+    alpha[k] -= y[k] * float(y @ alpha)
+    return alpha if 0.0 <= alpha[k] <= C else None
+
+
+def interior_start(K, Y, C: float) -> np.ndarray:
+    """Duals of all one-vs-rest binaries (labels Y, a row each) by primal-
+    dual path following (Fine & Scheinberg, JMLR 2001), NaN if a solve fails.
+
+    Per step, one batched solve of (K + D) w = [Y r, 1] gives each running
+    binary's Newton step da = Y (w_0 - db w_1) on (Y K Y + D) da + y db = r,
+    centred at 0.1 mu and cut to 0.99 of the way to the box.  A binary stops
+    when its residuals and mu are below 1e-6, or after 50 steps."""
+    m, n = Y.shape
+    # per binary: alpha, C - alpha, and the multipliers of their bounds at 0
+    x = np.concatenate([np.full((m, 2, n), 0.5 * C), np.ones((m, 2, n))], axis=1)
+    b = np.zeros(m)
+    running = np.ones(m, dtype=bool)
+    for _ in range(50):
+        alpha, z = x[:, 0], x[:, 2:]
+        r = 1.0 - Y * ((Y * alpha) @ K) - b[:, None] * Y   # -gradient, less z
+        r_p = -(Y * alpha).sum(axis=1)
+        mu = (x[:, :2] * z).sum(axis=(1, 2)) / (2 * n)
+        running &= np.maximum(np.abs(r + z[:, 0] - z[:, 1]).max(axis=1),
+                              np.maximum(np.abs(r_p), mu)) >= 1e-6
+        if not running.any():
+            break
+        a = np.flatnonzero(running)
+        v, z, Ya, smu = x[a, :2], x[a, 2:], Y[a], 0.1 * mu[a, None, None]
+        M = np.repeat(K[None], len(a), axis=0)
+        M[:, range(n), range(n)] += (z / v).sum(axis=1)
+        c = smu / v
+        try:
+            w = np.linalg.solve(M, np.stack([Ya * (r[a] + c[:, 0] - c[:, 1]),
+                                             np.ones_like(Ya)], axis=-1))
+        except np.linalg.LinAlgError:
+            return np.full((m, n), np.nan)
+        db = (w[..., 0].sum(axis=1) - r_p[a]) / w[..., 1].sum(axis=1)
+        dv = Ya * (w[..., 0] - db[:, None] * w[..., 1])
+        dv = np.stack([dv, -dv], axis=1)
+        dx = np.concatenate([dv, (smu - z * (v + dv)) / v], axis=1)
+        with np.errstate(divide="ignore"):
+            t = np.where(dx < 0, -x[a] / dx, np.inf).min(axis=(1, 2))
+        t = np.minimum(1.0, 0.99 * t)
+        x[a] += t[:, None, None] * dx
+        b[a] += t * db
+    return x[:, 0]
 
 
 def dual_objective(alpha, y, K) -> float:
@@ -251,10 +317,12 @@ def train_multiclass(X, labels, spec: KernelSpec, tol: float = 1e-3,
     model = SvmModel(kernel=spec, gamma=gamma, classes=classes,
                      n_features=X.shape[1])
     K = kernel_matrix(X, X, spec, gamma)   # shared across subproblems
-    for c in classes:
-        y = np.where(labels == c, 1.0, -1.0)
+    Y = np.where(labels == np.array(classes)[:, None], 1.0, -1.0)
+    starts = (interior_start(K, Y, spec.C) if spec.kind == "linear"
+              and len(X) <= START_MAX_N else [None] * len(Y))
+    for y, alpha0 in zip(Y, starts):
         model.binaries.append(train_binary(
-            X, y, spec, tol=tol, max_passes=max_passes, K=K, gamma=gamma))
+            X, y, spec, tol=tol, max_passes=max_passes, K=K, gamma=gamma, alpha0=alpha0))
     return model
 
 

@@ -9,14 +9,12 @@ plot-ready CSV.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import features, svm
-from .dataset import SampleRecord, stratified_split
+from .dataset import SampleRecord, csv_text, stratified_split
 from .errors import ConfigError
 from .metrics import MetricsReport, metrics_report
 
@@ -59,20 +57,14 @@ class SweepResult:
         return {key: float(np.mean(vals)) for key, vals in sorted(groups.items())}
 
     def raw_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["kernel", "n_mfcc", "run", "seed", "accuracy"])
-        for r in self.rows:
-            w.writerow([r.kernel, r.n_mfcc, r.run, r.seed, repr(r.accuracy)])
-        return buf.getvalue()
+        return csv_text(["kernel", "n_mfcc", "run", "seed", "accuracy"],
+                        ([r.kernel, r.n_mfcc, r.run, r.seed, repr(r.accuracy)]
+                         for r in self.rows))
 
     def mean_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["kernel", "n_mfcc", "mean_accuracy"])
-        for (kernel, n_mfcc), acc in self.mean().items():
-            w.writerow([kernel, n_mfcc, repr(acc)])
-        return buf.getvalue()
+        return csv_text(["kernel", "n_mfcc", "mean_accuracy"],
+                        ([kernel, n_mfcc, repr(acc)]
+                         for (kernel, n_mfcc), acc in self.mean().items()))
 
 
 def sweep_configs(base_cfg, points=SWEEP_DEFAULT_POINTS) -> list:
@@ -108,19 +100,18 @@ def fit_svm_sweep(windows, labels, kernels=("rbf", "linear"), runs=10,
     by_id = {r.id: i for i, r in enumerate(records)}
     labels = np.asarray(labels, dtype=np.int64)
 
+    splits = [stratified_split(records, seed=base_seed + run) for run in range(runs)]
     result = SweepResult()
     for p, point in enumerate(windows[0]):
         X = np.stack([features.flatten(w[p]) for w in windows])
         for kernel in kernels:
             spec = svm.KernelSpec(kind=kernel, C=C)
-            for run in range(runs):
-                seed = base_seed + run
-                split = stratified_split(records, seed=seed)
+            for run, split in enumerate(splits):
                 train_idx = [by_id[i] for i in split.ids("train")]
                 eval_idx = [by_id[i] for i in split.ids("test")]
                 model = svm.train_multiclass(X[train_idx], labels[train_idx],
                                              spec)
                 preds = svm.predict(model, X[eval_idx])
                 acc = float((preds == labels[eval_idx]).mean())
-                result.rows.append(SweepRow(kernel, point.n_mfcc, run, seed, acc))
+                result.rows.append(SweepRow(kernel, point.n_mfcc, run, split.seed, acc))
     return result

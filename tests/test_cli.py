@@ -614,6 +614,34 @@ class TestSweepOptionsFailClosed:
         assert not (run / "sweep_mean.csv").exists()
 
 
+class TestGammaAndRatiosFailClosed:
+    """A bad --gamma or --ratios exits 2 naming the flag and what it
+    accepts, before the manifest or the feature cache is read."""
+
+    @pytest.mark.parametrize("args,message", [
+        (["train-svm", "--gamma", "abc"], "--gamma must be 'scale' or a positive number"),
+        (["train-svm", "--gamma", "-1"], "--gamma must be 'scale' or a positive number"),
+        (["train-svm", "--gamma", "nan"], "--gamma must be 'scale' or a positive number"),
+        (["split", "--ratios", "a,b,c"], "--ratios must be three numbers"),
+        (["split", "--ratios", "0.5,0.5"], "--ratios must be three numbers"),
+        (["split", "--ratios", "0.6,inf,0.2"], "--ratios must be three numbers"),
+    ])
+    def test_exit_2_naming_flag(self, workspace, tmp_path, capsys, monkeypatch,
+                                args, message):
+        from emorec import features
+        reads = []
+        monkeypatch.setattr(dataset, "read_manifest", reads.append)
+        monkeypatch.setattr(features, "load_feature_cache", reads.append)
+        inputs = ["--manifest", str(workspace["split_manifest"])]
+        if args[0] == "train-svm":
+            inputs += ["--features", str(workspace["cache"])]
+        assert main([*args, *inputs, "--out-dir", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "could not convert" not in err
+        assert reads == []
+
+
 class TestFrameLengthFailsClosed:
     @pytest.mark.parametrize("value", ["1", "0", "-5"])
     def test_extract_exits_2_naming_field(self, workspace, tmp_path, capsys,

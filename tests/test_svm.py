@@ -388,3 +388,126 @@ def test_kkt_holds_for_random_problems(seed):
             if 1e-6 < a < 10.0 - 1e-6:
                 i = np.where((X == sv).all(axis=1))[0][0]
                 assert abs(margins[i] - 1.0) < 2e-3
+
+
+def sweep_shaped(seed, n_mfcc, per_class=5, rank=30):
+    """8 classes x per_class flattened n_mfcc x 26 windows, the shape of the
+    benchmark's svm_sweep training split.  Like MFCC windows they span few
+    directions and their classes overlap: cold SMO at C = 10 takes ~600-900
+    iterations over the 8 binaries and the largest alphas reach 2-10."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(8), per_class)
+    latent = (0.5 * rng.normal(size=(8, rank))[labels]
+              + rng.normal(size=(len(labels), rank)))
+    d = n_mfcc * 26
+    X = (latent @ rng.normal(size=(rank, d)) / np.sqrt(rank)
+         + 0.1 * rng.normal(size=(len(labels), d)))
+    return 0.05 * X, labels
+
+
+def one_vs_rest(labels):
+    return np.where(labels == np.unique(labels)[:, None], 1.0, -1.0)
+
+
+def cold_fit(X, labels, spec):
+    """The one-vs-rest fit with every binary's SMO started at alpha = 0."""
+    K = svm.kernel_matrix(X, X, spec, resolve_gamma(X, spec)
+                          if spec.kind == "rbf" else None)
+    return [train_binary(X, y, spec, K=K) for y in one_vs_rest(labels)]
+
+
+def assert_same_binaries(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.bias == b.bias and a.objective == b.objective
+        assert a.n_passes == b.n_passes
+        np.testing.assert_array_equal(a.dual_coef, b.dual_coef)
+        np.testing.assert_array_equal(a.support_vectors, b.support_vectors)
+
+
+class TestInteriorPointStart:
+    @pytest.mark.parametrize("n_mfcc", [13, 40])
+    def test_starts_lie_in_the_box(self, n_mfcc):
+        X, labels = sweep_shaped(0, n_mfcc)
+        spec = KernelSpec(kind="linear", C=10.0)
+        Y = one_vs_rest(labels)
+        starts = svm.interior_start(svm.kernel_matrix(X, X, spec), Y, spec.C)
+        for alpha0, y in zip(starts, Y):
+            alpha = svm.feasible_start(alpha0, y, spec.C)
+            assert alpha is not None
+            assert alpha.min() >= 0.0 and alpha.max() <= spec.C
+            assert abs(float(y @ alpha)) <= 1e-12 * spec.C * len(y)
+
+    def test_feasible_start_snaps_and_rejects(self):
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        # y'alpha = -0.5 after the snap, moved onto alpha_2, the most interior
+        alpha = svm.feasible_start([1e-7, 10.0 - 1e-7, 4.0, 6.5], y, 10.0)
+        np.testing.assert_array_equal(alpha, [0.0, 10.0, 3.5, 6.5])
+        for bad in ([np.nan, 1.0, 1.0, 0.0], [-1e-3, 1.0, 1.0, 0.0],
+                    [10.001, 1.0, 1.0, 10.0], [1.0, 1.0]):
+            assert svm.feasible_start(bad, y, 10.0) is None
+
+    @pytest.mark.parametrize("n_mfcc", [13, 40])
+    def test_started_objective_matches_cold(self, n_mfcc):
+        X, labels = sweep_shaped(1, n_mfcc)
+        spec = KernelSpec(kind="linear", C=10.0)
+        model = svm.train_multiclass(X, labels, spec)
+        for started, cold in zip(model.binaries, cold_fit(X, labels, spec)):
+            assert started.converged and cold.converged
+            assert (abs(started.objective - cold.objective)
+                    <= 1e-6 * abs(cold.objective))
+
+    def test_random_label_problem_finishes_from_start(self):
+        # cold, SMO needs ~2.2e5 iterations on this binary at C=10
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(200, 50))
+        y = np.where(rng.random(200) < 0.5, -1.0, 1.0)
+        spec = KernelSpec(kind="linear", C=10.0)
+        K = svm.kernel_matrix(X, X, spec)
+        [alpha0] = svm.interior_start(K, y[None], spec.C)
+        started = train_binary(X, y, spec, K=K, alpha0=alpha0)
+        cold = train_binary(X, y, spec, K=K)
+        assert started.converged and started.n_passes < 1000
+        assert abs(started.objective - cold.objective) <= 1e-6 * abs(cold.objective)
+
+    def test_failed_start_gives_the_cold_model(self, monkeypatch):
+        X, labels = sweep_shaped(2, 13)
+        spec = KernelSpec(kind="linear", C=10.0)
+        monkeypatch.setattr(svm, "interior_start",
+                            lambda K, Y, C: np.full(Y.shape, np.nan))
+        model = svm.train_multiclass(X, labels, spec)
+        assert_same_binaries(model.binaries, cold_fit(X, labels, spec))
+
+    @pytest.mark.parametrize("kind,gate", [("linear", 39), ("rbf", 10_000)])
+    def test_no_start_above_gate_or_for_rbf(self, monkeypatch, kind, gate):
+        X, labels = sweep_shaped(3, 13)     # 40 samples
+        spec = KernelSpec(kind=kind, C=10.0)
+        calls = []
+        monkeypatch.setattr(svm, "interior_start",
+                            lambda *args: calls.append(args))
+        monkeypatch.setattr(svm, "START_MAX_N", gate)
+        model = svm.train_multiclass(X, labels, spec)
+        assert calls == []
+        assert_same_binaries(model.binaries, cold_fit(X, labels, spec))
+
+    def test_start_used_at_or_below_gate(self, monkeypatch):
+        X, labels = sweep_shaped(3, 13)
+        calls = []
+        start = svm.interior_start
+        monkeypatch.setattr(svm, "interior_start",
+                            lambda *args: calls.append(args) or start(*args))
+        monkeypatch.setattr(svm, "START_MAX_N", len(X))
+        svm.train_multiclass(X, labels, KernelSpec(kind="linear", C=10.0))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("points,labels,kind,gamma", TOY_PROBLEMS)
+    def test_dual_oracle_through_multiclass(self, points, labels, kind, gamma):
+        X = np.array(points, dtype=np.float64)
+        spec = toy_spec(kind, gamma)
+        K = svm.kernel_matrix(X, X, spec, gamma)
+        _, w_oracle = dual_grid_search(K, labels, spec.C)
+        # classes 0 and 1: the two binaries are the problem and its mirror
+        model = svm.train_multiclass(X, (np.array(labels) > 0).astype(int), spec)
+        for binary in model.binaries:
+            assert binary.converged
+            assert abs(binary.objective - w_oracle) < 1e-2

@@ -83,6 +83,19 @@ class TestSweep:
         for a, b in zip(accs, accs[1:]):
             assert b >= a - 0.05
 
+    def test_one_split_per_run_seed(self, tone_dataset, monkeypatch):
+        clips, labels = tone_dataset
+        cfg = features.PipelineConfig(n_mfcc=10, target_length=4200,
+                                      frame_length=512, n_mels=26)
+        seeds = []
+        split = sweep.stratified_split
+        monkeypatch.setattr(sweep, "stratified_split", lambda records, seed:
+                            seeds.append(seed) or split(records, seed=seed))
+        result = sweep.run_svm_sweep(clips, labels, cfg, kernels=("rbf", "linear"),
+                                     points=(10, 20), runs=3, base_seed=4)
+        assert seeds == [4, 5, 6]
+        assert [r.seed for r in result.rows] == [4, 5, 6] * 4
+
     def test_default_points(self):
         assert sweep.SWEEP_DEFAULT_POINTS == (
             10, 13, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120)

@@ -101,7 +101,8 @@ def main() -> int:
         fh.write(nn.history_to_csv(history))
     nn.save_cnn(os.path.join(args.out, "cnn_model.bin"), model)
 
-    test_report = sweep.evaluate_model(model, sets["test"][0],
+    x_test = np.stack([w.matrix for w in sets["test"][0]])
+    test_report = sweep.evaluate_model(model, x_test,
                                        sets["test"][1], with_roc=True)
     print(test_report.to_text())
     with open(os.path.join(args.out, "confusion.csv"), "w") as fh:

@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -63,12 +62,8 @@ class RunDir:
         return full
 
     def finalize(self):
-        manifest = os.path.join(self.path, "artifacts.csv")
-        with open(manifest, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["file"])
-            for name in self.produced:
-                w.writerow([name])
+        with open(os.path.join(self.path, "artifacts.csv"), "w") as fh:
+            fh.write(dataset.csv_text(["file"], ([name] for name in self.produced)))
 
 
 # JSON types a config value may take, by its flag's type; a number given for
@@ -111,22 +106,6 @@ def _read_required_manifest(path):
     return dataset.read_manifest(path)
 
 
-def _pipeline_sidecar(cache_path) -> str:
-    return cache_path + ".json"
-
-
-def _pipeline_meta(cache_path):
-    """The {"pipeline", "sample_rate"} record a model carries, read from the
-    cache's sidecar (None when there is no sidecar)."""
-    sidecar = _pipeline_sidecar(cache_path)
-    if not os.path.exists(sidecar):
-        return None
-    with open(sidecar) as fh:
-        doc = json.load(fh)
-    pipeline = features.PipelineConfig.from_dict(doc["pipeline"])
-    return {"pipeline": pipeline.to_dict(), "sample_rate": doc.get("sample_rate")}
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -148,10 +127,8 @@ def cmd_extract(opts, run: RunDir) -> int:
         window = features.extract_window(clip, cfg)
         cache_records.append((r.id, int(r.label), window.matrix))
     out = opts.out or run.file("features.bin")
-    features.save_feature_cache(out, cache_records)
-    with open(_pipeline_sidecar(out), "w") as fh:
-        json.dump({"version": CONFIG_VERSION, "pipeline": cfg.to_dict(),
-                   "sample_rate": clip.sample_rate}, fh, indent=2)
+    features.save_feature_cache(out, cache_records, {
+        "pipeline": cfg.to_dict(), "sample_rate": clip.sample_rate})
     print(f"extracted {len(cache_records)} windows "
           f"({cfg.n_mfcc}x{features.N_FRAMES}, target_length={cfg.target_length}) -> {out}")
     return 0
@@ -192,10 +169,10 @@ def cmd_split(opts, run: RunDir) -> int:
 
 
 def _load_splits(cache_path, manifest_path, *names, optional=()):
-    """Per split name, its (windows, labels), from one read of the feature
-    cache and the manifest.  A split without records is a DataError, or None
-    when it is named in optional; an id missing from the cache is a
-    DataError."""
+    """Per split name, its (windows, labels): windows stacked (N, n_mfcc, 26),
+    from one read of the feature cache and the manifest.  A split without
+    records is a DataError, or None when it is named in optional; an id
+    missing from the cache is a DataError."""
     if not cache_path:
         raise UsageError("--features is required")
     cache = {rid: (label, matrix)
@@ -212,13 +189,9 @@ def _load_splits(cache_path, manifest_path, *names, optional=()):
         missing = [r.id for r in wanted if r.id not in cache]
         if missing:
             raise DataError(f"{len(missing)} ids missing from cache, e.g. {missing[:3]}")
-        windows = []
-        labels = []
-        for r in wanted:
-            label, matrix = cache[r.id]
-            windows.append(features.FeatureWindow(matrix, matrix.shape[0]))
-            labels.append(label)
-        splits.append((windows, np.asarray(labels, dtype=np.int64)))
+        rows = [cache[r.id] for r in wanted]
+        splits.append((np.stack([matrix for _, matrix in rows]),
+                       np.array([label for label, _ in rows], dtype=np.int64)))
     return splits
 
 
@@ -232,10 +205,10 @@ def cmd_train_svm(opts, run: RunDir) -> int:
     spec = svm.KernelSpec(kind=opts.kernel, C=opts.C, gamma_value=gamma,
                           gamma_mode="scale" if gamma is None else "fixed")
     [(windows, labels)] = _load_splits(opts.features, opts.manifest, "train")
-    X = np.stack([features.flatten(w) for w in windows])
+    X = windows.reshape(len(windows), -1)
     model = svm.train_multiclass(X, labels, spec, tol=opts.tol,
                                  max_passes=opts.max_passes)
-    model.pipeline_config = _pipeline_meta(opts.features)
+    model.pipeline_config = features.cache_pipeline(opts.features)
     out = opts.out or run.file("svm_model.bin")
     svm.save_svm(out, model)
     summary = model.summary()
@@ -251,13 +224,11 @@ def cmd_train_cnn(opts, run: RunDir) -> int:
                                           "train", "val", optional=("val",))
     x_val = val_labels = None
     if val is not None:   # a manifest without val records trains unvalidated
-        x_val = np.stack([w.matrix for w in val[0]])[..., None]
-        val_labels = val[1]
-    x = np.stack([w.matrix for w in windows])[..., None]
-    n_mfcc = x.shape[1]
-    model = nn.build_emotion_cnn(n_mfcc=n_mfcc, n_frames=x.shape[2],
+        x_val, val_labels = val[0][..., None], val[1]
+    x = windows[..., None]
+    model = nn.build_emotion_cnn(n_mfcc=x.shape[1], n_frames=x.shape[2],
                                  dense_units=opts.dense_units, seed=opts.seed)
-    model.pipeline_config = _pipeline_meta(opts.features)
+    model.pipeline_config = features.cache_pipeline(opts.features)
     cfg = nn.TrainConfig(lr=opts.lr, decay=opts.decay,
                          batch_size=opts.batch_size, epochs=opts.epochs,
                          seed=opts.seed)
@@ -292,6 +263,10 @@ def cmd_eval(opts, run: RunDir) -> int:
         raise UsageError("--model is required")
     model, reference_key = _sniff_model(opts.model)
     [(windows, labels)] = _load_splits(opts.features, opts.manifest, opts.split)
+    trained, made = model.pipeline_config, features.cache_pipeline(opts.features)
+    if None not in (trained, made) and trained != made:
+        raise DataError(f"the model was trained on windows made with {trained}; "
+                        f"the cache's were made with {made}")
     report = sweep.evaluate_model(model, windows, labels,
                                   with_roc=opts.roc)
     print(report.to_text(), end="")
@@ -382,11 +357,8 @@ def cmd_stream(opts, run: RunDir) -> int:
         raise UsageError("--model and --wav are required")
     model, _ = _sniff_model(opts.model)
     meta = model.pipeline_config
-    if opts.pipeline_config:
-        with open(opts.pipeline_config) as fh:
-            meta = json.load(fh)
     if not meta or "pipeline" not in meta:
-        raise DataError("model carries no pipeline config; pass --pipeline-config")
+        raise DataError("model carries no pipeline config; train it on an `extract` cache")
     pipeline_cfg = features.PipelineConfig.from_dict(meta["pipeline"])
     clip = audio_io.decode_wav(audio_io.read_file(opts.wav))
     if meta.get("sample_rate") and meta["sample_rate"] != clip.sample_rate:
@@ -491,7 +463,7 @@ def build_parser() -> _Parser:
     add("augment", cmd_augment, manifest=str, augmentations="reverse,invert",
         out=str)
     add("stream", cmd_stream, model=str, wav=str, window=3.0, hop=0.5,
-        emit=("text", "csv"), chunk_size=4096, pipeline_config=str)
+        emit=("text", "csv"), chunk_size=4096)
     add("gradient-check", cmd_gradient_check, filters=8, dense_units=16,
         batch=2, threshold=1e-4, full_width=False)
     add("audit-params", cmd_audit_params, n_mfcc=13, n_frames=26)

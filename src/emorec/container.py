@@ -34,9 +34,6 @@ class Reader:
         self.pos = pos + n_bytes
         return self.data[pos : pos + n_bytes]
 
-    def unpack(self, fmt: str, what: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
-
     def array(self, dtype: str, shape, what: str) -> np.ndarray:
         """The next tensor, stored as `dtype`, as a float64 array."""
         raw = self.take(math.prod(shape) * np.dtype(dtype).itemsize, what)
@@ -48,14 +45,17 @@ class Reader:
                 f"{self.name} has {len(self.data) - self.pos} trailing bytes")
 
 
-@contextlib.contextmanager
-def atomic_open(path):
-    """Binary handle on a temp file next to `path`, moved onto `path` only
-    if the block completes; on any error `path` is left untouched."""
+def write_model(path, magic: bytes, version: int, meta: dict, tensors,
+                dtype: str) -> None:
+    """Write a container to a temp file next to `path`, moved onto `path`
+    only once complete; on any error `path` is left untouched."""
+    blob = json.dumps(meta).encode("utf-8")
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            yield fh
+            fh.write(magic + struct.pack("<II", version, len(blob)) + blob)
+            for t in tensors:
+                fh.write(np.ascontiguousarray(t, dtype=dtype).tobytes())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -63,21 +63,12 @@ def atomic_open(path):
         raise
 
 
-def write_model(path, magic: bytes, version: int, meta: dict, tensors,
-                dtype: str) -> None:
-    blob = json.dumps(meta).encode("utf-8")
-    with atomic_open(path) as fh:
-        fh.write(magic + struct.pack("<II", version, len(blob)) + blob)
-        for t in tensors:
-            fh.write(np.ascontiguousarray(t, dtype=dtype).tobytes())
-
-
 def read_model(path, magic: bytes, version: int, name: str):
-    """(JSON header, Reader at the first tensor) of a model container: 8-byte
-    magic, u32 version, u32 header length, JSON header, little-endian tensors.
-    The caller reads the tensors and then calls `expect_end`."""
+    """(JSON header, Reader at the first tensor) of a container: 8-byte magic,
+    u32 version, u32 header length, JSON header, little-endian tensors.  The
+    caller reads the tensors and then calls `expect_end`."""
     r = Reader(path, name, magic)
-    got, blob_len = r.unpack("<II", "version and header length")
+    got, blob_len = struct.unpack("<II", r.take(8, "version and header length"))
     if got != version:
         raise FormatError(f"{name} version {got}, expected {version}")
     try:

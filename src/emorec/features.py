@@ -16,28 +16,28 @@ magnitude spectrum, hence the feature window, bit-identical to the original;
 anything consuming augmented manifests is told about these duplicates rather
 than having them silently dropped.
 
-Feature cache on disk: 16-byte header (8-byte magic ``EMOFEATC``, u32
-version, u32 record count), then per record a u16-length-prefixed UTF-8 id,
-u8 label code, u16 n_mfcc, u16 n_frames, and the row-major float32 matrix.
-All integers and floats little-endian.
+Feature cache on disk: the models' container layout (magic ``EMOFEATC``,
+version 2), its JSON header holding the ids, labels, window shape
+``[N, n_mfcc, 26]`` and ``pipeline_config`` (the {"pipeline", "sample_rate"}
+record the windows were made with, or null), then one float32 tensor.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .audio_io import AudioClip
-from .container import Reader, atomic_open
+from .container import read_model, write_model
+from .dataset import N_CLASSES
 from .dsp import frame_magnitudes, hann_window, mel_cepstrum, next_pow2
 from .errors import ConfigError, FormatError
 
 N_FRAMES = 26
 
 CACHE_MAGIC = b"EMOFEATC"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -206,33 +206,39 @@ def flatten(window: FeatureWindow) -> np.ndarray:
 # Feature cache
 # ---------------------------------------------------------------------------
 
-def save_feature_cache(path, records):
-    """Write (sample_id, label_code, matrix) records to the binary cache."""
+def save_feature_cache(path, records, pipeline_config=None):
+    """Write (sample_id, label_code, matrix) records of one shape to the
+    cache, with the {"pipeline", "sample_rate"} record they were made with."""
     records = list(records)
-    with atomic_open(path) as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<II", CACHE_VERSION, len(records)))
-        for sample_id, label, matrix in records:
-            ident = sample_id.encode("utf-8")
-            n_mfcc, n_frames = matrix.shape
-            fh.write(struct.pack("<H", len(ident)))
-            fh.write(ident)
-            fh.write(struct.pack("<BHH", label, n_mfcc, n_frames))
-            fh.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())
+    windows = np.stack([m for _, _, m in records]) if records else np.zeros((0, 0, N_FRAMES))
+    meta = {"pipeline_config": pipeline_config, "ids": [i for i, _, _ in records],
+            "labels": [int(c) for _, c, _ in records], "shape": list(windows.shape)}
+    write_model(path, CACHE_MAGIC, CACHE_VERSION, meta, [windows], "<f4")
 
 
 def load_feature_cache(path):
-    """Read the binary cache back as a list of (sample_id, label_code, matrix)."""
-    r = Reader(path, "feature cache", CACHE_MAGIC)
-    version, count = r.unpack("<II", "header")
-    if version != CACHE_VERSION:
-        raise FormatError(f"feature cache version {version}, expected {CACHE_VERSION}")
-    out = []
-    for _ in range(count):
-        (id_len,) = r.unpack("<H", "id length")
-        sample_id = r.take(id_len, "id").decode("utf-8")
-        label, n_mfcc, n_frames = r.unpack("<BHH", "record header")
-        out.append((sample_id, label,
-                    r.array("<f4", (n_mfcc, n_frames), "matrix")))
+    """Read the binary cache back as a list of (sample_id, label_code, matrix),
+    its header checked against the tensor: an id and a label per window."""
+    meta, r = read_model(path, CACHE_MAGIC, CACHE_VERSION, "feature cache")
+    try:
+        ids, labels, (n, n_mfcc, width) = meta["ids"], meta["labels"], meta["shape"]
+        ok = (type(ids) is list and n == len(ids) == len(labels)
+              and all(type(d) is int for d in (n, n_mfcc, width))
+              and n_mfcc >= 0 and width == N_FRAMES
+              and all(type(i) is str for i in ids)
+              and all(type(c) is int and 0 <= c < N_CLASSES for c in labels))
+    except (KeyError, TypeError, ValueError):   # not a dict, or no 3-d shape
+        ok = False
+    if not ok:
+        raise FormatError(f"feature cache header needs ids, labels in "
+                          f"0..{N_CLASSES - 1} and a shape [len(ids), n_mfcc, {N_FRAMES}]")
+    windows = r.array("<f4", (n, n_mfcc, width), "windows")
     r.expect_end()
-    return out
+    return list(zip(ids, labels, windows))
+
+
+def cache_pipeline(path):
+    """The {"pipeline", "sample_rate"} record of a cache that
+    load_feature_cache accepts, or None; the windows are not decoded."""
+    meta, _ = read_model(path, CACHE_MAGIC, CACHE_VERSION, "feature cache")
+    return meta.get("pipeline_config")

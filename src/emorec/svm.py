@@ -78,6 +78,14 @@ def resolve_gamma(X: np.ndarray, spec: KernelSpec) -> float:
     return 1.0 / (X.shape[1] * var)
 
 
+def _fit_kernel(X, spec: KernelSpec, gamma) -> np.ndarray:
+    """K(X, X) for a fit; a DataError if not finite, where SMO would spin."""
+    K = kernel_matrix(X, X, spec, gamma)
+    if not np.isfinite(K).all():
+        raise DataError("non-finite kernel values: features non-finite or too large")
+    return K
+
+
 def kernel_matrix(A: np.ndarray, B: np.ndarray, spec: KernelSpec,
                   gamma: float | None = None) -> np.ndarray:
     """Pairwise kernel values, shape (len(A), len(B))."""
@@ -134,13 +142,11 @@ def train_binary(X, y, spec: KernelSpec, tol: float = 1e-3,
         raise DataError("labels must be -1/+1")
     if len(set(y)) < 2:
         raise DataError("both classes must be present")
-    if not np.all(np.isfinite(X)):
-        raise DataError("non-finite feature values")
 
     if gamma is None and spec.kind == "rbf":
         gamma = resolve_gamma(X, spec)
     if K is None:
-        K = kernel_matrix(X, X, spec, gamma)
+        K = _fit_kernel(X, spec, gamma)
     C = spec.C
     diag = np.diag(K)
     curv = np.maximum(diag[:, None] + diag[None, :] - 2.0 * K, TAU)
@@ -316,7 +322,7 @@ def train_multiclass(X, labels, spec: KernelSpec, tol: float = 1e-3,
     gamma = resolve_gamma(X, spec) if spec.kind == "rbf" else None
     model = SvmModel(kernel=spec, gamma=gamma, classes=classes,
                      n_features=X.shape[1])
-    K = kernel_matrix(X, X, spec, gamma)   # shared across subproblems
+    K = _fit_kernel(X, spec, gamma)   # shared across subproblems
     Y = np.where(labels == np.array(classes)[:, None], 1.0, -1.0)
     starts = (interior_start(K, Y, spec.C) if spec.kind == "linear"
               and len(X) <= START_MAX_N else [None] * len(Y))

@@ -22,12 +22,12 @@ SWEEP_DEFAULT_POINTS = tuple(sorted(set(range(10, 121, 10)) | {13, 100}))
 
 
 def evaluate_model(model, windows, labels, with_roc=False) -> MetricsReport:
-    """MetricsReport for a trained model over feature windows + integer labels,
-    ranked by the model's per-class scores: softmax probabilities for a CNN,
-    raw decision values for an SVM (unscaled, fine for argmax/top-k)."""
+    """MetricsReport for a trained model over (N, n_mfcc, 26) windows + integer
+    labels, ranked by the model's per-class scores: softmax probabilities for
+    a CNN, raw decision values for an SVM (unscaled, fine for argmax/top-k)."""
     if len(windows) == 0:
         raise ConfigError("empty evaluation split")
-    scores = model.scores(np.stack([w.matrix for w in windows]))
+    scores = model.scores(windows)
     return metrics_report(labels, scores, n_classes=scores.shape[1],
                           with_roc=with_roc)
 

@@ -138,14 +138,15 @@ def mixed_rate_manifest(tmp_path, n_clips=2):
 
 
 class TestExtract:
-    def test_cache_and_sidecar(self, workspace):
+    def test_cache_carries_its_pipeline(self, workspace):
         from emorec import features as feat
         cache = feat.load_feature_cache(workspace["cache"])
         assert len(cache) == 48
-        sidecar = json.loads((workspace["ws"] / "features.bin.json").read_text())
-        assert sidecar["pipeline"]["n_mfcc"] == 13
-        assert sidecar["pipeline"]["frame_length"] == 512
-        assert sidecar["sample_rate"] == 4000
+        record = feat.cache_pipeline(workspace["cache"])
+        assert record["pipeline"]["n_mfcc"] == 13
+        assert record["pipeline"]["frame_length"] == 512
+        assert record["sample_rate"] == 4000
+        assert not (workspace["ws"] / "features.bin.json").exists()
         for _id, label, matrix in cache:
             assert matrix.shape == (13, 26)
             assert 0 <= label < 8
@@ -167,8 +168,8 @@ class TestExtract:
         ids = [r.id for r in dataset.read_manifest(workspace["split_manifest"])]
         assert sorted(calls) == sorted(ids)
         # the header-only length pass finds the same target_length
-        assert ((tmp_path / "features.bin.json").read_text()
-                == (workspace["ws"] / "features.bin.json").read_text())
+        assert (feat.cache_pipeline(out)
+                == feat.cache_pipeline(workspace["cache"]))
         for (i1, l1, m1), (i2, l2, m2) in zip(
                 feat.load_feature_cache(out),
                 feat.load_feature_cache(workspace["cache"])):
@@ -282,6 +283,44 @@ class TestTrainAndEval:
                      "--split", "test", "--out-dir", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert "(13, 26, 1)" in err and "(12, 26, 1)" in err
+
+    def test_eval_on_cache_of_other_geometry_exits_2(self, workspace, capsys,
+                                                      tmp_path):
+        # the models were trained on --frame-length 512 windows
+        cache = tmp_path / "features2048.bin"
+        assert main(["extract", "--manifest", str(workspace["split_manifest"]),
+                     "--out", str(cache), "--frame-length", "2048",
+                     "--out-dir", str(tmp_path / "x")]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--model", str(workspace["svm_model"]),
+                     "--features", str(cache),
+                     "--manifest", str(workspace["split_manifest"]),
+                     "--out-dir", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "'frame_length': 512" in err and "'frame_length': 2048" in err
+        assert not (tmp_path / "r" / "confusion.csv").exists()
+
+    def test_eval_skips_geometry_check_for_cache_without_record(
+            self, workspace, tmp_path):
+        from emorec import features as feat
+        cache = tmp_path / "features.bin"   # written through the API
+        feat.save_feature_cache(cache, feat.load_feature_cache(workspace["cache"]))
+        assert main(["eval", "--model", str(workspace["svm_model"]),
+                     "--features", str(cache),
+                     "--manifest", str(workspace["split_manifest"]),
+                     "--out-dir", str(tmp_path / "r")]) == 0
+
+    def test_eval_skips_geometry_check_for_model_without_record(
+            self, workspace, tmp_path):
+        from emorec import svm
+        model = svm.load_svm(workspace["svm_model"])
+        model.pipeline_config = None
+        path = tmp_path / "svm.bin"
+        svm.save_svm(path, model)
+        assert main(["eval", "--model", str(path),
+                     "--features", str(workspace["cache"]),
+                     "--manifest", str(workspace["split_manifest"]),
+                     "--out-dir", str(tmp_path / "r")]) == 0
 
     def test_history_csv_written(self, workspace):
         history = (workspace["ws"] / "run_tcnn" / "history.csv").read_text()
@@ -569,7 +608,7 @@ class TestConfigFileAndExitCodes:
         from emorec import features
         cache = tmp_path / "features.bin"
         features.save_feature_cache(cache, [("03-01-01-01-01-01-01", 0,
-                                             np.ones((2, 3)))])
+                                             np.ones((2, 26)))])
         data = cache.read_bytes()
         cut = tmp_path / "cut.bin"
         for n in range(len(data)):
@@ -583,8 +622,9 @@ class TestConfigFileAndExitCodes:
         assert main(["train-svm", "--out-dir", str(tmp_path / "r")]) == 1
 
     def test_artifacts_manifest_lists_files(self, workspace):
-        artifacts = (workspace["ws"] / "run_tcnn" / "artifacts.csv").read_text()
-        assert "history.csv" in artifacts
+        # one name a line, LF-terminated like every other CSV, so `grep -x` finds it
+        artifacts = (workspace["ws"] / "run_tcnn" / "artifacts.csv").read_bytes()
+        assert artifacts.split(b"\n") == [b"file", b"history.csv", b""]
 
 
 class TestSweepOptionsFailClosed:

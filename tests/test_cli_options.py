@@ -57,8 +57,7 @@ OPTION_TABLE = {
     "stream": dict(
         model=(None, "c.bin", "c.bin"), wav=(None, "x.wav", "x.wav"),
         window=(3.0, "2", 2.0), hop=(0.5, "1", 1.0),
-        emit=("text", "csv", "csv"), chunk_size=(4096, "480", 480),
-        pipeline_config=(None, "p.json", "p.json")),
+        emit=("text", "csv", "csv"), chunk_size=(4096, "480", 480)),
     "gradient-check": dict(
         filters=(8, "2", 2), dense_units=(16, "4", 4), batch=(2, "1", 1),
         threshold=(1e-4, "0.5", 0.5), full_width=(False, None, True)),

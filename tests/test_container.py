@@ -30,8 +30,8 @@ def save_tiny_cnn(path):
 
 
 def save_tiny_cache(path):
-    features.save_feature_cache(path, [("a01", 3, np.ones((2, 3))),
-                                       ("b2", 5, np.zeros((1, 2)))])
+    features.save_feature_cache(path, [("a01", 3, np.ones((2, 26))),
+                                       ("b2", 5, np.zeros((2, 26)))])
 
 
 SAVERS = {"svm": save_tiny_svm, "cnn": save_tiny_cnn, "cache": save_tiny_cache}

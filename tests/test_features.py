@@ -1,3 +1,5 @@
+import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ from emorec import audio_io, dsp, features
 from emorec.audio_io import AudioClip
 from emorec.errors import ConfigError, FormatError
 import oracles
+from conftest import rewrite_header
 
 
 class TestNormalizeLoudness:
@@ -382,36 +385,87 @@ class TestFlatten:
         assert sorted(features.flatten(w)) == sorted(m.reshape(-1))
 
 
+def tiny_cache(path, pipeline_config=None):
+    rng = np.random.default_rng(3)
+    recs = [(f"id{k}", k % 8, rng.normal(size=(2, 26)).astype(np.float32)
+             .astype(np.float64)) for k in range(3)]
+    features.save_feature_cache(path, recs, pipeline_config)
+    return recs
+
+
 class TestFeatureCache:
     def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        recs = [(f"id{k}", k % 8, rng.normal(size=(13, 26)).astype(np.float32)
-                 .astype(np.float64)) for k in range(5)]
         path = tmp_path / "cache.bin"
-        features.save_feature_cache(path, recs)
+        record = {"pipeline": {"n_mfcc": 2}, "sample_rate": 4000}
+        recs = tiny_cache(path, record)
         back = features.load_feature_cache(path)
-        assert len(back) == 5
+        assert len(back) == 3
         for (i1, l1, m1), (i2, l2, m2) in zip(recs, back):
             assert (i1, l1) == (i2, l2)
             np.testing.assert_array_equal(m1, m2)
+        assert features.cache_pipeline(path) == record
 
     def test_header_layout(self, tmp_path):
+        # the models' container layout; an empty cache round-trips
         path = tmp_path / "cache.bin"
         features.save_feature_cache(path, [])
         data = path.read_bytes()
-        assert len(data) == 16
         assert data[:8] == b"EMOFEATC"
+        version, blob_len = struct.unpack_from("<II", data, 8)
+        assert version == 2 and len(data) == 16 + blob_len
+        assert json.loads(data[16:]) == {"pipeline_config": None, "ids": [],
+                                         "labels": [], "shape": [0, 0, 26]}
+        assert features.load_feature_cache(path) == []
+
+    def test_version_1_rejected(self, tmp_path):
+        # the old 16-byte header: magic, u32 version 1, u32 record count
+        path = tmp_path / "cache.bin"
+        path.write_bytes(b"EMOFEATC" + struct.pack("<II", 1, 0))
+        with pytest.raises(FormatError, match="version 1, expected 2"):
+            features.load_feature_cache(path)
+
+    @pytest.mark.parametrize("fields", [
+        {"ids": ["id0", "id1"]}, {"labels": [0, 1]}, {"shape": [2, 2, 26]},
+        {"shape": [3, 2]}, {"shape": [3, 2, 26.0]}, {"shape": [3.0, 2, 26]},
+        {"shape": [3, -2, 26]}, {"shape": [3, 4, 13]}, {"ids": "abc"},
+        {"ids": [0, 1, 2]}, {"labels": [0, 1, 8]}, {"labels": [0, 1, -1]},
+        {"labels": [0, 1, 2.0]}, {"labels": [0, 1, "2"]}, {"shape": None},
+        {"ids": None}])
+    def test_header_disagreeing_with_tensor_rejected(self, tmp_path, fields):
+        # [3, 4, 13]: as many bytes as the 3 x 2 x 26 tensor, but 13 wide
+        path = tmp_path / "cache.bin"
+        tiny_cache(path)
+        rewrite_header(path, **fields)
+        with pytest.raises(FormatError, match="header needs"):
+            features.load_feature_cache(path)
+
+    @pytest.mark.parametrize("blob", [b"[]", b"{}", b'"ids"'])
+    def test_header_without_fields_rejected(self, tmp_path, blob):
+        path = tmp_path / "cache.bin"
+        tiny_cache(path)
+        data = path.read_bytes()
+        blob_len = struct.unpack_from("<I", data, 12)[0]
+        path.write_bytes(data[:12] + struct.pack("<I", len(blob)) + blob
+                         + data[16 + blob_len:])
+        with pytest.raises(FormatError, match="header needs"):
+            features.load_feature_cache(path)
 
     def test_truncated_at_every_offset_rejected(self, tmp_path):
         path = tmp_path / "cache.bin"
-        features.save_feature_cache(path, [("a01", 3, np.ones((2, 3))),
-                                           ("b2", 5, np.zeros((1, 2)))])
+        tiny_cache(path)
         data = path.read_bytes()
         cut = tmp_path / "cut.bin"
         for n in range(len(data)):
             cut.write_bytes(data[:n])
             with pytest.raises(FormatError):
                 features.load_feature_cache(cut)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        tiny_cache(path)
+        path.write_bytes(path.read_bytes() + bytes(4))
+        with pytest.raises(FormatError, match="4 trailing bytes"):
+            features.load_feature_cache(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -170,6 +170,18 @@ class TestTrainBinary:
         with pytest.raises(DataError, match="non-finite"):
             train_binary(X, np.array([1.0, -1.0]), KernelSpec(kind="linear"))
 
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_overflowing_kernel_rejected(self, kind):
+        # every entry is finite, but X X' overflows: without the check each
+        # one-vs-rest binary ran to its iteration cap (10M by default)
+        X = np.random.default_rng(0).normal(size=(20, 5))
+        X[3, 2] = 1e300
+        labels = np.arange(20) % 4
+        with pytest.raises(DataError, match="non-finite kernel"):
+            svm.train_multiclass(X, labels, KernelSpec(kind=kind))
+        with pytest.raises(DataError, match="non-finite kernel"):
+            train_binary(X, np.where(labels == 0, 1.0, -1.0), KernelSpec(kind=kind))
+
     def test_duplicated_points_per_class(self):
         # classes made of duplicated points train to 100% with rbf, C=10
         X = np.repeat(np.array([[0.0, 0.0], [1.0, 1.0]]), 10, axis=0)

@@ -24,8 +24,7 @@ class TestEvaluateModel:
         model = nn.build_emotion_cnn(seed=0)
         nn.train(model, x, labels, nn.TrainConfig(epochs=200, batch_size=8,
                                                   seed=0))
-        windows = [features.FeatureWindow(m[..., 0], 13) for m in x]
-        report = sweep.evaluate_model(model, windows, labels)
+        report = sweep.evaluate_model(model, x[..., 0], labels)
         assert report.accuracy == 1.0
         np.testing.assert_array_equal(report.confusion, np.eye(8, dtype=int))
 
@@ -33,9 +32,10 @@ class TestEvaluateModel:
         clips = [class_tone_clip(c, seed=c * 7 + k) for c in range(2)
                  for k in range(6)]
         labels = np.repeat([0, 1], 6)
-        windows = [features.extract_window(c, pipeline_cfg) for c in clips]
-        X = np.stack([features.flatten(w) for w in windows])
-        model = svm.train_multiclass(X, labels, svm.KernelSpec(C=10.0))
+        windows = np.stack([features.extract_window(c, pipeline_cfg).matrix
+                            for c in clips])
+        model = svm.train_multiclass(windows.reshape(len(windows), -1), labels,
+                                     svm.KernelSpec(C=10.0))
         report = sweep.evaluate_model(model, windows, labels)
         assert report.accuracy == 1.0
 

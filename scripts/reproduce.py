@@ -99,6 +99,10 @@ def main() -> int:
     print(f"trained {args.epochs} epochs in {(time.time() - t0) / 60:.1f} min")
     with open(os.path.join(args.out, "history.csv"), "w") as fh:
         fh.write(nn.history_to_csv(history))
+    # the geometry record `emorec extract` writes, so `emorec stream` can
+    # rebuild the windows; read_clips gave every clip the same rate
+    model.pipeline_config = {"pipeline": cfg.to_dict(),
+                             "sample_rate": clip.sample_rate}
     nn.save_cnn(os.path.join(args.out, "cnn_model.bin"), model)
 
     x_test = np.stack([w.matrix for w in sets["test"][0]])

@@ -82,11 +82,16 @@ def _walk_chunks(fh):
     data payload's whole frames starting at byte offset.  Raises as
     :func:`decode_wav` documents.
     """
+    def take(n_bytes, what):   # a short read names the offset and the size
+        pos, got = fh.tell(), fh.read(n_bytes)
+        if len(got) < n_bytes:
+            raise FormatError(f"WAV truncated at byte {pos}: {what} needs "
+                              f"{n_bytes} bytes, {len(got)} left")
+        return got
+
     size = fh.seek(0, io.SEEK_END)
     fh.seek(0)
-    head = fh.read(12)
-    if len(head) < 12:
-        raise FormatError("not a RIFF file: shorter than 12 bytes")
+    head = take(12, "RIFF header")
     if head[0:4] != b"RIFF":
         raise FormatError(f"bad RIFF magic {head[0:4]!r}")
     if head[8:12] != b"WAVE":
@@ -96,14 +101,13 @@ def _walk_chunks(fh):
     pos = 12
     while pos + 8 <= size:
         fh.seek(pos)
-        chunk_id, chunk_size = struct.unpack("<4sI", fh.read(8))
-        present = min(chunk_size, size - pos - 8)   # body bytes in the file
+        chunk_id, chunk_size = struct.unpack("<4sI", take(8, "chunk header"))
         if chunk_id == b"fmt ":
-            if present < 16:
-                raise FormatError(f"fmt chunk truncated ({present} bytes)")
-            fmt = struct.unpack("<HHIIHH", fh.read(16))
+            if chunk_size < 16:
+                raise FormatError(f"fmt chunk of {chunk_size} bytes, needs 16")
+            fmt = struct.unpack("<HHIIHH", take(16, "fmt chunk"))
         elif chunk_id == b"data":
-            if present < chunk_size:
+            if pos + 8 + chunk_size > size:
                 raise FormatError("data chunk extends past end of file")
             data = pos + 8, chunk_size
         pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
@@ -114,6 +118,8 @@ def _walk_chunks(fh):
         raise FormatError("missing data chunk")
 
     audio_format, n_channels, sample_rate, _, _, bits = fmt
+    if sample_rate == 0:
+        raise FormatError("fmt chunk gives a sample rate of 0 Hz")
     if audio_format not in (_PCM, _IEEE_FLOAT):
         raise UnsupportedFormatError(f"audio format tag {audio_format} (only PCM=1 and IEEE float=3)")
     if n_channels not in (1, 2):
@@ -141,8 +147,8 @@ def decode_wav(data: bytes, source_id: str | None = None,
     Raises
     ------
     FormatError
-        Container is structurally malformed, or a float payload holds NaN or
-        infinity (PCM 16-bit cannot).
+        Container is structurally malformed or gives a sample rate of 0, or
+        a float payload holds NaN or infinity (PCM 16-bit cannot).
     UnsupportedFormatError
         Valid container but unsupported codec, bit depth or channel count;
         the message names the offending field.

@@ -357,7 +357,7 @@ def cmd_stream(opts, run: RunDir) -> int:
         raise UsageError("--model and --wav are required")
     model, _ = _sniff_model(opts.model)
     meta = model.pipeline_config
-    if not meta or "pipeline" not in meta:
+    if meta is None:
         raise DataError("model carries no pipeline config; train it on an `extract` cache")
     pipeline_cfg = features.PipelineConfig.from_dict(meta["pipeline"])
     clip = audio_io.decode_wav(audio_io.read_file(opts.wav))

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .audio_io import AudioClip
-from .container import read_model, write_model
+from .container import Maybe, read_model, write_model
 from .dataset import N_CLASSES
 from .dsp import frame_magnitudes, hann_window, mel_cepstrum, next_pow2
 from .errors import ConfigError, FormatError
@@ -78,11 +78,16 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        d = dict(d)
-        # configs written before the field was dropped carry an empty list
-        if d.pop("augmentations", []) != []:
-            raise ConfigError("pipeline configs with augmentations are not supported")
         return cls(**d)
+
+
+# the {"pipeline", "sample_rate"} record of a cache or model, or null; its
+# keys may be absent, as PipelineConfig's fields have defaults
+PIPELINE_RECORD = (None, {
+    "pipeline": {"n_mfcc": Maybe(int), "target_length": Maybe(int),
+                 "frame_length": Maybe(int), "n_mels": Maybe(int),
+                 "f_min": Maybe(float), "f_max": Maybe((float, None))},
+    "sample_rate": Maybe(int)})
 
 
 @dataclass
@@ -216,29 +221,27 @@ def save_feature_cache(path, records, pipeline_config=None):
     write_model(path, CACHE_MAGIC, CACHE_VERSION, meta, [windows], "<f4")
 
 
+_HEADER = {"pipeline_config": PIPELINE_RECORD, "ids": [str], "labels": [int],
+           "shape": [int]}
+
+
 def load_feature_cache(path):
     """Read the binary cache back as a list of (sample_id, label_code, matrix),
     its header checked against the tensor: an id and a label per window."""
-    meta, r = read_model(path, CACHE_MAGIC, CACHE_VERSION, "feature cache")
-    try:
-        ids, labels, (n, n_mfcc, width) = meta["ids"], meta["labels"], meta["shape"]
-        ok = (type(ids) is list and n == len(ids) == len(labels)
-              and all(type(d) is int for d in (n, n_mfcc, width))
-              and n_mfcc >= 0 and width == N_FRAMES
-              and all(type(i) is str for i in ids)
-              and all(type(c) is int and 0 <= c < N_CLASSES for c in labels))
-    except (KeyError, TypeError, ValueError):   # not a dict, or no 3-d shape
-        ok = False
-    if not ok:
-        raise FormatError(f"feature cache header needs ids, labels in "
+    meta, r = read_model(path, CACHE_MAGIC, CACHE_VERSION, "feature cache", _HEADER)
+    ids, labels, shape = meta["ids"], meta["labels"], meta["shape"]
+    if not (len(shape) == 3 and shape[0] == len(ids) == len(labels)
+            and shape[1] >= 0 and shape[2] == N_FRAMES
+            and all(0 <= c < N_CLASSES for c in labels)):
+        raise FormatError(f"feature cache header needs labels in "
                           f"0..{N_CLASSES - 1} and a shape [len(ids), n_mfcc, {N_FRAMES}]")
-    windows = r.array("<f4", (n, n_mfcc, width), "windows")
+    windows = r.array("<f4", shape, "windows")
     r.expect_end()
     return list(zip(ids, labels, windows))
 
 
 def cache_pipeline(path):
-    """The {"pipeline", "sample_rate"} record of a cache that
-    load_feature_cache accepts, or None; the windows are not decoded."""
-    meta, _ = read_model(path, CACHE_MAGIC, CACHE_VERSION, "feature cache")
-    return meta.get("pipeline_config")
+    """The {"pipeline", "sample_rate"} record of a cache, or None; only the
+    header is checked, the windows are not decoded."""
+    meta, _ = read_model(path, CACHE_MAGIC, CACHE_VERSION, "feature cache", _HEADER)
+    return meta["pipeline_config"]

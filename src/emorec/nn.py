@@ -5,7 +5,7 @@ checkpoints store float32.  The layer set is fixed: 3x3 convolutions (same or
 valid padding), 2x2 max pooling, inverted dropout, flatten, dense, with ReLU
 hidden activations and a softmax head trained by categorical cross-entropy.
 Each layer type is defined in one spec class (its output shape, parameter
-shapes, forward and backward step, and checkpoint name); shape inference,
+shapes, forward and backward step, checkpoint name and fields); shape inference,
 parameter counts, init, the passes and checkpoints loop over the specs.
 
 The reference 13x26 model:
@@ -42,9 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import read_model, write_model
+from .container import ByType, read_model, write_model
 from .dataset import N_CLASSES
 from .errors import ConfigError, DataError, FormatError, NumericalError
+from .features import PIPELINE_RECORD
 
 CNN_MAGIC = b"EMOCNN\x00\x00"
 CNN_VERSION = 1
@@ -117,10 +118,13 @@ def _deactivate(d, relu_out, buf):
 class _Layer:
     """Defaults for a layer that has no parameters and keeps its input shape.
 
+    `header` is the schema of its fields in a checkpoint (see `container`).
     `backward(d, cache, buf, need_dx)` returns (input gradient, parameter
     gradients); need_dx is False only for the first layer with parameters,
     whose input gradient nothing reads.
     """
+
+    header = {}
 
     def out_shape(self, shape):
         return shape
@@ -137,6 +141,8 @@ class Conv2D(_Layer):
     activation: str = "relu"     # "relu" | "none"
 
     kind = "conv2d"
+    header = {"filters": int, "kernel": int, "padding": {"same", "valid"},
+              "activation": {"relu", "none"}}
 
     def out_shape(self, shape):
         h, w, _ = shape
@@ -167,10 +173,11 @@ class MaxPool2D(_Layer):
     size: int = 2
 
     kind = "max_pooling2d"
+    header = {"size": int}
 
     def out_shape(self, shape):
         h, w, c = shape
-        if h < self.size or w < self.size:
+        if not 0 < self.size <= min(h, w):
             raise ConfigError(f"{h}x{w} too small for {self.size}x{self.size} pool")
         return (h // self.size, w // self.size, c)
 
@@ -186,6 +193,7 @@ class DropoutSpec(_Layer):
     rate: float
 
     kind = "dropout"
+    header = {"rate": float}
 
     def __post_init__(self):
         if not 0.0 <= self.rate < 1.0:
@@ -222,6 +230,7 @@ class Dense(_Layer):
     activation: str = "relu"     # "relu" | "softmax" | "none"
 
     kind = "dense"
+    header = {"units": int, "activation": {"relu", "softmax", "none"}}
 
     def out_shape(self, shape):
         if len(shape) != 1:
@@ -302,7 +311,7 @@ def conv2d_backward(dout, cache, need_dx=True, buf=_fresh):
     n, ho, wo, cout = dout.shape
     cin = W.shape[2]
     dflat = dout.reshape(n * ho * wo, cout)
-    dW = (cols.T @ dflat).reshape(W.shape)
+    dW = (dflat.T @ cols).T.reshape(W.shape)
     db = dflat.sum(axis=0)
     if not need_dx:
         return None, dW, db
@@ -816,14 +825,6 @@ def gradient_check(model: CnnModel, x, labels, seed=0):
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def _spec_from_dict(d):
-    d = dict(d)
-    kind = d.pop("type")
-    if kind not in _LAYER_TYPES:
-        raise FormatError(f"unknown layer type {kind!r} in CNN checkpoint")
-    return _LAYER_TYPES[kind](**d)
-
-
 def save_cnn(path, model: CnnModel) -> None:
     """Versioned binary checkpoint; parameters stored as little-endian float32."""
     tensors = [t for p in model.params if p is not None for t in p.values()]
@@ -837,17 +838,25 @@ def save_cnn(path, model: CnnModel) -> None:
     write_model(path, CNN_MAGIC, CNN_VERSION, meta, tensors, "<f4")
 
 
+_HEADER = {
+    "specs": [ByType({cls.kind: cls.header for cls in _LAYER_TYPES.values()})],
+    "input_shape": [int], "seed": int, "shapes": [[int]],
+    "pipeline_config": PIPELINE_RECORD,
+}
+
+
 def load_cnn(path) -> CnnModel:
     """Read a checkpoint; its float32 parameters come back as float64 arrays,
     cast once here so that no forward pass casts them again."""
-    meta, r = read_model(path, CNN_MAGIC, CNN_VERSION, "CNN checkpoint")
-    if meta.get("rms_shapes"):
-        raise FormatError("CNN checkpoint carries optimizer state, which is "
-                          "not part of the format")
-
-    specs = tuple(_spec_from_dict(d) for d in meta["specs"])
+    meta, r = read_model(path, CNN_MAGIC, CNN_VERSION, "CNN checkpoint", _HEADER)
     input_shape = tuple(meta["input_shape"])
-    layers = _param_shapes(specs, input_shape)
+    try:   # values a layer refuses, or an input shape it cannot take
+        specs = tuple(_LAYER_TYPES[d.pop("type")](**d) for d in meta["specs"])
+        layers = _param_shapes(specs, input_shape)
+    except (ConfigError, ValueError) as exc:
+        raise FormatError(f"CNN checkpoint layers: {exc}") from exc
+    if not specs or specs[-1].kind != "dense":   # its units are the classes
+        raise FormatError("CNN checkpoint needs a dense last layer")
     if [list(s) for shapes in layers for s in shapes.values()] != meta["shapes"]:
         raise FormatError("CNN checkpoint tensor shapes do not match its layers")
     params = []
@@ -857,5 +866,4 @@ def load_cnn(path) -> CnnModel:
         params.append(p or None)
     r.expect_end()
     return CnnModel(specs=specs, input_shape=input_shape, params=params,
-                    seed=meta["seed"],
-                    pipeline_config=meta.get("pipeline_config"))
+                    seed=meta["seed"], pipeline_config=meta["pipeline_config"])

@@ -34,6 +34,7 @@ import numpy as np
 
 from .container import read_model, write_model
 from .errors import DataError, FormatError
+from .features import PIPELINE_RECORD
 from .nn import softmax
 
 SUPPORT_THRESHOLD = 1e-8
@@ -374,26 +375,34 @@ def save_svm(path, model: SvmModel) -> None:
     write_model(path, SVM_MAGIC, SVM_VERSION, meta, tensors, "<f8")
 
 
+_HEADER = {
+    "kernel": {"kind": str, "C": float, "gamma_mode": str,
+               "gamma_value": (float, None)},
+    "gamma": (float, None), "classes": [int], "n_features": int,
+    "binaries": [{"n_sv": int, "bias": float, "objective": float,
+                  "n_passes": int, "converged": bool,
+                  "kkt_violation": (float, math.nan)}],
+    "pipeline_config": PIPELINE_RECORD,
+}
+
+
 def load_svm(path) -> SvmModel:
-    meta, r = read_model(path, SVM_MAGIC, SVM_VERSION, "SVM container")
-    # containers from before one-vs-one was dropped record "strategy": "ovr"
-    strategy = meta.get("strategy", "ovr")
-    if strategy != "ovr":
-        raise FormatError(f"SVM container uses multiclass strategy {strategy!r}; "
-                          f"only one-vs-rest is supported")
-    spec = KernelSpec(**meta["kernel"])
-    model = SvmModel(kernel=spec, gamma=meta["gamma"], classes=meta["classes"],
-                     n_features=meta["n_features"],
-                     pipeline_config=meta.get("pipeline_config"))
-    d = meta["n_features"]
+    meta, r = read_model(path, SVM_MAGIC, SVM_VERSION, "SVM container", _HEADER)
+    try:
+        spec = KernelSpec(**meta["kernel"])
+    except ValueError as exc:
+        raise FormatError(f"SVM container kernel: {exc}") from exc
+    classes, d = meta["classes"], meta["n_features"]
+    if len(meta["binaries"]) != len(classes) or (spec.kind, meta["gamma"]) == ("rbf", None):
+        raise FormatError("SVM container header needs one binary per class, "
+                          "and a gamma for an rbf kernel")
+    model = SvmModel(kernel=spec, gamma=meta["gamma"], classes=classes,
+                     n_features=d, pipeline_config=meta["pipeline_config"])
     for k, info in enumerate(meta["binaries"]):
-        n_sv = info["n_sv"]
+        n_sv = info.pop("n_sv")
         model.binaries.append(BinarySvm(
             support_vectors=r.array("<f8", (n_sv, d), f"binary {k} support vectors"),
             dual_coef=r.array("<f8", (n_sv,), f"binary {k} dual coefficients"),
-            bias=info["bias"], objective=info["objective"],
-            n_passes=info["n_passes"], converged=info["converged"],
-            # containers written before it was recorded lack the field
-            kkt_violation=info.get("kkt_violation", math.nan)))
+            **info))
     r.expect_end()
     return model

@@ -56,7 +56,12 @@ def overfit_windows():
 
 
 def rewrite_header(path, **fields):
-    """Set `fields` in a model container's JSON header, keeping its tensors.
+    """Set `fields` in a model container's JSON header, keeping its tensors."""
+    edit_header(path, lambda meta: meta.update(fields))
+
+
+def edit_header(path, edit):
+    """Apply `edit` to a container's JSON header in place, keeping its tensors.
 
     Containers are: 8-byte magic, u32 version, u32 header length, JSON
     header, tensors.
@@ -64,7 +69,7 @@ def rewrite_header(path, **fields):
     data = open(path, "rb").read()
     version, blob_len = struct.unpack_from("<II", data, 8)
     meta = json.loads(data[16 : 16 + blob_len])
-    meta.update(fields)
+    edit(meta)
     blob = json.dumps(meta).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data[:8] + struct.pack("<II", version, len(blob)) + blob

@@ -497,6 +497,49 @@ class TestStreamCmd:
         assert "8000" in err and "4000" in err
 
 
+class TestDamagedInputsExit2:
+    """A damaged model or WAV exits 2, naming the field, with no traceback."""
+
+    def damaged(self, workspace, tmp_path, model, edit):
+        import conftest
+        path = tmp_path / "model.bin"
+        path.write_bytes(workspace[model].read_bytes())
+        conftest.edit_header(path, edit)
+        return str(path)
+
+    def test_eval_svm_without_kernel(self, workspace, tmp_path, capsys):
+        model = self.damaged(workspace, tmp_path, "svm_model",
+                             lambda meta: meta.pop("kernel"))
+        assert main(["eval", "--model", model,
+                     "--features", str(workspace["cache"]),
+                     "--manifest", str(workspace["split_manifest"]),
+                     "--out-dir", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "SVM container header needs field kernel" in err
+        assert "Traceback" not in err
+
+    def test_stream_cnn_layer_without_filters(self, workspace, tmp_path, capsys):
+        model = self.damaged(workspace, tmp_path, "cnn_model",
+                             lambda meta: meta["specs"][0].pop("filters"))
+        wav = sorted(workspace["corpus"].glob("*.wav"))[0]
+        assert main(["stream", "--model", model, "--wav", str(wav),
+                     "--out-dir", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "CNN checkpoint header needs field specs[0].filters" in err
+        assert "Traceback" not in err
+
+    def test_stream_wav_with_sample_rate_0(self, workspace, tmp_path, capsys):
+        data = bytearray(sorted(workspace["corpus"].glob("*.wav"))[0].read_bytes())
+        data[24:28] = bytes(4)   # the fmt chunk's sample rate
+        wav = tmp_path / "zero_rate.wav"
+        wav.write_bytes(data)
+        assert main(["stream", "--model", str(workspace["cnn_model"]),
+                     "--wav", str(wav), "--out-dir", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "sample rate of 0 Hz" in err
+        assert "Traceback" not in err
+
+
 class TestConfigFileAndExitCodes:
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

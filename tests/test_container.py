@@ -81,6 +81,16 @@ def test_truncation_names_offset_and_size(tmp_path):
         svm.load_svm(path)
 
 
+@pytest.mark.parametrize("shape", [(-1, 1), (2, -1), (-2, -3), (0, 2**62)])
+def test_tensor_shape_numpy_cannot_hold_rejected(tmp_path, shape):
+    # a negative dimension must not move the cursor back over read bytes
+    path = tmp_path / "c.bin"
+    path.write_bytes(b"MAGIC123" + bytes(64))
+    r = container.Reader(path, "test container", b"MAGIC123")
+    with pytest.raises(FormatError, match="test container tensor"):
+        r.array("<f8", shape, "tensor")
+
+
 class _FailingFile:
     """File whose second write raises, as a full disk would."""
 

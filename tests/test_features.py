@@ -121,12 +121,17 @@ class TestPipelineConfig:
         again = features.PipelineConfig.from_dict(pipeline_cfg.to_dict())
         assert again == pipeline_cfg
 
-    def test_dict_from_older_containers(self, pipeline_cfg):
-        # older containers carry an always-empty augmentations list
-        old = dict(pipeline_cfg.to_dict(), augmentations=[])
-        assert features.PipelineConfig.from_dict(old) == pipeline_cfg
-        with pytest.raises(ConfigError):
-            features.PipelineConfig.from_dict(dict(old, augmentations=["invert"]))
+    def test_dict_from_older_containers(self, tmp_path, pipeline_cfg):
+        # older containers carried an augmentations list; it is refused by name
+        path = tmp_path / "cache.bin"
+        for augmentations in ([], ["invert"]):
+            tiny_cache(path, {"pipeline": dict(pipeline_cfg.to_dict(),
+                                               augmentations=augmentations),
+                              "sample_rate": 4000})
+            for read in (features.load_feature_cache, features.cache_pipeline):
+                with pytest.raises(FormatError, match="unknown field "
+                                   "pipeline_config.pipeline.augmentations"):
+                    read(path)
 
 
 class TestFeatureWindow:

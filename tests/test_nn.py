@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from emorec import nn
+from emorec import container, nn
 from emorec.errors import ConfigError, DataError, FormatError
 from conftest import overfit_windows, rewrite_header
 
@@ -523,22 +523,29 @@ class TestCheckpoint:
         nn.save_cnn(again, back)
         assert again.read_bytes() == path.read_bytes()
 
-    def test_container_with_empty_rms_section_loads(self, tmp_path):
+    def test_container_with_empty_rms_section_rejected(self, tmp_path):
         # containers written while the optional optimizer-state section
-        # existed list it as empty
+        # existed list it, even when empty
         model = nn.build_emotion_cnn(seed=6)
         path = tmp_path / "model.bin"
         nn.save_cnn(path, model)
         rewrite_header(path, rms_shapes=[])
-        back = nn.load_cnn(path)
-        x, _ = overfit_windows()
-        np.testing.assert_allclose(nn.predict_proba(back, x),
-                                   nn.predict_proba(model, x), atol=1e-5)
+        with pytest.raises(FormatError, match="unknown field rms_shapes"):
+            nn.load_cnn(path)
+
+    def test_container_without_dense_head_rejected(self, tmp_path):
+        # a consistent file, but no last layer whose units are the classes
+        path = tmp_path / "model.bin"
+        container.write_model(path, nn.CNN_MAGIC, nn.CNN_VERSION, {
+            "specs": [{"type": "flatten"}], "input_shape": [2, 3, 1],
+            "seed": 0, "shapes": [], "pipeline_config": None}, [], "<f4")
+        with pytest.raises(FormatError, match="dense last layer"):
+            nn.load_cnn(path)
 
     def test_container_listing_rms_tensors_rejected(self, tmp_path):
         model = nn.build_emotion_cnn(seed=6)
         path = tmp_path / "model.bin"
         nn.save_cnn(path, model)
         rewrite_header(path, rms_shapes=[[3, 3, 1, 32], [32]])
-        with pytest.raises(FormatError, match="optimizer state"):
+        with pytest.raises(FormatError, match="unknown field rms_shapes"):
             nn.load_cnn(path)

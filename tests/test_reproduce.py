@@ -2,7 +2,8 @@ import importlib.util
 import os
 import sys
 
-from emorec import audio_io, dataset, features, sweep
+from emorec import audio_io, dataset, features, nn, sweep
+from emorec.cli import main
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 
@@ -43,4 +44,11 @@ def test_sweep_run_decodes_each_clip_once(tmp_path, monkeypatch, capsys):
                                base_seed=0, records=records)
     assert (out / "sweep_raw.csv").read_text() == want.raw_csv()
     assert (out / "sweep_mean.csv").read_text() == want.mean_csv()
+    # the CNN carries the geometry its windows were made with, so it streams
+    rate = next(audio_io.read_clips(records)).sample_rate
+    assert nn.load_cnn(out / "cnn_model.bin").pipeline_config == {
+        "pipeline": cfg.to_dict(), "sample_rate": rate}
+    assert main(["stream", "--model", str(out / "cnn_model.bin"),
+                 "--wav", records[0].path, "--window", "0.5", "--hop", "0.25",
+                 "--out-dir", str(out / "stream")]) == 0
 

@@ -68,7 +68,7 @@ def main() -> int:
     t0 = time.time()
     sets = {name: ([], []) for name in ("train", "val", "test")}
     base, sweep_windows = [], []
-    for r, clip in zip(records, audio_io.read_clips(records)):
+    for r, clip in zip(records, audio_io.read_clips(records, target)):
         windows = features.extract_clip(clip, cfgs)
         if args.sweep and r.augmented_from is None:
             base.append(r)

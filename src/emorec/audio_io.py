@@ -191,13 +191,15 @@ def max_length(records) -> int:
     return max(n_frames(r.path) for r in records)
 
 
-def read_clips(records):
+def read_clips(records, longest: int = 0):
     """Decode the records (``.path``, ``.id``) lazily, one clip at a time;
     DataError on a missing file or a rate other than the first clip's.  The
-    clips share one buffer, grown to the longest: a clip's samples stay valid
-    until the next clip is drawn, so a caller keeping them copies them."""
+    clips share one buffer of ``longest`` samples (a caller that ran
+    :func:`max_length` passes it, so the buffer is allocated once), grown to
+    any longer clip: a clip's samples stay valid until the next clip is
+    drawn, so a caller keeping them copies them."""
     rate = None
-    buf = np.empty(0)
+    buf = np.empty(longest)
     for r in records:
         clip = decode_wav(read_file(r.path), source_id=r.id, out=buf)
         if len(clip) > len(buf):

@@ -115,7 +115,8 @@ def cmd_extract(opts, run: RunDir) -> int:
     if not records:
         raise DataError("empty manifest")
 
-    target = opts.target_length or audio_io.max_length(records)
+    longest = audio_io.max_length(records)
+    target = opts.target_length or longest
     cfg = features.PipelineConfig(
         n_mfcc=opts.n_mfcc, target_length=target,
         frame_length=opts.frame_length,
@@ -123,7 +124,7 @@ def cmd_extract(opts, run: RunDir) -> int:
         f_min=opts.f_min, f_max=opts.f_max)
 
     cache_records = []
-    for r, clip in zip(records, audio_io.read_clips(records)):
+    for r, clip in zip(records, audio_io.read_clips(records, longest)):
         window = features.extract_window(clip, cfg)
         cache_records.append((r.id, int(r.label), window.matrix))
     out = opts.out or run.file("features.bin")
@@ -301,14 +302,15 @@ def cmd_sweep_svm(opts, run: RunDir) -> int:
         raise DataError("empty manifest: no base records")
     labels = [int(r.label) for r in base]
 
-    target = opts.target_length or audio_io.max_length(base)
+    longest = audio_io.max_length(base)
+    target = opts.target_length or longest
     base_cfg = features.PipelineConfig(
         n_mfcc=min(points), target_length=target,
         frame_length=opts.frame_length,
         n_mels=max(opts.n_mels, min(points)))
     kernels = tuple(opts.kernels.split(","))
-    result = sweep.run_svm_sweep(audio_io.read_clips(base), labels, base_cfg,
-                                 kernels=kernels, points=points,
+    result = sweep.run_svm_sweep(audio_io.read_clips(base, longest), labels,
+                                 base_cfg, kernels=kernels, points=points,
                                  runs=opts.runs, base_seed=opts.seed,
                                  C=opts.C, records=base)
     run.write_text("sweep_raw.csv", result.raw_csv())

@@ -1,12 +1,18 @@
 """Minimal CNN engine: forward, backward, RMSProp, and the 13x26 emotion model.
 
-Tensors are numpy arrays in NHWC layout; training math runs in float64,
-checkpoints store float32.  The layer set is fixed: 3x3 convolutions (same or
-valid padding), 2x2 max pooling, inverted dropout, flatten, dense, with ReLU
-hidden activations and a softmax head trained by categorical cross-entropy.
-Each layer type is defined in one spec class (its output shape, parameter
-shapes, forward and backward step, checkpoint name and fields); shape inference,
-parameter counts, init, the passes and checkpoints loop over the specs.
+Tensors are numpy arrays in NHWC layout.  A pass computes in the dtype of the
+parameters.  `train()` runs in `TrainConfig.dtype`, float32 by default, with
+float64 kept as the API-only oracle, and leaves float64 parameters holding
+the values a float32 checkpoint stores, so inference on a trained or a loaded
+model runs in float64.  The softmax and the loss always run in float64, and
+dropout draws float64 uniforms, so both dtypes see the same masks.
+
+The layer set is fixed: 3x3 convolutions (same or valid padding), 2x2 max
+pooling, inverted dropout, flatten, dense, with ReLU hidden activations and a
+softmax head trained by categorical cross-entropy.  Each layer type is defined
+in one spec class (its output shape, parameter shapes, forward and backward
+step, checkpoint name and fields); shape inference, parameter counts, init,
+the passes and checkpoints loop over the specs.
 
 The reference 13x26 model:
 
@@ -27,12 +33,13 @@ so inference of any length maps about 19 MB of buffers, once per call.
 
 Determinism: weight init, shuffling and dropout all draw from seeded PCG64
 generators in a fixed single-threaded order, so identical seeds reproduce
-identical training histories bit for bit.  Buffers change where results are
-written, never the operations or their order, so a run with a workspace
-matches one without it bit for bit.  The block size of `predict_proba` is a
-GEMM row count, and a BLAS may round the last bit differently for another
-row count, so it is a constant: predictions are reproducible bit for bit,
-and agree to ~1e-16 with a pass over any other number of windows.
+identical training histories bit for bit, in either dtype.  Buffers change
+where results are written, never the operations or their order, so a run
+with a workspace matches one without it bit for bit.  The block size of
+`predict_proba` is a GEMM row count, and a BLAS may round the last bit
+differently for another row count, so it is a constant: predictions are
+reproducible bit for bit, and agree to ~1e-16 with a pass over any other
+number of windows.
 """
 
 from __future__ import annotations
@@ -74,7 +81,7 @@ class _Pass:
     masks: list                   # masks applied, in layer order
 
 
-def _fresh(role, shape, dtype=np.float64):
+def _fresh(role, shape, dtype):
     """Buffer source without a workspace: a new array on every call."""
     return np.empty(shape, dtype)
 
@@ -94,7 +101,7 @@ class Workspace:
         self._bufs = {}
 
     def layer(self, i):
-        def buf(role, shape, dtype=np.float64):
+        def buf(role, shape, dtype):
             a = self._bufs.get((i, role))
             if a is None or a.shape != shape or a.dtype != dtype:
                 a = self._bufs[(i, role)] = np.empty(shape, dtype)
@@ -262,8 +269,9 @@ _LAYER_TYPES = {cls.kind: cls for cls in (Conv2D, MaxPool2D, DropoutSpec,
 #
 # `buf(role, shape, dtype)` supplies each large output; the default `_fresh`
 # allocates it, a `Workspace` layer reuses it.  Either way the arithmetic is
-# the same, so results do not depend on which one is passed.  Parameter
-# gradients are always fresh arrays.
+# the same, so results do not depend on which one is passed.  Each buffer
+# takes the dtype of the tensor it is computed from, so one code path serves
+# float32 and float64.  Parameter gradients are always fresh arrays.
 
 def conv2d_forward(x, W, b, padding="same", buf=_fresh):
     """Cross-correlation plus bias.  x: (N,H,W,Cin), W: (k,k,Cin,Cout).
@@ -277,7 +285,7 @@ def conv2d_forward(x, W, b, padding="same", buf=_fresh):
         raise ValueError(f"channel mismatch: input {cin}, kernel {W.shape[2]}")
     if padding == "same":
         p = (k - 1) // 2
-        xp = buf("xp", (n, h + 2 * p, w + 2 * p, cin))
+        xp = buf("xp", (n, h + 2 * p, w + 2 * p, cin), x.dtype)
         xp[:, :p] = 0.0
         xp[:, p + h:] = 0.0
         xp[:, :, :p] = 0.0
@@ -291,9 +299,9 @@ def conv2d_forward(x, W, b, padding="same", buf=_fresh):
     if ho < 1 or wo < 1:
         raise ValueError(f"input {x.shape[1:3]} too small for {k}x{k} valid conv")
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    cols = buf("cols", (n * ho * wo, k * k * cin))
+    cols = buf("cols", (n * ho * wo, k * k * cin), x.dtype)
     np.copyto(cols.reshape(n, ho, wo, k, k, cin), win.transpose(0, 1, 2, 4, 5, 3))
-    out = buf("out", (n, ho, wo, W.shape[3]))
+    out = buf("out", (n, ho, wo, W.shape[3]), x.dtype)
     np.matmul(cols, W.reshape(k * k * cin, -1), out=out.reshape(n * ho * wo, -1))
     out += b
     cache = (cols, x.shape, xp.shape, W, padding)
@@ -315,9 +323,9 @@ def conv2d_backward(dout, cache, need_dx=True, buf=_fresh):
     db = dflat.sum(axis=0)
     if not need_dx:
         return None, dW, db
-    dxp = buf("dxp", xp_shape)
+    dxp = buf("dxp", xp_shape, dout.dtype)
     dxp.fill(0.0)
-    tap = buf("tap", (n * ho * wo, cin))
+    tap = buf("tap", (n * ho * wo, cin), dout.dtype)
     for di in range(k):
         for dj in range(k):
             np.matmul(dflat, W[di, dj].T, out=tap)
@@ -350,7 +358,7 @@ def maxpool2d_forward(x, size=2, buf=_fresh):
         raise ValueError(f"input {x.shape[1:3]} too small for {size}x{size} pooling")
     ho, wo = h // size, w // size
     shape = (n, ho, wo, c)
-    out = buf("out", shape)
+    out = buf("out", shape, x.dtype)
     idx = buf("idx", shape, np.min_scalar_type(size * size - 1))
     greater = buf("greater", shape, bool)
     k_where = buf("k_where", shape, idx.dtype)
@@ -372,7 +380,7 @@ def maxpool2d_backward(dout, cache, buf=_fresh):
     idx, x_shape, size = cache
     n, h, w, c = x_shape
     ho, wo = h // size, w // size
-    dx = buf("dx", x_shape)
+    dx = buf("dx", x_shape, dout.dtype)
     dx[:, ho * size:] = 0.0
     dx[:, :, wo * size:] = 0.0
     hit = buf("hit", idx.shape, bool)
@@ -385,7 +393,7 @@ def maxpool2d_backward(dout, cache, buf=_fresh):
 def dense_forward(x, W, b, buf=_fresh):
     if x.shape[1] != W.shape[0]:
         raise ValueError(f"dense input dim {x.shape[1]} != weight rows {W.shape[0]}")
-    out = np.matmul(x, W, out=buf("out", (x.shape[0], W.shape[1])))
+    out = np.matmul(x, W, out=buf("out", (x.shape[0], W.shape[1]), x.dtype))
     out += b
     return out, (x, W)
 
@@ -393,7 +401,7 @@ def dense_forward(x, W, b, buf=_fresh):
 def dense_backward(dout, cache, need_dx=True, buf=_fresh):
     """(dx, dW, db); dx is None when need_dx is False."""
     x, W = cache
-    dx = np.matmul(dout, W.T, out=buf("dx", x.shape)) if need_dx else None
+    dx = np.matmul(dout, W.T, out=buf("dx", x.shape, dout.dtype)) if need_dx else None
     return dx, x.T @ dout, dout.sum(axis=0)
 
 
@@ -413,15 +421,15 @@ def dropout_forward(x, rate, train, rng=None, mask=None, buf=_fresh):
 
     In infer mode (train=False) this is the identity.  A precomputed mask can
     be supplied to replay a forward pass (finite-difference checks).  Fresh
-    draws land in the output buffer before it is overwritten.
+    draws are float64 uniforms whatever x's dtype, so a seed gives the same
+    mask in float32 and float64.
     """
     if not train or rate == 0.0:
         return x, None
-    out = buf("drop", x.shape)
     if mask is None:
-        rng.random(out=out)
-        mask = np.greater_equal(out, rate, out=buf("drop_mask", x.shape, bool))
-    np.multiply(x, mask, out=out)
+        draws = rng.random(out=buf("drop_draws", x.shape, np.float64))
+        mask = np.greater_equal(draws, rate, out=buf("drop_mask", x.shape, bool))
+    out = np.multiply(x, mask, out=buf("drop", x.shape, x.dtype))
     out /= 1.0 - rate
     return out, mask
 
@@ -429,7 +437,7 @@ def dropout_forward(x, rate, train, rng=None, mask=None, buf=_fresh):
 def dropout_backward(dout, mask, rate, buf=_fresh):
     if mask is None:
         return dout
-    d = np.multiply(dout, mask, out=buf("ddrop", dout.shape))
+    d = np.multiply(dout, mask, out=buf("ddrop", dout.shape, dout.dtype))
     d /= 1.0 - rate
     return d
 
@@ -480,6 +488,12 @@ class CnnModel:
     @property
     def n_classes(self) -> int:
         return self.specs[-1].units
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype a pass computes in: that of the parameters."""
+        return next((p["W"].dtype for p in self.params if p is not None),
+                    np.dtype(np.float64))
 
     @property
     def window_size(self) -> int:
@@ -585,9 +599,9 @@ def forward(model: CnnModel, x, train=False, rng=None, masks=None, work=None):
     Returns (logits, caches, used_masks).  masks replays a previous forward's
     dropout decisions; otherwise train-mode dropout draws from rng.  With a
     `Workspace`, the activations and caches live in its buffers until the
-    next pass that uses it.
+    next pass that uses it.  x is cast to the parameters' dtype.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=model.dtype)
     run = _Pass(train=train, rng=rng,
                 replay=iter(masks) if masks is not None else None, masks=[])
     caches = []
@@ -617,8 +631,10 @@ def loss_and_grads(model: CnnModel, x, labels, rng=None, masks=None,
                    train=True, work=None):
     logits, caches, used_masks = forward(model, x, train=train, rng=rng,
                                          masks=masks, work=work)
-    loss, dlogits, probs = softmax_cross_entropy(logits, labels)
-    grads = backward(model, dlogits, caches, work=work)
+    loss, dlogits, probs = softmax_cross_entropy(
+        logits.astype(np.float64, copy=False), labels)
+    grads = backward(model, dlogits.astype(logits.dtype, copy=False), caches,
+                     work=work)
     return loss, grads, probs, used_masks
 
 
@@ -629,8 +645,9 @@ def predict_proba(model: CnnModel, x) -> np.ndarray:
     before any layer runs.  Windows run in blocks of PREDICT_BLOCK through one
     `Workspace`, so every block after the first reuses the buffers of the one
     before; at 16 windows the largest (conv2's im2col columns) is ~10 MB.
+    The layers run in the parameters' dtype, the softmax in float64.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=model.dtype)
     if x.shape[1:] != model.input_shape:
         raise DataError(f"windows shaped {x.shape[1:]} do not fit the model's "
                         f"input_shape {model.input_shape}")
@@ -638,7 +655,8 @@ def predict_proba(model: CnnModel, x) -> np.ndarray:
     probs = np.empty((len(x), model.n_classes))
     for start in range(0, len(x), PREDICT_BLOCK):
         logits, _, _ = forward(model, x[start:start + PREDICT_BLOCK], work=work)
-        probs[start:start + len(logits)] = softmax(logits)
+        probs[start:start + len(logits)] = softmax(
+            logits.astype(np.float64, copy=False))
     return probs
 
 
@@ -655,8 +673,12 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 10
     seed: int = 0
+    dtype: str = "float32"       # "float32" | "float64", the oracle
 
     def __post_init__(self):
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigError(f"dtype must be float32 or float64, "
+                              f"got {self.dtype!r}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not 0.0 <= self.rho < 1.0:
@@ -696,6 +718,13 @@ def _fresh_rms_state(params):
             for p in params]
 
 
+def _cast(tensors, dtype):
+    """Per-layer tensor dicts in dtype; a tensor already in it is kept."""
+    return [None if p is None else {k: v.astype(dtype, copy=False)
+                                    for k, v in p.items()}
+            for p in tensors]
+
+
 @dataclass
 class EpochStats:
     epoch: int
@@ -720,13 +749,22 @@ def train(model: CnnModel, x, labels, cfg: TrainConfig,
     Train loss/accuracy are running means over the epoch's batches (dropout
     active, measured before each update), matching the usual epoch-log
     convention; validation metrics are clean infer-mode numbers.
+
+    The loop runs in cfg.dtype: the parameters, the RMSProp state and every
+    pass, validation included, are cast to it.  The parameters are cast back
+    to float64 on the way out, so a float32 run leaves exactly the values
+    `save_cnn` then `load_cnn` would give; the RMSProp state stays in
+    cfg.dtype.
     """
-    x = np.asarray(x, dtype=np.float64)
+    dtype = np.dtype(cfg.dtype)
+    x = np.asarray(x, dtype=dtype)
     labels = np.asarray(labels, dtype=np.int64)
     if len(x) == 0:
         raise ConfigError("empty training split")
+    model.params = _cast(model.params, dtype)
     if model.rms_state is None:
         model.rms_state = _fresh_rms_state(model.params)
+    model.rms_state = _cast(model.rms_state, dtype)
     rng = np.random.default_rng(cfg.seed)
     work = Workspace()
     history = []
@@ -757,6 +795,7 @@ def train(model: CnnModel, x, labels, cfg: TrainConfig,
             if val_loss is not None:
                 msg += f" val_loss {val_loss:.4f} val_acc {val_acc:.4f}"
             print(msg)
+    model.params = _cast(model.params, np.float64)
     return history
 
 

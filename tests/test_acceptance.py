@@ -191,15 +191,16 @@ def test_criterion_09_determinism():
     s1 = dataset.stratified_split(records, seed=11)
     s2 = dataset.stratified_split(records, seed=11)
     assert s1.assignment == s2.assignment
-    # training history
+    # training history, in the float32 default and the float64 oracle
     x, labels = overfit_windows()
-    hists = []
-    for _ in range(2):
-        model = nn.build_emotion_cnn(seed=2)
-        h = nn.train(model, x, labels,
-                     nn.TrainConfig(epochs=5, batch_size=4, seed=2))
-        hists.append([(e.train_loss, e.train_acc) for e in h])
-    assert hists[0] == hists[1]
+    for dtype in ("float32", "float64"):
+        hists = []
+        for _ in range(2):
+            model = nn.build_emotion_cnn(seed=2)
+            h = nn.train(model, x, labels, nn.TrainConfig(
+                epochs=5, batch_size=4, seed=2, dtype=dtype))
+            hists.append([(e.train_loss, e.train_acc) for e in h])
+        assert hists[0] == hists[1]
     # sweep CSVs
     clips = [class_tone_clip(c, seed=c * 10 + k) for c in range(2)
              for k in range(6)]
@@ -222,8 +223,8 @@ def test_criterion_09_determinism():
            [(e.t_start, e.t_end, e.label) for e in e2]
     for a, b in zip(e1, e2):
         assert np.array_equal(a.probs, b.probs)
-    ok(9, "splits, histories, sweep CSVs and stream events reproduce "
-          "bit-identically")
+    ok(9, "splits, float32 and float64 histories, sweep CSVs and stream "
+          "events reproduce bit-identically")
 
 
 def test_criterion_10_streaming():

@@ -13,17 +13,20 @@ are not recoverable.
     python scripts/reproduce.py --ravdess-dir ... --tess-dir ... --augment
 
 Clips are decoded one at a time; mixed sample rates (RAVDESS is 48 kHz, TESS
-24,414 Hz) or a missing file exit 2, as in the `emorec` CLI.
+24,414 Hz) or a missing file exit 2, as in the `emorec` CLI.  The out dir is a
+CLI run directory: its `artifacts.csv` lists every file written, and
+`report.txt` holds the results printed (validation, test report, sweep best
+and the comparison table).
 """
 
 import argparse
-import os
 import sys
 import time
 
 import numpy as np
 
 from emorec import audio_io, dataset, features, nn, reference, sweep
+from emorec.cli import RunDir
 from emorec.errors import EmorecError
 
 
@@ -41,23 +44,34 @@ def main() -> int:
                         help="also run the 13-point x 10-run SVM sweep (slow)")
     parser.add_argument("--sweep-runs", type=int, default=10)
     args = parser.parse_args()
-    os.makedirs(args.out, exist_ok=True)
+    run = RunDir(args.out)
+    try:
+        return reproduce(args, run)
+    finally:
+        run.finalize()
+
+
+def reproduce(args, run: RunDir) -> int:
+    report = []
+
+    def say(text):
+        """Print a result and keep it for report.txt."""
+        print(text)
+        report.append(text)
 
     records = dataset.scan_corpus(args.ravdess_dir, "ravdess")
-    report = dataset.validate_manifest(records, "ravdess")
-    print(report.to_text())
+    say(dataset.validate_manifest(records, "ravdess").to_text())
     if args.tess_dir:
         tess = dataset.scan_corpus(args.tess_dir, "tess")
-        print(dataset.validate_manifest(tess, "tess").to_text())
+        say(dataset.validate_manifest(tess, "tess").to_text())
         records = records + tess
 
     split = dataset.stratified_split(records, seed=args.seed)
     dataset.apply_split(records, split)
-    dataset.write_manifest(os.path.join(args.out, "manifest.csv"), records)
+    dataset.write_manifest(run.file("manifest.csv"), records)
 
     target = audio_io.max_length(records)
-    cfg = features.PipelineConfig(n_mfcc=13, target_length=target,
-                                  frame_length=2048, n_mels=26)
+    cfg = features.PipelineConfig(target_length=target)
     print(f"target_length={target} samples, hop={cfg.hop_length}")
 
     # one pass, each clip decoded once: with --sweep every sweep point's
@@ -97,22 +111,19 @@ def main() -> int:
     history = nn.train(model, x_train, y_train, train_cfg,
                        x_val=x_val, labels_val=y_val, verbose=True)
     print(f"trained {args.epochs} epochs in {(time.time() - t0) / 60:.1f} min")
-    with open(os.path.join(args.out, "history.csv"), "w") as fh:
-        fh.write(nn.history_to_csv(history))
+    run.write_text("history.csv", nn.history_to_csv(history))
     # the geometry record `emorec extract` writes, so `emorec stream` can
     # rebuild the windows; read_clips gave every clip the same rate
     model.pipeline_config = {"pipeline": cfg.to_dict(),
                              "sample_rate": clip.sample_rate}
-    nn.save_cnn(os.path.join(args.out, "cnn_model.bin"), model)
+    nn.save_cnn(run.file("cnn_model.bin"), model)
 
     x_test = np.stack([w.matrix for w in sets["test"][0]])
     test_report = sweep.evaluate_model(model, x_test,
                                        sets["test"][1], with_roc=True)
-    print(test_report.to_text())
-    with open(os.path.join(args.out, "confusion.csv"), "w") as fh:
-        fh.write(test_report.confusion_csv())
-    with open(os.path.join(args.out, "per_class.csv"), "w") as fh:
-        fh.write(test_report.per_class_csv())
+    say(test_report.to_text())
+    run.write_text("confusion.csv", test_report.confusion_csv())
+    run.write_text("per_class.csv", test_report.per_class_csv())
 
     measured = reference.measured("cnn_top1", test_report)
 
@@ -120,18 +131,17 @@ def main() -> int:
         result = sweep.fit_svm_sweep(
             sweep_windows, [int(r.label) for r in base],
             runs=args.sweep_runs, base_seed=args.seed, records=base)
-        with open(os.path.join(args.out, "sweep_raw.csv"), "w") as fh:
-            fh.write(result.raw_csv())
-        with open(os.path.join(args.out, "sweep_mean.csv"), "w") as fh:
-            fh.write(result.mean_csv())
+        run.write_text("sweep_raw.csv", result.raw_csv())
+        run.write_text("sweep_mean.csv", result.mean_csv())
         best = max(result.mean().items(), key=lambda kv: kv[1])
         measured["svm_best_accuracy"] = best[1]
-        print(f"sweep best: {best[1]:.4f} at kernel={best[0][0]} "
-              f"n_mfcc={best[0][1]}")
+        say(f"sweep best: {best[1]:.4f} at kernel={best[0][0]} "
+            f"n_mfcc={best[0][1]}")
 
     print()
-    print(reference.comparison_table(measured))
-    print("deltas are informational; reference seeds are not recoverable")
+    say(reference.comparison_table(measured))
+    say("deltas are informational; reference seeds are not recoverable")
+    run.write_text("report.txt", "\n".join(report) + "\n")
     return 0
 
 

@@ -199,6 +199,7 @@ def validate_manifest(records, corpus: str) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 SPLIT_NAMES = ("train", "val", "test")
+SPLIT_RATIOS = (0.6, 0.2, 0.2)
 MIN_PER_CLASS = 5   # a stratified split refuses a class with fewer samples
 
 
@@ -206,57 +207,36 @@ MIN_PER_CLASS = 5   # a stratified split refuses a class with fewer samples
 class SplitAssignment:
     assignment: dict            # id -> "train" | "val" | "test"
     seed: int
-    ratios: tuple = (0.6, 0.2, 0.2)
 
     def ids(self, split: str) -> list[str]:
         return sorted(i for i, s in self.assignment.items() if s == split)
 
 
-def _apportion(n: int, ratios) -> list[int]:
+def _apportion(n: int) -> list[int]:
     # largest-remainder; ties go to test, then val, then train
-    quotas = [n * r for r in ratios]
+    quotas = [n * r for r in SPLIT_RATIOS]
     counts = [int(q) for q in quotas]
     remainders = [q - c for q, c in zip(quotas, counts)]
     short = n - sum(counts)
-    order = sorted(range(len(ratios)),
+    order = sorted(range(len(SPLIT_RATIOS)),
                    key=lambda k: (-remainders[k], -k))  # higher index = test first
     for k in order[:short]:
         counts[k] += 1
     return counts
 
 
-def stratified_split(records, ratios=(0.6, 0.2, 0.2), seed: int = 0,
-                     actor_disjoint: bool = False) -> SplitAssignment:
-    """Per-class seeded shuffle, then proportional cut.
+def stratified_split(records, seed: int = 0) -> SplitAssignment:
+    """Per-class seeded shuffle, then a 60/20/20 largest-remainder cut.
 
     Augmented records are excluded from the draw and take their source's
     split afterward, so no augmented view of a sample leaks across splits.
-
-    actor_disjoint=True switches to the stricter protocol that keeps every
-    actor's clips inside one split (per-class proportions then only hold
-    approximately).
     """
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
-        raise DataError(f"ratios {ratios} must be three values summing to 1")
-    base = [r for r in records if r.augmented_from is None]
+    base = sorted((r for r in records if r.augmented_from is None),
+                  key=lambda r: r.id)
     ids = [r.id for r in base]
     if len(set(ids)) != len(ids):
         raise DataError("duplicate ids in manifest")
 
-    draw = _actor_disjoint_split if actor_disjoint else _class_stratified_split
-    assignment = draw(sorted(base, key=lambda r: r.id), ratios, seed)
-    for r in records:
-        if r.augmented_from is not None:
-            src = assignment.get(r.augmented_from)
-            if src is None:
-                raise DataError(
-                    f"augmented record {r.id} points at unknown source {r.augmented_from}")
-            assignment[r.id] = src
-    return SplitAssignment(assignment, seed, tuple(ratios))
-
-
-def _class_stratified_split(base, ratios, seed) -> dict:
-    # base sorted by id; per class, a seeded shuffle cut by _apportion
     by_class: dict = {}
     for r in base:
         by_class.setdefault(EmotionLabel(r.label), []).append(r.id)
@@ -272,7 +252,7 @@ def _class_stratified_split(base, ratios, seed) -> dict:
                 f"below the minimum {MIN_PER_CLASS}")
         perm = rng.permutation(len(members))
         shuffled = [members[i] for i in perm]
-        n_train, n_val, _ = _apportion(len(members), ratios)
+        n_train, n_val, _ = _apportion(len(members))
         for k, sample_id in enumerate(shuffled):
             if k < n_train:
                 assignment[sample_id] = "train"
@@ -280,28 +260,14 @@ def _class_stratified_split(base, ratios, seed) -> dict:
                 assignment[sample_id] = "val"
             else:
                 assignment[sample_id] = "test"
-    return assignment
-
-
-def _actor_disjoint_split(base, ratios, seed) -> dict:
-    # base sorted by id; whole actors go to splits by cumulative sample fraction
-    by_actor: dict = {}
-    for r in base:
-        by_actor.setdefault(r.actor, []).append(r.id)
-    actors = sorted(by_actor)
-    rng = np.random.default_rng(seed)
-    actors = [actors[i] for i in rng.permutation(len(actors))]
-    total = len(base)
-    bounds = (ratios[0], ratios[0] + ratios[1])
-    assignment = {}
-    placed = 0
-    for actor in actors:
-        frac = placed / total
-        split = "train" if frac < bounds[0] else "val" if frac < bounds[1] else "test"
-        for sample_id in by_actor[actor]:
-            assignment[sample_id] = split
-        placed += len(by_actor[actor])
-    return assignment
+    for r in records:
+        if r.augmented_from is not None:
+            src = assignment.get(r.augmented_from)
+            if src is None:
+                raise DataError(
+                    f"augmented record {r.id} points at unknown source {r.augmented_from}")
+            assignment[r.id] = src
+    return SplitAssignment(assignment, seed)
 
 
 # ---------------------------------------------------------------------------

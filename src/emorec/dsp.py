@@ -298,7 +298,8 @@ class MfccMatrix:
 
 
 def mel_cepstrum(magnitudes: np.ndarray, sample_rate: int, fft_length: int,
-                 n_mfcc: int, n_mels: int, f_min: float, f_max) -> np.ndarray:
+                 n_mfcc: int, n_mels: int, f_min: float = 0.0,
+                 f_max: float | None = None) -> np.ndarray:
     """Magnitude frames (n_frames x n_bins) -> mel filterbank -> log -> DCT-II,
     truncated to n_mfcc rows: an n_mfcc x n_frames coefficient matrix."""
     if n_mfcc > n_mels:

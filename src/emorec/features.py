@@ -35,6 +35,7 @@ from .dsp import frame_magnitudes, hann_window, mel_cepstrum, next_pow2
 from .errors import ConfigError, FormatError
 
 N_FRAMES = 26
+N_MELS = 26   # mel bands, raised to n_mfcc when more coefficients are asked
 
 CACHE_MAGIC = b"EMOFEATC"
 CACHE_VERSION = 2
@@ -45,17 +46,18 @@ class PipelineConfig:
     """Frozen preprocessing constants shared by training and inference.
 
     target_length is normally the longest clip in the training manifest;
-    hop_length is derived from it so the STFT yields >= 26 frames.
+    hop_length is derived from it so the STFT yields >= 26 frames.  n_mels
+    defaults to max(26, n_mfcc); the filterbank spans [0, Nyquist].
     """
 
     n_mfcc: int = 13
     target_length: int = 0
     frame_length: int = 2048
-    n_mels: int = 26
-    f_min: float = 0.0
-    f_max: float | None = None
+    n_mels: int | None = None
 
     def __post_init__(self):
+        if self.n_mels is None:
+            object.__setattr__(self, "n_mels", max(N_MELS, self.n_mfcc))
         if self.n_mfcc < 1:
             raise ConfigError(f"n_mfcc must be >= 1, got {self.n_mfcc}")
         if self.n_mels < self.n_mfcc:
@@ -85,8 +87,7 @@ class PipelineConfig:
 # keys may be absent, as PipelineConfig's fields have defaults
 PIPELINE_RECORD = (None, {
     "pipeline": {"n_mfcc": Maybe(int), "target_length": Maybe(int),
-                 "frame_length": Maybe(int), "n_mels": Maybe(int),
-                 "f_min": Maybe(float), "f_max": Maybe((float, None))},
+                 "frame_length": Maybe(int), "n_mels": Maybe(int)},
     "sample_rate": Maybe(int)})
 
 
@@ -144,15 +145,15 @@ def _sum_sq_dev(x, mu, buf):
 
 
 def extract_clip(clip: AudioClip, cfgs) -> list[FeatureWindow]:
-    """The window of each config in cfgs, which must share target_length,
-    frame_length, f_min and f_max; bit-identical to normalize_loudness, then
+    """The window of each config in cfgs, which must share target_length and
+    frame_length; bit-identical to normalize_loudness, then
     truncating or padding the whole clip, then dsp.mfcc, but only frames that
     hold a clip sample are built, z-scored and transformed, once for all; the
     mel GEMM takes every frame dsp.stft makes (BLAS bits follow row counts)."""
-    shared = {(c.target_length, c.frame_length, c.f_min, c.f_max) for c in cfgs}
+    shared = {(c.target_length, c.frame_length) for c in cfgs}
     if len(shared) != 1:
-        raise ConfigError("configs of one clip must share target_length, "
-                          f"frame_length, f_min and f_max; got {shared or 'none'}")
+        raise ConfigError("configs of one clip must share target_length and "
+                          f"frame_length; got {shared or 'none'}")
     cfg, x = cfgs[0], clip.samples
     mu = x.mean()   # sigma is x.std(), without computing the mean again
     sigma = np.sqrt(_sum_sq_dev(x, mu, np.empty(min(len(x), 1 << 14))) / len(x))
@@ -184,8 +185,7 @@ def extract_clip(clip: AudioClip, cfgs) -> list[FeatureWindow]:
     for c in cfgs:   # each at the GEMM shapes it has alone, which keeps the bits
         try:
             window = mel_cepstrum(magnitudes, clip.sample_rate, frames.shape[1],
-                                  c.n_mfcc, c.n_mels, c.f_min,
-                                  c.f_max)[:, :N_FRAMES]
+                                  c.n_mfcc, c.n_mels)[:, :N_FRAMES]
         except ConfigError as exc:
             raise ConfigError(f"n_mfcc={c.n_mfcc}: {exc}") from exc
         sd = window.std()

@@ -122,22 +122,20 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-def metrics_report(true_labels, scores, n_classes=N_CLASSES, ks=(1, 2, 3),
+def metrics_report(true_labels, scores, ks=(1, 2, 3),
                    with_roc=False) -> MetricsReport:
-    """Full report from per-class score rows (probabilities or decision values)."""
+    """Full report from score rows (probabilities or decision values), one
+    column per class code."""
     scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     labels = np.asarray(true_labels, dtype=np.int64)
     preds = scores.argmax(axis=1)
-    confusion = confusion_matrix(labels, preds, n_classes)
+    confusion = confusion_matrix(labels, preds)
     precision, recall, f1 = precision_recall_f1(confusion)
     support = confusion.sum(axis=1)
     accuracy = float(np.trace(confusion) / max(1, confusion.sum()))
     top_k = {k: top_k_accuracy(scores, labels, k)
              for k in ks if k <= scores.shape[1]}
-    roc = roc_auc_ovr(scores, labels, n_classes) if with_roc else None
-    if n_classes == N_CLASSES:
-        class_names = [l.name for l in EmotionLabel]
-    else:
-        class_names = [f"class{i}" for i in range(n_classes)]
+    roc = roc_auc_ovr(scores, labels) if with_roc else None
+    class_names = [l.name for l in EmotionLabel]
     return MetricsReport(confusion, precision, recall, f1, support, accuracy,
                          top_k, roc, class_names)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import features
 from .audio_io import AudioClip
-from .dataset import csv_text
+from .dataset import N_CLASSES, csv_text
 from .errors import ConfigError, DataError
 
 
@@ -199,6 +199,5 @@ def stream_infer(clip: AudioClip, model, pipeline_cfg: features.PipelineConfig,
 
 
 def events_csv(events) -> str:
-    n_classes = len(events[0].probs) if events else 8
-    return csv_text(["t_start", "t_end"] + [f"p{i}" for i in range(n_classes)]
+    return csv_text(["t_start", "t_end"] + [f"p{i}" for i in range(N_CLASSES)]
                     + ["label", "latency_ms"], (e.csv_row() for e in events))

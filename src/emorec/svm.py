@@ -33,6 +33,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .container import read_model, write_model
+from .dataset import N_CLASSES
 from .errors import DataError, FormatError
 from .features import PIPELINE_RECORD
 from .nn import softmax
@@ -290,10 +291,14 @@ class SvmModel:
         return self.n_features
 
     def scores(self, windows) -> np.ndarray:
-        """Raw decision values for windows shaped (N, n_mfcc, n_frames);
+        """Raw decision values for windows shaped (N, n_mfcc, n_frames), one
+        column per class code, -inf for a class absent from training;
         unscaled, fine for argmax/top-k ranking."""
         windows = np.asarray(windows)
-        return decision_values(self, windows.reshape(len(windows), -1))
+        values = decision_values(self, windows.reshape(len(windows), -1))
+        out = np.full((len(values), N_CLASSES), -np.inf)
+        out[:, self.classes] = values
+        return out
 
     def probabilities(self, windows) -> np.ndarray:
         """Softmax of the decision values: a display squash, not calibrated."""
@@ -319,6 +324,8 @@ def train_multiclass(X, labels, spec: KernelSpec, tol: float = 1e-3,
     classes = sorted(int(c) for c in set(labels.tolist()))
     if len(classes) < 2:
         raise DataError("need at least 2 classes")
+    if classes[0] < 0 or classes[-1] >= N_CLASSES:
+        raise DataError(f"labels outside the class codes 0..{N_CLASSES - 1}")
 
     gamma = resolve_gamma(X, spec) if spec.kind == "rbf" else None
     model = SvmModel(kernel=spec, gamma=gamma, classes=classes,
@@ -393,9 +400,12 @@ def load_svm(path) -> SvmModel:
     except ValueError as exc:
         raise FormatError(f"SVM container kernel: {exc}") from exc
     classes, d = meta["classes"], meta["n_features"]
-    if len(meta["binaries"]) != len(classes) or (spec.kind, meta["gamma"]) == ("rbf", None):
-        raise FormatError("SVM container header needs one binary per class, "
-                          "and a gamma for an rbf kernel")
+    if (len(meta["binaries"]) != len(classes) or classes != sorted(set(classes))
+            or not all(0 <= c < N_CLASSES for c in classes)
+            or (spec.kind, meta["gamma"]) == ("rbf", None)):
+        raise FormatError("SVM container header needs distinct ascending classes in "
+                          f"0..{N_CLASSES - 1}, one binary per class, and a gamma "
+                          "for an rbf kernel")
     model = SvmModel(kernel=spec, gamma=meta["gamma"], classes=classes,
                      n_features=d, pipeline_config=meta["pipeline_config"])
     for k, info in enumerate(meta["binaries"]):

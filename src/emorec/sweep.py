@@ -27,9 +27,7 @@ def evaluate_model(model, windows, labels, with_roc=False) -> MetricsReport:
     a CNN, raw decision values for an SVM (unscaled, fine for argmax/top-k)."""
     if len(windows) == 0:
         raise ConfigError("empty evaluation split")
-    scores = model.scores(windows)
-    return metrics_report(labels, scores, n_classes=scores.shape[1],
-                          with_roc=with_roc)
+    return metrics_report(labels, model.scores(windows), with_roc=with_roc)
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +66,8 @@ class SweepResult:
 
 
 def sweep_configs(base_cfg, points=SWEEP_DEFAULT_POINTS) -> list:
-    """Per point, base_cfg at that n_mfcc with n_mels raised to cover it."""
-    return [replace(base_cfg, n_mfcc=n, n_mels=max(base_cfg.n_mels, n)) for n in points]
+    """Per point, base_cfg at that n_mfcc with PipelineConfig's default n_mels."""
+    return [replace(base_cfg, n_mfcc=n, n_mels=None) for n in points]
 
 
 def run_svm_sweep(clips, labels, base_cfg: features.PipelineConfig,
@@ -84,9 +82,9 @@ def run_svm_sweep(clips, labels, base_cfg: features.PipelineConfig,
 
 
 def fit_svm_sweep(windows, labels, kernels=("rbf", "linear"), runs=10,
-                  base_seed=0, C=10.0, records=None) -> SweepResult:
-    """`runs` 60/20/20 split seeds per point and kernel, each scored on its
-    test split.
+                  base_seed=0, records=None) -> SweepResult:
+    """`runs` 60/20/20 split seeds per point and kernel, each fit at C = 10
+    and scored on its test split.
 
     windows: per clip, its FeatureWindow of each point (extract_clip over
     sweep_configs); labels: matching integer class codes.  records (optional)
@@ -105,7 +103,7 @@ def fit_svm_sweep(windows, labels, kernels=("rbf", "linear"), runs=10,
     for p, point in enumerate(windows[0]):
         X = np.stack([features.flatten(w[p]) for w in windows])
         for kernel in kernels:
-            spec = svm.KernelSpec(kind=kernel, C=C)
+            spec = svm.KernelSpec(kind=kernel)
             for run, split in enumerate(splits):
                 train_idx = [by_id[i] for i in split.ids("train")]
                 eval_idx = [by_id[i] for i in split.ids("test")]

@@ -19,25 +19,17 @@ from emorec import cli
 OPTION_TABLE = {
     "extract": dict(
         manifest=(None, "m.csv", "m.csv"), out=(None, "f.bin", "f.bin"),
-        n_mfcc=(13, "20", 20), frame_length=(2048, "512", 512),
-        n_mels=(26, "40", 40), target_length=(0, "4000", 4000),
-        f_min=(0.0, "50", 50.0), f_max=(None, "4000", 4000.0)),
+        n_mfcc=(13, "20", 20), frame_length=(2048, "512", 512)),
     "validate-dataset": dict(
-        manifest=(None, "m.csv", "m.csv"), data_root=(None, "d", "d"),
-        corpus=("ravdess", "tess", "tess")),
+        data_root=(None, "d", "d"), corpus=("ravdess", "tess", "tess")),
     "split": dict(
-        manifest=(None, "m.csv", "m.csv"),
-        ratios=("0.6,0.2,0.2", "0.5,0.25,0.25", "0.5,0.25,0.25"),
-        actor_disjoint=(False, None, True), out=(None, "s.csv", "s.csv")),
+        manifest=(None, "m.csv", "m.csv"), out=(None, "s.csv", "s.csv")),
     "train-svm": dict(
         features=(None, "f.bin", "f.bin"), manifest=(None, "m.csv", "m.csv"),
-        kernel=("rbf", "linear", "linear"), C=(10.0, "2", 2.0),
-        gamma=("scale", "0.5", "0.5"), tol=(1e-3, "1e-4", 1e-4),
-        max_passes=(10_000_000, "100", 100), out=(None, "s.bin", "s.bin")),
+        kernel=("rbf", "linear", "linear"), out=(None, "s.bin", "s.bin")),
     "train-cnn": dict(
         features=(None, "f.bin", "f.bin"), manifest=(None, "m.csv", "m.csv"),
-        epochs=(10, "3", 3), batch_size=(32, "8", 8), lr=(1e-4, "0.01", 0.01),
-        decay=(1e-6, "0", 0.0), dense_units=(512, "64", 64),
+        epochs=(10, "3", 3), batch_size=(32, "8", 8),
         out=(None, "c.bin", "c.bin")),
     "eval": dict(
         model=(None, "c.bin", "c.bin"), features=(None, "f.bin", "f.bin"),
@@ -47,21 +39,14 @@ OPTION_TABLE = {
         manifest=(None, "m.csv", "m.csv"),
         range=("10:120:10", "10:20:10", "10:20:10"),
         extra_points=("13,100", "13", "13"), runs=(10, "2", 2),
-        kernels=("rbf,linear", "rbf", "rbf"), C=(10.0, "1", 1.0),
-        frame_length=(2048, "512", 512), target_length=(0, "9000", 9000),
-        n_mels=(26, "30", 30)),
+        kernels=("rbf,linear", "rbf", "rbf")),
     "augment": dict(
-        manifest=(None, "m.csv", "m.csv"),
-        augmentations=("reverse,invert", "reverse", "reverse"),
-        out=(None, "a.csv", "a.csv")),
+        manifest=(None, "m.csv", "m.csv"), out=(None, "a.csv", "a.csv")),
     "stream": dict(
         model=(None, "c.bin", "c.bin"), wav=(None, "x.wav", "x.wav"),
-        window=(3.0, "2", 2.0), hop=(0.5, "1", 1.0),
-        emit=("text", "csv", "csv"), chunk_size=(4096, "480", 480)),
-    "gradient-check": dict(
-        filters=(8, "2", 2), dense_units=(16, "4", 4), batch=(2, "1", 1),
-        threshold=(1e-4, "0.5", 0.5), full_width=(False, None, True)),
-    "audit-params": dict(n_mfcc=(13, "20", 20), n_frames=(26, "30", 30)),
+        window=(3.0, "2", 2.0), hop=(0.5, "1", 1.0)),
+    "gradient-check": dict(),
+    "audit-params": dict(),
 }
 COMMON = dict(seed=(0, "3", 3))
 
@@ -115,6 +100,8 @@ def test_subcommands_and_flags():
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
     assert set(sub.choices) == set(OPTION_TABLE)
+    # the protocol's variables, inputs and outputs; 28 others were removed
+    assert sum(len(table) for table in OPTION_TABLE.values()) == 34
     for name, table in OPTION_TABLE.items():
         flags = {s for a in sub.choices[name]._actions for s in a.option_strings}
         assert flags == ({"-h", "--help", "--config", "--seed", "--out-dir"}
@@ -154,16 +141,52 @@ def test_config_keys_are_the_options(name, tmp_path):
 
 
 def test_config_number_for_float_option(tmp_path):
-    # a JSON integer is a number, as "50" on the command line is a float
+    # a JSON integer is a number, as "2" on the command line is a float
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"version": 1, "f_min": 50, "f_max": 4000}))
-    got = resolved(["extract", "--config", str(cfg)])
-    assert_same({k: got[k] for k in ("f_min", "f_max")},
-                {"f_min": 50.0, "f_max": 4000.0})
+    cfg.write_text(json.dumps({"version": 1, "window": 2, "hop": 1}))
+    got = resolved(["stream", "--config", str(cfg)])
+    assert_same({k: got[k] for k in ("window", "hop")},
+                {"window": 2.0, "hop": 1.0})
 
 
 def test_config_number_for_text_option(tmp_path):
-    # "gamma": 0.5 trains with gamma 0.5, as the flag --gamma 0.5 does
+    # "extra_points": 20 sweeps point 20, as the flag --extra-points 20 does
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"version": 1, "gamma": 0.5}))
-    assert resolved(["train-svm", "--config", str(cfg)])["gamma"] == "0.5"
+    cfg.write_text(json.dumps({"version": 1, "extra_points": 20}))
+    assert resolved(["sweep-svm", "--config", str(cfg)])["extra_points"] == "20"
+
+
+# options the paper's protocol fixes, each with a value it once took
+REMOVED = [
+    ("extract", "n_mels", "40"), ("extract", "target_length", "4000"),
+    ("extract", "f_min", "50"), ("extract", "f_max", "4000"),
+    ("validate-dataset", "manifest", "m.csv"),
+    ("split", "ratios", "0.5,0.25,0.25"), ("split", "actor_disjoint", None),
+    ("train-svm", "C", "2"), ("train-svm", "gamma", "0.5"),
+    ("train-svm", "tol", "1e-4"), ("train-svm", "max_passes", "100"),
+    ("train-cnn", "lr", "0.01"), ("train-cnn", "decay", "0"),
+    ("train-cnn", "dense_units", "64"),
+    ("sweep-svm", "C", "1"), ("sweep-svm", "frame_length", "512"),
+    ("sweep-svm", "target_length", "9000"), ("sweep-svm", "n_mels", "30"),
+    ("augment", "augmentations", "reverse"),
+    ("stream", "emit", "csv"), ("stream", "chunk_size", "480"),
+    ("gradient-check", "filters", "2"), ("gradient-check", "dense_units", "4"),
+    ("gradient-check", "batch", "1"), ("gradient-check", "threshold", "0.5"),
+    ("gradient-check", "full_width", None),
+    ("audit-params", "n_mfcc", "20"), ("audit-params", "n_frames", "30"),
+]
+
+
+@pytest.mark.parametrize("name,key,sample", REMOVED,
+                         ids=[f"{n}-{k}" for n, k, _ in REMOVED])
+def test_removed_option_is_refused(name, key, sample, tmp_path, capsys):
+    # nothing is read or written: no run directory, no file in the cwd
+    run = tmp_path / "run"
+    argv = [name, flag(key)] + ([] if sample is None else [sample])
+    assert cli.main(argv + ["--out-dir", str(run)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"version": 1, key: True if sample is None else sample}))
+    assert cli.main([name, "--config", str(cfg), "--out-dir", str(run)]) == 2
+    assert f"config keys not understood: [{key!r}]" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

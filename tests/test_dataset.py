@@ -171,10 +171,8 @@ class TestStratifiedSplit:
         records = make_records(10, [EmotionLabel.sad, EmotionLabel.angry])
         orphan = SampleRecord(id="ghost_rev", path="", label=EmotionLabel.sad,
                               corpus="synthetic", augmented_from="ghost")
-        for actor_disjoint in (False, True):
-            with pytest.raises(DataError, match="unknown source"):
-                stratified_split(records + [orphan], seed=1,
-                                 actor_disjoint=actor_disjoint)
+        with pytest.raises(DataError, match="unknown source"):
+            stratified_split(records + [orphan], seed=1)
 
     def test_small_class_rejected(self):
         records = make_records(4, [EmotionLabel.sad, EmotionLabel.angry])
@@ -183,18 +181,8 @@ class TestStratifiedSplit:
 
     def test_duplicate_ids_rejected(self):
         records = make_records(6, [EmotionLabel.sad])
-        for actor_disjoint in (False, True):
-            with pytest.raises(DataError, match="duplicate ids"):
-                stratified_split(records + [records[0]], seed=0,
-                                 actor_disjoint=actor_disjoint)
-
-    def test_actor_disjoint_mode(self):
-        records = make_records(24, list(EmotionLabel))
-        split = stratified_split(records, seed=5, actor_disjoint=True)
-        actor_split = {}
-        for r in records:
-            s = split.assignment[r.id]
-            assert actor_split.setdefault(r.actor, s) == s
+        with pytest.raises(DataError, match="duplicate ids"):
+            stratified_split(records + [records[0]], seed=0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -208,17 +196,17 @@ class TestStratifiedSplit:
 
 class TestApportion:
     def test_tie_goes_to_test(self):
-        assert dataset._apportion(192, (0.6, 0.2, 0.2)) == [115, 38, 39]
+        assert dataset._apportion(192) == [115, 38, 39]
 
     def test_small_class(self):
-        counts = dataset._apportion(9, (0.6, 0.2, 0.2))
+        counts = dataset._apportion(9)
         assert sum(counts) == 9
         assert counts == [5, 2, 2]
 
     @given(st.integers(5, 2000))
     @settings(max_examples=60, deadline=None)
     def test_within_one_of_quota(self, n):
-        counts = dataset._apportion(n, (0.6, 0.2, 0.2))
+        counts = dataset._apportion(n)
         assert sum(counts) == n
         for got, ratio in zip(counts, (0.6, 0.2, 0.2)):
             assert abs(got - n * ratio) < 1.0

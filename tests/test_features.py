@@ -117,6 +117,27 @@ class TestPipelineConfig:
             features.PipelineConfig(n_mfcc=30, n_mels=26, target_length=4200,
                                     frame_length=512)
 
+    @pytest.mark.parametrize("n_mfcc,n_mels", [(1, 26), (13, 26), (26, 26),
+                                               (40, 40)])
+    def test_n_mels_defaults_to_cover_n_mfcc(self, n_mfcc, n_mels):
+        cfg = features.PipelineConfig(n_mfcc=n_mfcc, target_length=4200,
+                                      frame_length=512)
+        assert cfg.n_mels == cfg.to_dict()["n_mels"] == n_mels
+
+    @pytest.mark.parametrize("band", [{"f_min": 0.0}, {"f_max": None}])
+    def test_band_of_older_containers_refused(self, tmp_path, pipeline_cfg,
+                                              band):
+        # the filterbank spans [0, Nyquist]; records that still name the band
+        # come from before it was fixed and are refused by field name
+        path = tmp_path / "cache.bin"
+        tiny_cache(path, {"pipeline": dict(pipeline_cfg.to_dict(), **band),
+                          "sample_rate": 4000})
+        [field] = band
+        for read in (features.load_feature_cache, features.cache_pipeline):
+            with pytest.raises(FormatError, match="unknown field "
+                               f"pipeline_config.pipeline.{field}"):
+                read(path)
+
     def test_dict_roundtrip(self, pipeline_cfg):
         again = features.PipelineConfig.from_dict(pipeline_cfg.to_dict())
         assert again == pipeline_cfg
@@ -190,8 +211,7 @@ def mfcc_window(clip, cfg):
     if not np.any(clip.samples):
         return np.zeros((cfg.n_mfcc, features.N_FRAMES))
     w = dsp.mfcc(clip, cfg.n_mfcc, cfg.frame_length, cfg.hop_length,
-                 n_mels=cfg.n_mels, f_min=cfg.f_min,
-                 f_max=cfg.f_max).coeffs[:, :features.N_FRAMES]
+                 n_mels=cfg.n_mels).coeffs[:, :features.N_FRAMES]
     mu, sigma = w.mean(), w.std()
     return np.zeros_like(w) if sigma < 1e-12 else (w - mu) / sigma
 
@@ -357,8 +377,7 @@ class TestExtractClip:
             assert np.any(w.matrix) == (kind == "sound")
 
     @pytest.mark.parametrize("other", [
-        {"target_length": TARGET + 1}, {"frame_length": 1024},
-        {"f_min": 20.0}, {"f_max": 7000.0}])
+        {"target_length": TARGET + 1}, {"frame_length": 1024}])
     def test_configs_must_share_frames_and_band(self, other):
         cfgs = self.configs()
         cfgs[-1] = replace(cfgs[-1], **other)

@@ -34,6 +34,14 @@ def test_sweep_run_decodes_each_clip_once(tmp_path, monkeypatch, capsys):
                              "--sweep", "--sweep-runs", 1], monkeypatch)
     records = dataset.read_manifest(out / "manifest.csv")
     assert sorted(calls) == sorted(r.id for r in records)
+    # the out dir is a run directory that lists what it holds
+    listed = (out / "artifacts.csv").read_text().splitlines()
+    assert listed[0] == "file"
+    assert sorted(listed[1:]) == sorted(p.name for p in out.iterdir()
+                                        if p.name != "artifacts.csv")
+    report = (out / "report.txt").read_text()
+    assert "corpus: ravdess" in report and "sweep best:" in report
+    assert "deltas are informational" in report
 
     monkeypatch.setattr(audio_io, "decode_wav", decode)
     cfg = features.PipelineConfig(n_mfcc=13,

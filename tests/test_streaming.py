@@ -110,6 +110,23 @@ class TestEventContents:
         for e in events:
             assert abs(e.probs.sum() - 1.0) < 1e-6
 
+    def test_svm_without_a_class_labels_by_class_code(self, pipeline_cfg):
+        # a model that never saw calm (1), as one trained on TESS: a happy (2)
+        # tone streams as happy, not as the model's second column
+        clips = [class_tone_clip(c, seed=c * 5 + k) for c in (0, 2)
+                 for k in range(6)]
+        X = np.stack([features.flatten(features.extract_window(c, pipeline_cfg))
+                      for c in clips])
+        model = svm.train_multiclass(X, np.repeat([0, 2], 6),
+                                     svm.KernelSpec(kind="linear"))
+        events, _ = stream_infer(class_tone_clip(2, seed=99, duration=3.0),
+                                 model, pipeline_cfg, StreamConfig(1.0, 0.5))
+        assert len(events) == 5
+        for e in events:
+            assert e.label == 2 and e.probs[1] == 0.0
+        assert streaming.events_csv(events).startswith(
+            "t_start,t_end,p0,p1,p2,p3,p4,p5,p6,p7,label,latency_ms\n")
+
     def test_csv_format(self, trained_cnn, stream_pipeline_cfg):
         events, _ = stream_infer(ten_second_clip(), trained_cnn,
                                  stream_pipeline_cfg, StreamConfig(3.0, 0.5))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emorec import svm
+from emorec import svm, sweep
 from emorec.cli import main
 from emorec.errors import DataError, FormatError
 from conftest import rewrite_header
@@ -520,3 +520,46 @@ class TestInteriorPointStart:
         for binary in model.binaries:
             assert binary.converged
             assert abs(binary.objective - w_oracle) < 1e-2
+
+
+class TestScoresByClassCode:
+    """An SVM's score columns are class codes, as a CNN's are; a class absent
+    from training (TESS has no calm) scores -inf."""
+
+    @staticmethod
+    def fit(codes):
+        rng = np.random.default_rng(4)
+        centers = rng.normal(size=(8, 13, 26))
+        labels = np.repeat(codes, 4)
+        windows = centers[labels] + 0.05 * rng.normal(size=(len(labels), 13, 26))
+        model = svm.train_multiclass(windows.reshape(len(labels), -1), labels,
+                                     KernelSpec(kind="linear"))
+        return model, windows, labels
+
+    def test_model_without_calm(self):
+        codes = [c for c in range(8) if c != 1]
+        model, windows, labels = self.fit(codes)
+        X = windows.reshape(len(windows), -1)
+        scores = model.scores(windows)
+        assert scores.shape == (len(windows), 8)
+        assert np.all(scores[:, 1] == -np.inf)
+        np.testing.assert_array_equal(scores[:, codes],
+                                      svm.decision_values(model, X))
+        preds = svm.predict(model, X)
+        np.testing.assert_array_equal(preds, labels)
+        np.testing.assert_array_equal(model.probabilities(windows).argmax(axis=1),
+                                      preds)
+        assert np.all(model.probabilities(windows)[:, 1] == 0.0)
+        report = sweep.evaluate_model(model, windows, labels, with_roc=True)
+        assert report.accuracy == 1.0 and report.support[1] == 0
+        assert np.isnan(report.roc_auc[1])
+
+    def test_all_classes_score_as_decision_values(self):
+        model, windows, _ = self.fit(list(range(8)))
+        assert np.array_equal(model.scores(windows), svm.decision_values(
+            model, windows.reshape(len(windows), -1)))
+
+    def test_labels_outside_class_codes_rejected(self):
+        X = np.random.default_rng(0).normal(size=(4, 3))
+        with pytest.raises(DataError, match="class codes"):
+            svm.train_multiclass(X, [0, 0, 8, 8], KernelSpec())

@@ -39,12 +39,10 @@ class AudioClip:
 
     samples : 1-D float64 array, nominal range [-1, 1]
     sample_rate : positive int, Hz
-    source_id : optional provenance tag carried through the pipeline
     """
 
     samples: np.ndarray
     sample_rate: int
-    source_id: str | None = None
 
     def __post_init__(self, finite_checked=False):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -58,19 +56,15 @@ class AudioClip:
             raise ValueError("clip contains non-finite samples")
 
     @classmethod
-    def _of_finite(cls, samples, sample_rate, source_id=None) -> "AudioClip":
+    def _of_finite(cls, samples, sample_rate) -> "AudioClip":
         """A clip over samples the caller found finite: every check but that."""
         clip = cls.__new__(cls)
-        clip.samples, clip.sample_rate, clip.source_id = samples, sample_rate, source_id
+        clip.samples, clip.sample_rate = samples, sample_rate
         clip.__post_init__(finite_checked=True)
         return clip
 
     def __len__(self):
         return len(self.samples)
-
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
 
 
 def _walk_chunks(fh):
@@ -135,8 +129,7 @@ def _walk_chunks(fh):
     return audio_format, n_channels, sample_rate, n_frames, data[0]
 
 
-def decode_wav(data: bytes, source_id: str | None = None,
-               out: np.ndarray | None = None) -> AudioClip:
+def decode_wav(data: bytes, out: np.ndarray | None = None) -> AudioClip:
     """Decode a RIFF/WAVE byte string into a mono AudioClip.
 
     Accepts PCM 16-bit and IEEE float 32-bit, 1 or 2 channels.  Stereo is
@@ -165,7 +158,7 @@ def decode_wav(data: bytes, source_id: str | None = None,
     else:   # the channel mean, (l*s + r*s) / 2 bit for bit: s/2 is exact
         np.add(raw[0::2], raw[1::2], out=samples, dtype=np.float64)
         samples *= scale / 2
-    return AudioClip._of_finite(samples, sample_rate, source_id)
+    return AudioClip._of_finite(samples, sample_rate)
 
 
 def _open(path):
@@ -192,7 +185,7 @@ def max_length(records) -> int:
 
 
 def read_clips(records, longest: int = 0):
-    """Decode the records (``.path``, ``.id``) lazily, one clip at a time;
+    """Decode the records (anything with ``.path``) lazily, one clip at a time;
     DataError on a missing file or a rate other than the first clip's.  The
     clips share one buffer of ``longest`` samples (a caller that ran
     :func:`max_length` passes it, so the buffer is allocated once), grown to
@@ -201,7 +194,7 @@ def read_clips(records, longest: int = 0):
     rate = None
     buf = np.empty(longest)
     for r in records:
-        clip = decode_wav(read_file(r.path), source_id=r.id, out=buf)
+        clip = decode_wav(read_file(r.path), out=buf)
         if len(clip) > len(buf):
             buf = clip.samples
         rate = rate or clip.sample_rate
@@ -248,7 +241,7 @@ def synth_tone(freq: float, duration: float, sample_rate: int,
     n = int(round(duration * sample_rate))
     i = np.arange(n, dtype=np.float64)
     return AudioClip(amplitude * np.sin(2.0 * math.pi * freq * i / sample_rate),
-                     sample_rate, source_id=f"tone{freq:g}")
+                     sample_rate)
 
 
 def synth_chirp(f0: float, f1: float, duration: float, sample_rate: int,
@@ -262,5 +255,4 @@ def synth_chirp(f0: float, f1: float, duration: float, sample_rate: int,
     n = int(round(duration * sample_rate))
     t = np.arange(n, dtype=np.float64) / sample_rate
     phase = 2.0 * math.pi * (f0 * t + (f1 - f0) / (2.0 * duration) * t * t)
-    return AudioClip(amplitude * np.sin(phase), sample_rate,
-                     source_id=f"chirp{f0:g}-{f1:g}")
+    return AudioClip(amplitude * np.sin(phase), sample_rate)

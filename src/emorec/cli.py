@@ -273,12 +273,19 @@ def cmd_sweep_svm(opts, run: RunDir) -> int:
         points = set(range(lo, hi + 1, max(step, 0)))
     except ValueError:
         raise ConfigError(f"--range must be lo:hi:step, step >= 1; got {opts.range!r}")
-    if opts.extra_points:
+    try:
         points |= {int(x) for x in opts.extra_points.split(",") if x}
+    except ValueError:
+        raise ConfigError(f"--extra-points must be integers separated by commas; "
+                          f"got {opts.extra_points!r}")
     points = tuple(sorted(points))
     if not points or points[0] < 1 or opts.runs < 1:
         raise ConfigError(f"--range/--extra-points give n_mfcc {list(points)} and --runs "
                           f"{opts.runs}; need points, all >= 1, and runs >= 1")
+    kernels = tuple(opts.kernels.split(","))
+    if not set(kernels) <= {"rbf", "linear"} or len(set(kernels)) < len(kernels):
+        raise ConfigError(f"--kernels must list rbf and/or linear, each once; "
+                          f"got {opts.kernels!r}")
     records = _read_required_manifest(opts.manifest)
     base = [r for r in records if r.augmented_from is None]
     if not base:
@@ -287,7 +294,6 @@ def cmd_sweep_svm(opts, run: RunDir) -> int:
 
     longest = audio_io.max_length(base)
     base_cfg = features.PipelineConfig(n_mfcc=min(points), target_length=longest)
-    kernels = tuple(opts.kernels.split(","))
     result = sweep.run_svm_sweep(audio_io.read_clips(base, longest), labels,
                                  base_cfg, kernels=kernels, points=points,
                                  runs=opts.runs, base_seed=opts.seed,

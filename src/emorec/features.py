@@ -114,16 +114,15 @@ def normalize_loudness(clip: AudioClip) -> AudioClip:
         y = np.zeros_like(x)
     else:
         y = (x - mu) / sigma
-    return AudioClip(y, clip.sample_rate, source_id=clip.source_id)
+    return AudioClip(y, clip.sample_rate)
 
 
 def augment_reverse(clip: AudioClip) -> AudioClip:
-    return AudioClip(clip.samples[::-1].copy(), clip.sample_rate,
-                     source_id=clip.source_id)
+    return AudioClip(clip.samples[::-1].copy(), clip.sample_rate)
 
 
 def augment_invert(clip: AudioClip) -> AudioClip:
-    return AudioClip(-clip.samples, clip.sample_rate, source_id=clip.source_id)
+    return AudioClip(-clip.samples, clip.sample_rate)
 
 
 # Inverted clips produce bit-identical feature windows (|FFT(-x)| == |FFT(x)|),

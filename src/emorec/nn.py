@@ -33,9 +33,11 @@ so inference of any length maps about 19 MB of buffers, once per call.
 
 Determinism: weight init, shuffling and dropout all draw from seeded PCG64
 generators in a fixed single-threaded order, so identical seeds reproduce
-identical training histories bit for bit, in either dtype.  Buffers change
-where results are written, never the operations or their order, so a run
-with a workspace matches one without it bit for bit.  The block size of
+identical training histories bit for bit, in either dtype.  A pass is in
+train mode exactly when given a generator, so two seeded alike give bit-equal
+passes (`gradient_check` seeds one per loss evaluation).  Buffers change where
+results are written, never the operations or their order, so a run with a
+workspace matches one without it bit for bit.  The block size of
 `predict_proba` is a GEMM row count, and a BLAS may round the last bit
 differently for another row count, so it is a constant: predictions are
 reproducible bit for bit, and agree to ~1e-16 with a pass over any other
@@ -70,16 +72,8 @@ PREDICT_BLOCK = 16   # windows per predict_proba pass (see Determinism)
 # ({} for parameterless layers), and one `forward` / `backward` step.  The
 # steps call the primitive ops below by module-global name at call time.
 # Both steps take `buf`, the layer's buffer source (see `Workspace`), and
-# hand it to the primitives, which write their large outputs into it.
-
-@dataclass
-class _Pass:
-    """State of one forward pass that dropout layers read and record."""
-    train: bool
-    rng: object                   # dropout draws; unused when replaying
-    replay: object                # iterator over masks to replay, or None
-    masks: list                   # masks applied, in layer order
-
+# hand it to the primitives, which write their large outputs into it;
+# `forward` also takes the pass's dropout generator, None in infer mode.
 
 def _fresh(role, shape, dtype):
     """Buffer source without a workspace: a new array on every call."""
@@ -93,8 +87,7 @@ class Workspace:
     dtype, it returns that layer's buffer for the role, allocated again only
     when the shape or dtype changes (a short last batch).  A buffer holds its
     contents until the same layer and role are asked for again, in the next
-    pass that uses the workspace.  Of what `loss_and_grads` returns, only the
-    dropout masks live in buffers; gradients and probabilities are fresh.
+    pass that uses the workspace.  What `loss_and_grads` returns is fresh.
     """
 
     def __init__(self):
@@ -163,7 +156,7 @@ class Conv2D(_Layer):
         k = self.kernel
         return {"W": (k, k, shape[-1], self.filters), "b": (self.filters,)}
 
-    def forward(self, x, p, run, buf):
+    def forward(self, x, p, rng, buf):
         x, cache = conv2d_forward(x, p["W"], p["b"], self.padding, buf=buf)
         x, relu_out = _activate(x, self.activation)
         return x, (cache, relu_out)
@@ -188,7 +181,7 @@ class MaxPool2D(_Layer):
             raise ConfigError(f"{h}x{w} too small for {self.size}x{self.size} pool")
         return (h // self.size, w // self.size, c)
 
-    def forward(self, x, p, run, buf):
+    def forward(self, x, p, rng, buf):
         return maxpool2d_forward(x, self.size, buf=buf)
 
     def backward(self, d, cache, buf, need_dx):
@@ -206,12 +199,8 @@ class DropoutSpec(_Layer):
         if not 0.0 <= self.rate < 1.0:
             raise ConfigError(f"dropout rate {self.rate} outside [0, 1)")
 
-    def forward(self, x, p, run, buf):
-        mask = next(run.replay) if run.replay is not None else None
-        x, mask = dropout_forward(x, self.rate, run.train, rng=run.rng,
-                                  mask=mask, buf=buf)
-        run.masks.append(mask)
-        return x, mask
+    def forward(self, x, p, rng, buf):
+        return dropout_forward(x, self.rate, rng, buf=buf)
 
     def backward(self, d, mask, buf, need_dx):
         return dropout_backward(d, mask, self.rate, buf=buf), None
@@ -224,7 +213,7 @@ class FlattenSpec(_Layer):
     def out_shape(self, shape):
         return (int(np.prod(shape)),)
 
-    def forward(self, x, p, run, buf):
+    def forward(self, x, p, rng, buf):
         return x.reshape(x.shape[0], -1), x.shape
 
     def backward(self, d, x_shape, buf, need_dx):
@@ -247,7 +236,7 @@ class Dense(_Layer):
     def param_shapes(self, shape):
         return {"W": (shape[0], self.units), "b": (self.units,)}
 
-    def forward(self, x, p, run, buf):
+    def forward(self, x, p, rng, buf):
         x, cache = dense_forward(x, p["W"], p["b"], buf=buf)
         x, relu_out = _activate(x, self.activation)
         return x, (cache, relu_out)
@@ -416,19 +405,18 @@ def relu_backward(dout, y, out=None, buf=_fresh):
     return np.multiply(dout, mask, out=out)
 
 
-def dropout_forward(x, rate, train, rng=None, mask=None, buf=_fresh):
+def dropout_forward(x, rate, rng=None, buf=_fresh):
     """Inverted dropout: zero with prob rate, scale survivors by 1/(1-rate).
 
-    In infer mode (train=False) this is the identity.  A precomputed mask can
-    be supplied to replay a forward pass (finite-difference checks).  Fresh
-    draws are float64 uniforms whatever x's dtype, so a seed gives the same
-    mask in float32 and float64.
+    Returns (output, mask).  Without a generator (infer mode) this is the
+    identity and the mask is None.  The mask is drawn from rng as float64
+    uniforms whatever x's dtype, so a generator in a given state gives the
+    same mask in float32 and float64.
     """
-    if not train or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x, None
-    if mask is None:
-        draws = rng.random(out=buf("drop_draws", x.shape, np.float64))
-        mask = np.greater_equal(draws, rate, out=buf("drop_mask", x.shape, bool))
+    draws = rng.random(out=buf("drop_draws", x.shape, np.float64))
+    mask = np.greater_equal(draws, rate, out=buf("drop_mask", x.shape, bool))
     out = np.multiply(x, mask, out=buf("drop", x.shape, x.dtype))
     out /= 1.0 - rate
     return out, mask
@@ -482,7 +470,6 @@ class CnnModel:
     input_shape: tuple            # (H, W, C)
     params: list                  # per layer: {"W","b"} or None
     seed: int
-    rms_state: list | None = None
     pipeline_config: dict | None = None
 
     @property
@@ -593,22 +580,21 @@ def _buffers(work, i):
     return _fresh if work is None else work.layer(i)
 
 
-def forward(model: CnnModel, x, train=False, rng=None, masks=None, work=None):
-    """Run the network up to the output logits.
+def forward(model: CnnModel, x, rng=None, work=None):
+    """Run the network up to the output logits; returns (logits, caches).
 
-    Returns (logits, caches, used_masks).  masks replays a previous forward's
-    dropout decisions; otherwise train-mode dropout draws from rng.  With a
+    The pass is in train mode exactly when it is given a generator: dropout
+    draws its masks from rng, layer by layer, and keeps each as its layer's
+    cache.  Without one every dropout layer is the identity.  With a
     `Workspace`, the activations and caches live in its buffers until the
     next pass that uses it.  x is cast to the parameters' dtype.
     """
     x = np.asarray(x, dtype=model.dtype)
-    run = _Pass(train=train, rng=rng,
-                replay=iter(masks) if masks is not None else None, masks=[])
     caches = []
     for i, (spec, p) in enumerate(zip(model.specs, model.params)):
-        x, cache = spec.forward(x, p, run, _buffers(work, i))
+        x, cache = spec.forward(x, p, rng, _buffers(work, i))
         caches.append(cache)
-    return x, caches, run.masks
+    return x, caches
 
 
 def backward(model: CnnModel, dlogits, caches, work=None):
@@ -627,15 +613,14 @@ def backward(model: CnnModel, dlogits, caches, work=None):
     return grads
 
 
-def loss_and_grads(model: CnnModel, x, labels, rng=None, masks=None,
-                   train=True, work=None):
-    logits, caches, used_masks = forward(model, x, train=train, rng=rng,
-                                         masks=masks, work=work)
+def loss_and_grads(model: CnnModel, x, labels, rng=None, work=None):
+    """(loss, grads, probs) of one pass, in train mode when given rng."""
+    logits, caches = forward(model, x, rng=rng, work=work)
     loss, dlogits, probs = softmax_cross_entropy(
         logits.astype(np.float64, copy=False), labels)
     grads = backward(model, dlogits.astype(logits.dtype, copy=False), caches,
                      work=work)
-    return loss, grads, probs, used_masks
+    return loss, grads, probs
 
 
 def predict_proba(model: CnnModel, x) -> np.ndarray:
@@ -654,7 +639,7 @@ def predict_proba(model: CnnModel, x) -> np.ndarray:
     work = Workspace()
     probs = np.empty((len(x), model.n_classes))
     for start in range(0, len(x), PREDICT_BLOCK):
-        logits, _, _ = forward(model, x[start:start + PREDICT_BLOCK], work=work)
+        logits, _ = forward(model, x[start:start + PREDICT_BLOCK], work=work)
         probs[start:start + len(logits)] = softmax(
             logits.astype(np.float64, copy=False))
     return probs
@@ -713,11 +698,6 @@ def rmsprop_step(params, grads, acc, cfg: TrainConfig, t: int):
             p[key] -= step
 
 
-def _fresh_rms_state(params):
-    return [None if p is None else {k: np.zeros_like(v) for k, v in p.items()}
-            for p in params]
-
-
 def _cast(tensors, dtype):
     """Per-layer tensor dicts in dtype; a tensor already in it is kept."""
     return [None if p is None else {k: v.astype(dtype, copy=False)
@@ -750,11 +730,11 @@ def train(model: CnnModel, x, labels, cfg: TrainConfig,
     active, measured before each update), matching the usual epoch-log
     convention; validation metrics are clean infer-mode numbers.
 
-    The loop runs in cfg.dtype: the parameters, the RMSProp state and every
-    pass, validation included, are cast to it.  The parameters are cast back
-    to float64 on the way out, so a float32 run leaves exactly the values
-    `save_cnn` then `load_cnn` would give; the RMSProp state stays in
-    cfg.dtype.
+    The loop runs in cfg.dtype: the parameters, the RMSProp accumulators
+    (zeros at the start of every call) and every pass, validation included,
+    are in it.  The parameters are cast back to float64 on the way out, so a
+    float32 run leaves exactly the values `save_cnn` then `load_cnn` would
+    give.
     """
     dtype = np.dtype(cfg.dtype)
     x = np.asarray(x, dtype=dtype)
@@ -762,9 +742,8 @@ def train(model: CnnModel, x, labels, cfg: TrainConfig,
     if len(x) == 0:
         raise ConfigError("empty training split")
     model.params = _cast(model.params, dtype)
-    if model.rms_state is None:
-        model.rms_state = _fresh_rms_state(model.params)
-    model.rms_state = _cast(model.rms_state, dtype)
+    acc = [None if p is None else {k: np.zeros_like(v) for k, v in p.items()}
+           for p in model.params]
     rng = np.random.default_rng(cfg.seed)
     work = Workspace()
     history = []
@@ -775,9 +754,8 @@ def train(model: CnnModel, x, labels, cfg: TrainConfig,
         for start in range(0, len(order), cfg.batch_size):
             sel = order[start:start + cfg.batch_size]
             xb, yb = x[sel], labels[sel]
-            loss, grads, probs, _ = loss_and_grads(model, xb, yb, rng=rng,
-                                                    work=work)
-            rmsprop_step(model.params, grads, model.rms_state, cfg, t)
+            loss, grads, probs = loss_and_grads(model, xb, yb, rng=rng, work=work)
+            rmsprop_step(model.params, grads, acc, cfg, t)
             t += 1
             losses.append(loss * len(sel))
             hits += int((probs.argmax(axis=1) == yb).sum())
@@ -816,9 +794,10 @@ def history_to_csv(history) -> str:
 def gradient_check(model: CnnModel, x, labels, seed=0):
     """Central finite differences against backprop on every parameter.
 
-    Dropout masks are drawn once and replayed for every evaluation so the
-    loss is a deterministic function of the parameters.  Returns the max
-    relative error and a per-tensor breakdown.
+    Every evaluation runs in train mode with a fresh generator seeded with
+    seed, so each draws the same dropout masks and the loss is a
+    deterministic function of the parameters.  Returns the max relative
+    error and a per-tensor breakdown.
 
     The loss is piecewise smooth: a perturbation that flips a max-pool
     argmax or a ReLU gate invalidates the finite-difference model, so
@@ -827,13 +806,11 @@ def gradient_check(model: CnnModel, x, labels, seed=0):
     h = 1e-5   # central-difference step
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    _, _, masks = forward(model, x, train=True, rng=rng)
-
-    loss_analytic, grads, _, _ = loss_and_grads(model, x, labels, masks=masks)
+    _, grads, _ = loss_and_grads(model, x, labels,
+                                 rng=np.random.default_rng(seed))
 
     def loss_at():
-        logits, _, _ = forward(model, x, train=True, masks=masks)
+        logits, _ = forward(model, x, rng=np.random.default_rng(seed))
         loss, _, _ = softmax_cross_entropy(logits, labels)
         return loss
 

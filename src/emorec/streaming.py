@@ -140,7 +140,7 @@ class StreamingClassifier:
 
     def _classify(self) -> StreamEvent:
         t0 = time.perf_counter()
-        clip = AudioClip._of_finite(self._ring.window(), self.sample_rate, "stream")
+        clip = AudioClip._of_finite(self._ring.window(), self.sample_rate)
         window = features.extract_window(clip, self.pipeline_cfg)
         probs = self.model.probabilities(window.matrix[None])[0]
         elapsed = time.perf_counter() - t0

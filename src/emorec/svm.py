@@ -80,12 +80,16 @@ def resolve_gamma(X: np.ndarray, spec: KernelSpec) -> float:
     return 1.0 / (X.shape[1] * var)
 
 
-def _fit_kernel(X, spec: KernelSpec, gamma) -> np.ndarray:
-    """K(X, X) for a fit; a DataError if not finite, where SMO would spin."""
-    K = kernel_matrix(X, X, spec, gamma)
+def _fit_kernel(X, spec: KernelSpec, gamma=None):
+    """(gamma, K(X, X)) for a fit, gamma resolved unless given; a DataError in
+    place of numpy's overflow warnings if K is not finite (SMO would spin)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if gamma is None and spec.kind == "rbf":
+            gamma = resolve_gamma(X, spec)
+        K = kernel_matrix(X, X, spec, gamma)
     if not np.isfinite(K).all():
         raise DataError("non-finite kernel values: features non-finite or too large")
-    return K
+    return gamma, K
 
 
 def kernel_matrix(A: np.ndarray, B: np.ndarray, spec: KernelSpec,
@@ -145,10 +149,8 @@ def train_binary(X, y, spec: KernelSpec, tol: float = 1e-3,
     if len(set(y)) < 2:
         raise DataError("both classes must be present")
 
-    if gamma is None and spec.kind == "rbf":
-        gamma = resolve_gamma(X, spec)
     if K is None:
-        K = _fit_kernel(X, spec, gamma)
+        _, K = _fit_kernel(X, spec, gamma)
     C = spec.C
     diag = np.diag(K)
     curv = np.maximum(diag[:, None] + diag[None, :] - 2.0 * K, TAU)
@@ -291,13 +293,16 @@ class SvmModel:
         return self.n_features
 
     def scores(self, windows) -> np.ndarray:
-        """Raw decision values for windows shaped (N, n_mfcc, n_frames), one
-        column per class code, -inf for a class absent from training;
-        unscaled, fine for argmax/top-k ranking."""
-        windows = np.asarray(windows)
-        values = decision_values(self, windows.reshape(len(windows), -1))
-        out = np.full((len(values), N_CLASSES), -np.inf)
-        out[:, self.classes] = values
+        """Raw decision values for windows shaped (N, n_mfcc, n_frames) or
+        (N, n_features), one column per class code, -inf for a class absent
+        from training; unscaled, fine for argmax/top-k ranking."""
+        X = np.asarray(windows, dtype=np.float64).reshape(len(windows), -1)
+        if X.shape[1] != self.n_features:
+            raise DataError(f"feature dim {X.shape[1]} != trained {self.n_features}")
+        out = np.full((len(X), N_CLASSES), -np.inf)
+        for c, bin_ in zip(self.classes, self.binaries):
+            Kx = kernel_matrix(X, bin_.support_vectors, self.kernel, self.gamma)
+            out[:, c] = Kx @ bin_.dual_coef + bin_.bias
         return out
 
     def probabilities(self, windows) -> np.ndarray:
@@ -327,10 +332,9 @@ def train_multiclass(X, labels, spec: KernelSpec, tol: float = 1e-3,
     if classes[0] < 0 or classes[-1] >= N_CLASSES:
         raise DataError(f"labels outside the class codes 0..{N_CLASSES - 1}")
 
-    gamma = resolve_gamma(X, spec) if spec.kind == "rbf" else None
+    gamma, K = _fit_kernel(X, spec)   # K is shared across subproblems
     model = SvmModel(kernel=spec, gamma=gamma, classes=classes,
                      n_features=X.shape[1])
-    K = _fit_kernel(X, spec, gamma)   # shared across subproblems
     Y = np.where(labels == np.array(classes)[:, None], 1.0, -1.0)
     starts = (interior_start(K, Y, spec.C) if spec.kind == "linear"
               and len(X) <= START_MAX_N else [None] * len(Y))
@@ -340,24 +344,10 @@ def train_multiclass(X, labels, spec: KernelSpec, tol: float = 1e-3,
     return model
 
 
-def decision_values(model: SvmModel, X) -> np.ndarray:
-    """Raw per-class decision values, shape (n, n_classes); argmax is the
-    prediction."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != model.n_features:
-        raise DataError(f"feature dim {X.shape[1]} != trained {model.n_features}")
-    scores = np.zeros((X.shape[0], len(model.classes)))
-    for k, bin_ in enumerate(model.binaries):
-        Kx = kernel_matrix(X, bin_.support_vectors, model.kernel, model.gamma)
-        scores[:, k] = Kx @ bin_.dual_coef + bin_.bias
-    return scores
-
-
 def predict(model: SvmModel, X) -> np.ndarray:
-    """Predicted class codes; ties go to the lower code (argmax convention)."""
-    scores = decision_values(model, X)
-    idx = np.argmax(scores, axis=1)
-    return np.asarray(model.classes, dtype=np.int64)[idx]
+    """Predicted class codes, the scores' argmax: the columns are the codes
+    and untrained ones -inf, and ties go to the lower code."""
+    return model.scores(X).argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ def class_tone_clip(label: int, seed: int, sample_rate=4000, duration=1.0,
     clip = audio_io.synth_tone(freq, duration, sample_rate, amplitude=0.6)
     rng = np.random.default_rng(seed)
     samples = clip.samples + noise * rng.standard_normal(len(clip))
-    return audio_io.AudioClip(samples, sample_rate, source_id=f"c{label}s{seed}")
+    return audio_io.AudioClip(samples, sample_rate)
 
 
 @pytest.fixture(scope="session")
@@ -66,7 +67,7 @@ def edit_header(path, edit):
     Containers are: 8-byte magic, u32 version, u32 header length, JSON
     header, tensors.
     """
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     version, blob_len = struct.unpack_from("<II", data, 8)
     meta = json.loads(data[16 : 16 + blob_len])
     edit(meta)

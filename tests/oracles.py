@@ -24,7 +24,7 @@ def pad_to_length(clip: AudioClip, target: int) -> AudioClip:
     pad = target - n
     head = (pad + 1) // 2
     y = np.concatenate([np.zeros(head), clip.samples, np.zeros(pad - head)])
-    return AudioClip(y, clip.sample_rate, source_id=clip.source_id)
+    return AudioClip(y, clip.sample_rate)
 
 
 def truncate_to_length(clip: AudioClip, target: int) -> AudioClip:
@@ -37,7 +37,7 @@ def truncate_to_length(clip: AudioClip, target: int) -> AudioClip:
         raise ValueError(f"clip of {n} samples shorter than target {target}")
     start = (n - target + 1) // 2
     return AudioClip(clip.samples[start : start + target].copy(),
-                     clip.sample_rate, source_id=clip.source_id)
+                     clip.sample_rate)
 
 
 def kernel_eval(x, z, spec, gamma=None) -> float:

@@ -154,7 +154,7 @@ def test_criterion_07_overfit_fixture():
             assert np.all(np.isfinite(p["W"])) and np.all(np.isfinite(p["b"]))
     for k in range(1, len(model.specs) + 1):   # every layer's output
         head = replace(model, specs=model.specs[:k], params=model.params[:k])
-        out, _, _ = nn.forward(head, x, train=False)
+        out, _ = nn.forward(head, x)
         assert np.all(np.isfinite(out)), model.specs[k - 1]
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0

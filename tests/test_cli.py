@@ -153,17 +153,18 @@ class TestExtract:
         calls = []
         decode = audio_io.decode_wav
 
-        def counting_decode(data, source_id=None, **kwargs):
-            calls.append(source_id)
-            return decode(data, source_id=source_id, **kwargs)
+        def counting_decode(data, **kwargs):
+            calls.append(data)
+            return decode(data, **kwargs)
 
         monkeypatch.setattr(audio_io, "decode_wav", counting_decode)
         out = tmp_path / "features.bin"
         assert main(["extract", "--manifest", str(workspace["split_manifest"]),
                      "--out", str(out), "--frame-length", "512",
                      "--out-dir", str(tmp_path / "run")]) == 0
-        ids = [r.id for r in dataset.read_manifest(workspace["split_manifest"])]
-        assert sorted(calls) == sorted(ids)
+        wavs = [audio_io.read_file(r.path)
+                for r in dataset.read_manifest(workspace["split_manifest"])]
+        assert sorted(calls) == sorted(wavs)
         # the header-only length pass finds the same target_length
         assert (feat.cache_pipeline(out)
                 == feat.cache_pipeline(workspace["cache"]))
@@ -671,6 +672,12 @@ class TestSweepOptionsFailClosed:
         (["--range", "13:13"], "--range"),
         (["--range", "13:40:-1", "--extra-points", ""], "--range"),
         (["--range", "0:10:10", "--extra-points", ""], "--range"),
+        (["--extra-points", "a"], "--extra-points"),
+        (["--extra-points", "13,1e2"], "--extra-points"),
+        (["--kernels", "rbf,poly"], "--kernels"),
+        (["--kernels", ","], "--kernels"),
+        (["--kernels", ""], "--kernels"),
+        (["--kernels", "linear,linear"], "--kernels"),
     ])
     def test_exit_2_naming_option(self, workspace, tmp_path, capsys,
                                   monkeypatch, args, option):

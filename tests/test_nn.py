@@ -254,25 +254,54 @@ class TestDropout:
     def test_rate_zero_identity(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 5))
-        for train in (True, False):
-            out, mask = nn.dropout_forward(x, 0.0, train, rng=rng)
+        for gen in (rng, None):
+            out, mask = nn.dropout_forward(x, 0.0, gen)
             np.testing.assert_array_equal(out, x)
             assert mask is None
 
     def test_infer_identity(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(5, 5))
-        out, mask = nn.dropout_forward(x, 0.9, train=False)
+        out, mask = nn.dropout_forward(x, 0.9)
         np.testing.assert_array_equal(out, x)
         assert mask is None
 
     def test_monte_carlo_expectation(self):
         rng = np.random.default_rng(6)
         x = np.full(10 ** 6, 2.0)
-        out, mask = nn.dropout_forward(x, 0.5, train=True, rng=rng)
+        out, mask = nn.dropout_forward(x, 0.5, rng=rng)
         survivors = mask.mean()
         assert abs(survivors - 0.5) < 0.002
         assert abs(out.mean() - x.mean()) / x.mean() < 0.005
+
+    @staticmethod
+    def model_and_windows():
+        model = nn.build_emotion_cnn(seed=4)
+        x = np.random.default_rng(9).normal(size=(3,) + model.input_shape)
+        dropped = [i for i, s in enumerate(model.specs) if s.kind == "dropout"]
+        return model, x, dropped
+
+    def test_generators_seeded_alike_give_equal_passes(self):
+        model, x, dropped = self.model_and_windows()
+        (a, caches_a), (b, caches_b) = (
+            nn.forward(model, x, rng=np.random.default_rng(17)) for _ in range(2))
+        assert np.array_equal(a, b)
+        for i in dropped:   # each dropout layer's cache is its mask
+            assert caches_a[i].dtype == bool and not caches_a[i].all()
+            assert np.array_equal(caches_a[i], caches_b[i])
+
+    def test_no_generator_is_infer_mode(self):
+        # every dropout layer is the identity: the net without them gives
+        # the same logits, and predict_proba their softmax
+        model, x, dropped = self.model_and_windows()
+        logits, caches = nn.forward(model, x)
+        assert all(caches[i] is None for i in dropped)
+        keep = [i for i in range(len(model.specs)) if i not in dropped]
+        plain = nn.CnnModel(specs=tuple(model.specs[i] for i in keep),
+                            input_shape=model.input_shape,
+                            params=[model.params[i] for i in keep], seed=4)
+        assert np.array_equal(nn.forward(plain, x)[0], logits)
+        assert np.array_equal(nn.predict_proba(model, x), nn.softmax(logits))
 
 
 class TestLoss:
@@ -380,7 +409,7 @@ class TestGradientCheck:
         model.params[1]["W"][:] = 0.0
         x = np.array([[[[0.3], [-0.2]]], [[[0.1], [0.9]]]])
         labels = np.array([0, 2])
-        loss, grads, probs, _ = nn.loss_and_grads(model, x, labels, train=False)
+        loss, grads, probs = nn.loss_and_grads(model, x, labels)
         np.testing.assert_allclose(probs, 0.25)
         expected = np.full(4, 0.25) - np.array([0.5, 0.0, 0.5, 0.0])
         np.testing.assert_allclose(grads[1]["b"], expected, atol=1e-12)
@@ -422,8 +451,8 @@ def workspace_matches_plain_loop(n, dtype):
         losses = []
         for start in range(0, n, cfg.batch_size):
             sel = order[start:start + cfg.batch_size]
-            loss, grads, _, _ = nn.loss_and_grads(plain, xs[sel], labels[sel],
-                                                  rng=loop_rng)
+            loss, grads, _ = nn.loss_and_grads(plain, xs[sel], labels[sel],
+                                               rng=loop_rng)
             nn.rmsprop_step(plain.params, grads, acc, cfg, t)
             t += 1
             losses.append(loss * len(sel))
@@ -531,19 +560,22 @@ class TestTrainingDtype:
         with pytest.raises(ConfigError, match="dtype"):
             nn.TrainConfig(dtype=dtype)
 
-    def test_dropout_masks_match_and_loss_stays_float64(self):
+    def test_dropout_masks_match_and_loss_stays_float64(self, monkeypatch):
         model = nn.build_emotion_cnn(seed=2)
         x, labels = overfit_windows()
-        masks = {}
+        masks = []   # (output, mask) of each dropout layer, both passes
+        drop = nn.dropout_forward
+        monkeypatch.setattr(nn, "dropout_forward",
+                            lambda *a, **k: masks.append(drop(*a, **k)) or masks[-1])
         for dtype in (np.float64, np.float32):
             model.params = cast_params(model.params, dtype)
-            loss, grads, probs, masks[dtype] = nn.loss_and_grads(
+            loss, grads, probs = nn.loss_and_grads(
                 model, x, labels, rng=np.random.default_rng(13))
             assert isinstance(loss, float) and probs.dtype == np.float64
             assert all(g.dtype == dtype for p in grads if p is not None
                        for g in p.values())
-        assert len(masks[np.float64]) == 3
-        for a, b in zip(masks[np.float64], masks[np.float32]):
+        assert len(masks) == 6
+        for (_, a), (_, b) in zip(masks[:3], masks[3:]):
             assert a.dtype == bool and np.array_equal(a, b)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -551,7 +583,7 @@ class TestTrainingDtype:
         # a float64 buffer or gradient in float32 training would be a silent
         # upcast (matmul(out=) casts without a word); only the dropout draws
         # are float64 by design, and bool/integer masks keep their types
-        workspaces, seen = [], []
+        workspaces, seen, accs = [], [], []
 
         class Recording(nn.Workspace):
             def __init__(self):
@@ -566,6 +598,7 @@ class TestTrainingDtype:
                     seen.append(role)
 
         def checked_step(params, grads, acc, cfg, t):
+            accs.append(acc)
             for tensors in (params, grads, acc):
                 for p in tensors:
                     for v in (p or {}).values():
@@ -587,7 +620,7 @@ class TestTrainingDtype:
                 "ddrop"} <= set(seen)
         assert all(t.dtype == np.float64 for p in model.params if p is not None
                    for t in p.values())
-        assert all(t.dtype == dtype for a in model.rms_state if a is not None
+        assert all(t.dtype == dtype for a in accs[-1] if a is not None
                    for t in a.values())
 
     def test_float32_tracks_float64_per_epoch(self):

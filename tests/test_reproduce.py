@@ -25,15 +25,15 @@ def test_sweep_run_decodes_each_clip_once(tmp_path, monkeypatch, capsys):
     calls = []
     decode = audio_io.decode_wav
 
-    def counting_decode(data, source_id=None, **kwargs):
-        calls.append(source_id)
-        return decode(data, source_id=source_id, **kwargs)
+    def counting_decode(data, **kwargs):
+        calls.append(data)
+        return decode(data, **kwargs)
 
     monkeypatch.setattr(audio_io, "decode_wav", counting_decode)
     run_script("reproduce", ["--ravdess-dir", demo, "--out", out, "--epochs", 1,
                              "--sweep", "--sweep-runs", 1], monkeypatch)
     records = dataset.read_manifest(out / "manifest.csv")
-    assert sorted(calls) == sorted(r.id for r in records)
+    assert sorted(calls) == sorted(audio_io.read_file(r.path) for r in records)
     # the out dir is a run directory that lists what it holds
     listed = (out / "artifacts.csv").read_text().splitlines()
     assert listed[0] == "file"

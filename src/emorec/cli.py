@@ -347,6 +347,10 @@ def cmd_stream(opts, run: RunDir) -> int:
                         f"match the training rate {meta['sample_rate']} Hz")
     stream_cfg = streaming.StreamConfig(window_seconds=opts.window,
                                         hop_seconds=opts.hop)
+    # before the engine allocates a ring buffer of twice the window
+    if round(opts.window * clip.sample_rate) > len(clip):
+        raise ConfigError(f"--window {opts.window:g} s is longer than the "
+                          f"{len(clip) / clip.sample_rate:g} s of {opts.wav}")
     events, summary = streaming.stream_infer(clip, model, pipeline_cfg,
                                              stream_cfg)
     run.write_text("stream_events.csv", streaming.events_csv(events))

@@ -125,12 +125,16 @@ def scan_corpus(root: str, corpus: str) -> list[SampleRecord]:
     """Walk a directory tree and parse every .wav per the corpus convention.
 
     RAVDESS trees may contain non-speech modalities; those files are skipped
-    rather than rejected, since the corpora ship them side by side.
+    rather than rejected, since the corpora ship them side by side.  A root
+    that is not a directory, or that holds no clip of the corpus, is a
+    DataError naming it, not an empty corpus.
     """
     parser = {"ravdess": parse_ravdess_filename,
               "tess": parse_tess_filename}.get(corpus)
     if parser is None:
         raise DataError(f"unknown corpus {corpus!r}")
+    if not os.path.isdir(root):
+        raise DataError(f"{corpus} root {root!r} is not a directory")
     records = []
     for dirpath, _dirnames, filenames in os.walk(root):
         for fn in sorted(filenames):
@@ -143,6 +147,8 @@ def scan_corpus(root: str, corpus: str) -> list[SampleRecord]:
                 if corpus == "ravdess":
                     continue
                 raise
+    if not records:
+        raise DataError(f"{corpus} root {root!r} holds no {corpus} clip")
     records.sort(key=lambda r: r.id)
     return records
 

@@ -22,6 +22,17 @@ The reference 13x26 model:
 
 which on a (13, 26, 1) input produces 233,448 trainable parameters.
 
+Rows: a pass computes only the conv output rows that a later layer reads.
+Max pooling drops an odd last row, as Keras' valid pooling does (11 -> 5
+after conv2, 3 -> 1 after conv4), so those rows, and the conv1 and conv3
+rows that feed only them, would be computed, activated and back-propagated
+for nothing: their gradient is exact zeros.  `row_plan` walks the specs back
+from the output, asking each which rows of its input it reads, and gives
+conv1-conv4 12 of 13, 10 of 11, 4 of 5 and 2 of 3 rows on the reference
+model.  A dropout layer reads every row, since its mask's shape fixes how
+many uniforms it draws.  Declared shapes, parameters and checkpoints do not
+change; a conv's output and cache are shorter than its declared shape.
+
 Memory: `train()` keeps one `Workspace` of per-layer buffers (im2col
 columns, activations, masks, the gradients passed between layers) and reuses
 it on every step, so a step allocates only parameter-sized arrays (gradients,
@@ -29,11 +40,15 @@ RMSProp temporaries) and small ones.  ReLU works in place and backward reads
 its mask off the output; the first layer with parameters computes no input
 gradient.  Max pooling compares strided views in place of copying windows.
 `predict_proba` runs blocks of 16 windows through one `Workspace` of its own,
-so inference of any length maps about 19 MB of buffers, once per call.
+so inference of any length maps about 16 MB of buffers, once per call.
 
 Determinism: weight init, shuffling and dropout all draw from seeded PCG64
 generators in a fixed single-threaded order, so identical seeds reproduce
-identical training histories bit for bit, in either dtype.  A pass is in
+identical training histories bit for bit, in either dtype.  Computing fewer
+rows changes GEMM row counts, which can change a last bit, so results moved
+at the rounding level against versions that computed every row (~1e-16 in
+float64, ~1e-7 in float32 parameters), while a seed still reproduces itself
+bit for bit.  A pass is in
 train mode exactly when given a generator, so two seeded alike give bit-equal
 passes (`gradient_check` seeds one per loss evaluation).  Buffers change where
 results are written, never the operations or their order, so a run with a
@@ -46,6 +61,7 @@ number of windows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,11 +85,12 @@ PREDICT_BLOCK = 16   # windows per predict_proba pass (see Determinism)
 #
 # Each spec class is the one place that knows its layer type: `kind` (its
 # name in checkpoints and the audit table), `out_shape`, `param_shapes`
-# ({} for parameterless layers), and one `forward` / `backward` step.  The
-# steps call the primitive ops below by module-global name at call time.
-# Both steps take `buf`, the layer's buffer source (see `Workspace`), and
-# hand it to the primitives, which write their large outputs into it;
-# `forward` also takes the pass's dropout generator, None in infer mode.
+# ({} for parameterless layers), `rows_read` (the input rows it reads, for
+# `row_plan`), and one `forward` / `backward` step.  The steps call the
+# primitive ops below by module-global name at call time.  Both steps take
+# `buf`, the layer's buffer source (see `Workspace`), and hand it to the
+# primitives, which write their large outputs into it; `forward` also takes
+# the pass's dropout generator, None in infer mode, and its row count.
 
 def _fresh(role, shape, dtype):
     """Buffer source without a workspace: a new array on every call."""
@@ -116,9 +133,12 @@ def _deactivate(d, relu_out, buf):
 
 
 class _Layer:
-    """Defaults for a layer that has no parameters and keeps its input shape.
+    """Defaults for a layer that has no parameters, keeps its input shape and
+    reads every row of its input.
 
     `header` is the schema of its fields in a checkpoint (see `container`).
+    `forward(x, p, rng, buf, rows)` computes the first `rows` rows of the
+    output (None: all), which only a convolution can do with fewer rows.
     `backward(d, cache, buf, need_dx)` returns (input gradient, parameter
     gradients); need_dx is False only for the first layer with parameters,
     whose input gradient nothing reads.
@@ -131,6 +151,11 @@ class _Layer:
 
     def param_shapes(self, shape):
         return {}
+
+    def rows_read(self, rows, shape):
+        """Rows of an input shaped `shape` that the layer reads when later
+        layers read the first `rows` rows of its output (None: all)."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -156,8 +181,16 @@ class Conv2D(_Layer):
         k = self.kernel
         return {"W": (k, k, shape[-1], self.filters), "b": (self.filters,)}
 
-    def forward(self, x, p, rng, buf):
-        x, cache = conv2d_forward(x, p["W"], p["b"], self.padding, buf=buf)
+    def rows_read(self, rows, shape):
+        if rows is None:
+            return None
+        if self.padding == "valid":
+            return rows + self.kernel - 1
+        return min(shape[0], rows + (self.kernel - 1) // 2)
+
+    def forward(self, x, p, rng, buf, rows):
+        x, cache = conv2d_forward(x, p["W"], p["b"], self.padding, buf=buf,
+                                  rows=rows)
         x, relu_out = _activate(x, self.activation)
         return x, (cache, relu_out)
 
@@ -181,7 +214,11 @@ class MaxPool2D(_Layer):
             raise ConfigError(f"{h}x{w} too small for {self.size}x{self.size} pool")
         return (h // self.size, w // self.size, c)
 
-    def forward(self, x, p, rng, buf):
+    def rows_read(self, rows, shape):
+        # never the rows past the last whole window
+        return self.size * (shape[0] // self.size if rows is None else rows)
+
+    def forward(self, x, p, rng, buf, rows):
         return maxpool2d_forward(x, self.size, buf=buf)
 
     def backward(self, d, cache, buf, need_dx):
@@ -190,6 +227,9 @@ class MaxPool2D(_Layer):
 
 @dataclass(frozen=True)
 class DropoutSpec(_Layer):
+    """Reads every row: the mask's shape fixes how many uniforms it draws,
+    so a shorter input would shift every later mask."""
+
     rate: float
 
     kind = "dropout"
@@ -199,7 +239,7 @@ class DropoutSpec(_Layer):
         if not 0.0 <= self.rate < 1.0:
             raise ConfigError(f"dropout rate {self.rate} outside [0, 1)")
 
-    def forward(self, x, p, rng, buf):
+    def forward(self, x, p, rng, buf, rows):
         return dropout_forward(x, self.rate, rng, buf=buf)
 
     def backward(self, d, mask, buf, need_dx):
@@ -213,7 +253,7 @@ class FlattenSpec(_Layer):
     def out_shape(self, shape):
         return (int(np.prod(shape)),)
 
-    def forward(self, x, p, rng, buf):
+    def forward(self, x, p, rng, buf, rows):
         return x.reshape(x.shape[0], -1), x.shape
 
     def backward(self, d, x_shape, buf, need_dx):
@@ -236,7 +276,7 @@ class Dense(_Layer):
     def param_shapes(self, shape):
         return {"W": (shape[0], self.units), "b": (self.units,)}
 
-    def forward(self, x, p, rng, buf):
+    def forward(self, x, p, rng, buf, rows):
         x, cache = dense_forward(x, p["W"], p["b"], buf=buf)
         x, relu_out = _activate(x, self.activation)
         return x, (cache, relu_out)
@@ -262,11 +302,12 @@ _LAYER_TYPES = {cls.kind: cls for cls in (Conv2D, MaxPool2D, DropoutSpec,
 # takes the dtype of the tensor it is computed from, so one code path serves
 # float32 and float64.  Parameter gradients are always fresh arrays.
 
-def conv2d_forward(x, W, b, padding="same", buf=_fresh):
+def conv2d_forward(x, W, b, padding="same", buf=_fresh, rows=None):
     """Cross-correlation plus bias.  x: (N,H,W,Cin), W: (k,k,Cin,Cout).
 
     same-padding pads symmetrically with zeros (odd kernels only); valid
-    shrinks each spatial dim by k-1.
+    shrinks each spatial dim by k-1.  With `rows`, only the first `rows`
+    output rows are computed, from the padded input's first rows + k - 1.
     """
     k = W.shape[0]
     n, h, w, cin = x.shape
@@ -287,7 +328,12 @@ def conv2d_forward(x, W, b, padding="same", buf=_fresh):
     ho, wo = xp.shape[1] - k + 1, xp.shape[2] - k + 1
     if ho < 1 or wo < 1:
         raise ValueError(f"input {x.shape[1:3]} too small for {k}x{k} valid conv")
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    if rows is not None:
+        if not 0 < rows <= ho:
+            raise ValueError(f"cannot compute {rows} of {ho} output rows")
+        ho = rows
+    win = np.lib.stride_tricks.sliding_window_view(xp[:, :ho + k - 1], (k, k),
+                                                   axis=(1, 2))
     cols = buf("cols", (n * ho * wo, k * k * cin), x.dtype)
     np.copyto(cols.reshape(n, ho, wo, k, k, cin), win.transpose(0, 1, 2, 4, 5, 3))
     out = buf("out", (n, ho, wo, W.shape[3]), x.dtype)
@@ -506,6 +552,25 @@ def layer_shapes(specs, input_shape):
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def row_plan(specs, input_shape):
+    """Output rows each layer computes, None for all of them.
+
+    Walks back from the output: each layer is asked which rows of its input
+    it reads, given the rows that later layers read of its output (see
+    Rows in the module docstring).
+    """
+    shapes = [tuple(input_shape)] + layer_shapes(specs, input_shape)
+    plan = []
+    rows = None
+    for i in range(len(specs) - 1, -1, -1):
+        if rows is not None and rows >= shapes[i + 1][0]:
+            rows = None
+        plan.append(rows)
+        rows = specs[i].rows_read(rows, shapes[i])
+    return tuple(reversed(plan))
+
+
 def _param_shapes(specs, input_shape):
     """Parameter shapes of each layer ({} for parameterless layers)."""
     inputs = [tuple(input_shape)] + layer_shapes(specs, input_shape)[:-1]
@@ -587,12 +652,15 @@ def forward(model: CnnModel, x, rng=None, work=None):
     draws its masks from rng, layer by layer, and keeps each as its layer's
     cache.  Without one every dropout layer is the identity.  With a
     `Workspace`, the activations and caches live in its buffers until the
-    next pass that uses it.  x is cast to the parameters' dtype.
+    next pass that uses it.  x is cast to the parameters' dtype.  Each layer
+    computes the rows `row_plan` gives it, so a convolution's output and
+    cache may hold fewer rows than its declared shape.
     """
     x = np.asarray(x, dtype=model.dtype)
+    plan = row_plan(model.specs, x.shape[1:])
     caches = []
-    for i, (spec, p) in enumerate(zip(model.specs, model.params)):
-        x, cache = spec.forward(x, p, rng, _buffers(work, i))
+    for i, (spec, p, rows) in enumerate(zip(model.specs, model.params, plan)):
+        x, cache = spec.forward(x, p, rng, _buffers(work, i), rows)
         caches.append(cache)
     return x, caches
 
@@ -629,7 +697,7 @@ def predict_proba(model: CnnModel, x) -> np.ndarray:
     x must be shaped (N,) + model.input_shape; other shapes raise DataError
     before any layer runs.  Windows run in blocks of PREDICT_BLOCK through one
     `Workspace`, so every block after the first reuses the buffers of the one
-    before; at 16 windows the largest (conv2's im2col columns) is ~10 MB.
+    before; at 16 windows the largest (conv2's im2col columns) is ~9 MB.
     The layers run in the parameters' dtype, the softmax in float64.
     """
     x = np.asarray(x, dtype=model.dtype)

@@ -19,6 +19,7 @@ a view of the ring, with no copy and no second check.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -36,6 +37,10 @@ class StreamConfig:
     hop_seconds: float = 0.5
 
     def __post_init__(self):
+        for name in ("window_seconds", "hop_seconds"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not 0 < self.hop_seconds <= self.window_seconds:
             raise ConfigError(
                 f"need 0 < hop ({self.hop_seconds}) <= window ({self.window_seconds})")

@@ -101,6 +101,17 @@ class TestValidateDataset:
         assert "FAIL" in out
         assert (tmp_path / "r" / "class_counts.csv").exists()
 
+    @pytest.mark.parametrize("corpus", ["ravdess", "tess"])
+    def test_missing_root_exits_2_naming_it(self, tmp_path, capsys, corpus):
+        root = str(tmp_path / "missing")
+        code = main(["validate-dataset", "--data-root", root, "--corpus",
+                     corpus, "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert root in captured.err and "not a directory" in captured.err
+        assert "result:" not in captured.out
+        assert not (tmp_path / "r" / "class_counts.csv").exists()
+
 
 class TestSplitCmd:
     def test_split_is_seeded_and_reproducible(self, workspace, tmp_path):
@@ -480,6 +491,35 @@ class TestStreamCmd:
                      "--wav", str(wav), "--out-dir", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert "8000" in err and "4000" in err
+
+
+class TestStreamWindowExit2:
+    """A window that cannot fit the WAV exits 2, naming the option, before
+    any buffer is built and with no stream_events.csv."""
+
+    @pytest.mark.parametrize("window, says", [
+        ("inf", "window_seconds must be finite"),
+        ("nan", "window_seconds must be finite"),
+        ("1e9", "--window 1e+09 s is longer than the 1.01 s"),
+        ("3", "--window 3 s is longer than the 1.01 s")])
+    def test_window_refused(self, workspace, tmp_path, capsys, window, says):
+        wav = sorted(workspace["corpus"].glob("*.wav"))[0]   # 1.01 s
+        run = tmp_path / "r"
+        assert main(["stream", "--model", str(workspace["cnn_model"]),
+                     "--wav", str(wav), "--window", window,
+                     "--out-dir", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert says in err
+        assert "Traceback" not in err
+        assert not (run / "stream_events.csv").exists()
+
+    def test_window_equal_to_wav_streams_one_event(self, workspace, tmp_path):
+        wav = sorted(workspace["corpus"].glob("*.wav"))[0]
+        run = tmp_path / "r"
+        assert main(["stream", "--model", str(workspace["cnn_model"]),
+                     "--wav", str(wav), "--window", "1.01", "--hop", "0.5",
+                     "--out-dir", str(run)]) == 0
+        assert len((run / "stream_events.csv").read_text().splitlines()) == 2
 
 
 class TestDamagedInputsExit2:

@@ -237,3 +237,34 @@ class TestManifestIO:
         for r in tiny_records:
             counts[r.label] = counts.get(r.label, 0) + 1
         assert all(v == 6 for v in counts.values())
+
+
+class TestScanCorpusRoot:
+    """A root that is missing, or holds no clip of the corpus, is a DataError
+    naming it, not an empty corpus."""
+
+    @pytest.mark.parametrize("corpus", ["ravdess", "tess"])
+    def test_missing_root(self, tmp_path, corpus):
+        root = str(tmp_path / "missing")
+        with pytest.raises(DataError, match="not a directory") as exc:
+            dataset.scan_corpus(root, corpus)
+        assert root in str(exc.value)
+
+    def test_file_as_root(self, tmp_path):
+        root = tmp_path / "03-01-01-01-01-01-01.wav"
+        root.write_bytes(b"")
+        with pytest.raises(DataError, match="not a directory"):
+            dataset.scan_corpus(str(root), "ravdess")
+
+    @pytest.mark.parametrize("names", [
+        [],                                        # empty
+        ["notes.txt"],                             # no .wav at all
+        ["02-01-01-01-01-01-01.wav",               # RAVDESS video-only and
+         "03-02-01-01-01-01-01.wav"],              # song files are skipped
+    ])
+    def test_root_without_clips(self, tmp_path, names):
+        for name in names:
+            (tmp_path / name).write_bytes(b"")
+        with pytest.raises(DataError, match="holds no ravdess clip") as exc:
+            dataset.scan_corpus(str(tmp_path), "ravdess")
+        assert str(tmp_path) in str(exc.value)

@@ -132,6 +132,28 @@ class TestConv:
             nn.conv2d_forward(np.zeros((1, 4, 4, 3)), np.zeros((3, 3, 2, 1)),
                               np.zeros(1), "same")
 
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_rows_computes_leading_output_rows(self, padding):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2, 7, 6, 2))
+        W = rng.normal(size=(3, 3, 2, 4))
+        b = rng.normal(size=4)
+        full, _ = nn.conv2d_forward(x, W, b, padding)
+        for rows in range(1, full.shape[1] + 1):
+            out, cache = nn.conv2d_forward(x, W, b, padding, rows=rows)
+            assert out.shape == (2, rows) + full.shape[2:]
+            np.testing.assert_allclose(out, full[:, :rows], rtol=1e-12,
+                                       atol=1e-12)
+            # the input gradient keeps the input's shape; rows that no
+            # computed output reads get exact zeros
+            dx, _, _ = nn.conv2d_backward(rng.normal(size=out.shape), cache)
+            assert dx.shape == x.shape
+            read = rows + 2 if padding == "valid" else rows + 1
+            assert not dx[:, read:].any()
+        for rows in (0, full.shape[1] + 1):
+            with pytest.raises(ValueError, match="output rows"):
+                nn.conv2d_forward(x, W, b, padding, rows=rows)
+
 
 class TestMaxPool:
     def test_table_transitions(self):
@@ -648,6 +670,116 @@ class TestTrainingDtype:
             assert abs(b.train_loss - a.train_loss) <= 2e-3 * a.train_loss
             assert abs(b.val_loss - a.val_loss) <= 2e-3 * a.val_loss
             assert abs(b.val_acc - a.val_acc) <= 8 / 256 + 1e-12
+
+
+# Small stacks beside the reference model: odd and even heights, same and
+# valid convolutions, pools of 2 and 3, dropout between layers; each with the
+# output rows row_plan gives its convolutions (None: all)
+CROP_STACKS = [
+    ((13, 9, 2), (nn.Conv2D(4, padding="valid"), nn.Conv2D(3, padding="same"),
+                  nn.MaxPool2D(3), nn.DropoutSpec(0.3), nn.FlattenSpec(),
+                  nn.Dense(6), nn.DropoutSpec(0.5),
+                  nn.Dense(5, activation="softmax")),
+     (10, 9)),
+    ((14, 12, 1), (nn.Conv2D(3, padding="same"), nn.MaxPool2D(3),
+                   nn.Conv2D(4, padding="valid"), nn.DropoutSpec(0.2),
+                   nn.MaxPool2D(2), nn.FlattenSpec(),
+                   nn.Dense(5, activation="softmax")),
+     (12, None)),
+    ((17, 14, 1), (nn.Conv2D(3, padding="valid"), nn.DropoutSpec(0.25),
+                   nn.Conv2D(4, padding="same"), nn.MaxPool2D(2),
+                   nn.Conv2D(5, padding="valid"), nn.MaxPool2D(3),
+                   nn.FlattenSpec(), nn.Dense(5, activation="softmax")),
+     (None, 10, 3)),
+    ((10, 8, 1), (nn.Conv2D(3, padding="same"), nn.Conv2D(3, padding="valid"),
+                  nn.MaxPool2D(2), nn.DropoutSpec(0.4), nn.FlattenSpec(),
+                  nn.Dense(5, activation="softmax")),
+     (None, None)),
+]
+
+
+def crop_models():
+    """(model, conv rows) for the reference 13x26 and a 40x26 model, with
+    narrow layers, and for each of CROP_STACKS."""
+    narrow = dict(conv_filters=(4, 4, 6, 6), dense_units=12)
+    yield nn.build_emotion_cnn(seed=2, **narrow), (12, 10, 4, 2)
+    yield nn.build_emotion_cnn(n_mfcc=40, seed=2, **narrow), (None, None, 18, 16)
+    for k, (shape, specs, rows) in enumerate(CROP_STACKS):
+        yield nn.build_model(specs, shape, seed=k), rows
+
+
+def full_row_forward(model, x, rng=None):
+    """`nn.forward` with every layer computing all its rows, the primitives'
+    default: the oracle for the cropped pass."""
+    caches = []
+    for spec, p in zip(model.specs, model.params):
+        x, cache = spec.forward(x, p, rng, nn._fresh, None)
+        caches.append(cache)
+    return x, caches
+
+
+def rel_err(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+class TestRowPlan:
+    """Each convolution computes only the output rows a later layer reads."""
+
+    def conv_rows(self, model):
+        plan = nn.row_plan(model.specs, model.input_shape)
+        return tuple(rows for spec, rows in zip(model.specs, plan)
+                     if spec.kind == "conv2d")
+
+    def test_reference_model_plans(self):
+        assert self.conv_rows(nn.build_emotion_cnn()) == (12, 10, 4, 2)
+        # 40 rows: conv1-conv2 are full, conv3 18 of 19, conv4 16 of 17
+        assert self.conv_rows(nn.build_emotion_cnn(n_mfcc=40)) == (
+            None, None, 18, 16)
+        assert self.conv_rows(nn.build_emotion_cnn(n_mfcc=26)) == (None,) * 4
+        # only convolutions crop
+        plan = nn.row_plan(nn.build_emotion_cnn().specs, (13, 26, 1))
+        assert plan == (12, 10) + (None,) * 2 + (4, 2) + (None,) * 6
+
+    def pass_and_grads(self, model, forward, x, labels, rng):
+        logits, caches = forward(model, x, rng=rng)
+        loss, dlogits, _ = nn.softmax_cross_entropy(logits, labels)
+        return logits, loss, nn.backward(model, dlogits, caches)
+
+    def test_cropped_pass_matches_full_row_oracle(self):
+        for model, rows in crop_models():
+            assert self.conv_rows(model) == rows
+            data = np.random.default_rng(len(model.specs))
+            x = data.normal(size=(5,) + model.input_shape)
+            labels = data.integers(0, model.n_classes, size=5)
+            rng_crop, rng_full = (np.random.default_rng(31) for _ in range(2))
+            (logits, loss, grads), (want_logits, want_loss, want_grads) = (
+                self.pass_and_grads(model, forward, x, labels, rng)
+                for forward, rng in ((nn.forward, rng_crop),
+                                     (full_row_forward, rng_full)))
+            # no dropout draw changed: both generators end in one state
+            assert (rng_crop.bit_generator.state
+                    == rng_full.bit_generator.state)
+            assert rel_err(logits, want_logits) <= 1e-12
+            assert abs(loss - want_loss) <= 1e-12 * want_loss
+            for g, want in zip(grads, want_grads):
+                for key in (want or {}):
+                    assert g[key].shape == want[key].shape
+                    assert rel_err(g[key], want[key]) <= 1e-12
+            # each conv computed the rows planned: its ReLU cache is its output
+            _, caches = nn.forward(model, x)
+            shapes = nn.layer_shapes(model.specs, model.input_shape)
+            conv = [i for i, spec in enumerate(model.specs)
+                    if spec.kind == "conv2d"]
+            assert [caches[i][1].shape[1] for i in conv] == [
+                planned or shapes[i][0] for i, planned in zip(conv, rows)]
+
+    def test_predict_matches_full_row_oracle(self):
+        model = nn.build_emotion_cnn(seed=3)
+        x = np.random.default_rng(4).normal(size=(12,) + model.input_shape)
+        probs = nn.predict_proba(model, x)
+        want = nn.softmax(full_row_forward(model, x)[0])
+        np.testing.assert_allclose(probs, want, rtol=0, atol=1e-15)
+        assert np.array_equal(probs.argmax(axis=1), want.argmax(axis=1))
 
 
 class TestCheckpoint:

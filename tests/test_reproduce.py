@@ -1,6 +1,9 @@
 import importlib.util
 import os
+import runpy
 import sys
+
+import pytest
 
 from emorec import audio_io, dataset, features, nn, sweep
 from emorec.cli import main
@@ -60,3 +63,21 @@ def test_sweep_run_decodes_each_clip_once(tmp_path, monkeypatch, capsys):
                  "--wav", records[0].path, "--window", "0.5", "--hop", "0.25",
                  "--out-dir", str(out / "stream")]) == 0
 
+
+@pytest.mark.parametrize("which", ["ravdess", "tess"])
+def test_missing_corpus_dir_exits_2(tmp_path, monkeypatch, capsys, which):
+    """A mistyped --ravdess-dir or --tess-dir exits 2 naming the directory,
+    with no traceback and before any training."""
+    demo, missing = tmp_path / "demo", str(tmp_path / "missing")
+    run_script("make_demo_data", ["--out", demo, "--per-class", 5], monkeypatch)
+    dirs = {"ravdess": ["--ravdess-dir", missing],
+            "tess": ["--ravdess-dir", str(demo), "--tess-dir", missing]}[which]
+    monkeypatch.setattr(sys, "argv", ["reproduce.py", *dirs, "--out",
+                                      str(tmp_path / "out"), "--epochs", "1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(os.path.join(SCRIPTS, "reproduce.py"),
+                       run_name="__main__")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{which} root {missing!r} is not a directory" in err
+    assert not (tmp_path / "out" / "cnn_model.bin").exists()

@@ -194,6 +194,15 @@ class TestGuards:
         with pytest.raises(ConfigError):
             StreamConfig(window_seconds=1.0, hop_seconds=2.0)
 
+    @pytest.mark.parametrize("window, hop, field", [
+        (float("inf"), 0.5, "window_seconds"),
+        (float("nan"), 0.5, "window_seconds"),
+        (3.0, float("inf"), "hop_seconds"),
+        (float("inf"), float("inf"), "window_seconds")])
+    def test_non_finite_window_or_hop_rejected(self, window, hop, field):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            StreamConfig(window_seconds=window, hop_seconds=hop)
+
     @pytest.mark.parametrize("chunk_size", [0, -5])
     def test_chunk_size_below_one_rejected(self, trained_cnn,
                                            stream_pipeline_cfg, chunk_size):

@@ -5,9 +5,10 @@ Executes the full protocol when RAVDESS (and optionally TESS) are on disk:
 validate the label distribution, 60/20/20 stratified split, 13x26 MFCC
 extraction, 500-epoch CNN training, evaluation with per-class metrics, and
 (with --sweep) the SVM coefficient-count sweep over {10,13,20..120} with
-10-run averaging.  Results are printed next to the published reference
-numbers; deltas are informational, not asserted, since the original seeds
-are not recoverable.
+10-run averaging.  With --augment the CNN also trains on each train clip
+time-reversed, twice the train windows.  Results are printed next to the
+published reference numbers; deltas are informational, not asserted, since
+the original seeds are not recoverable.
 
     python scripts/reproduce.py --ravdess-dir /data/RAVDESS --out repro_run
     python scripts/reproduce.py --ravdess-dir ... --tess-dir ... --augment
@@ -39,7 +40,7 @@ def main() -> int:
     parser.add_argument("--batch-size", type=int, default=32)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--augment", action="store_true",
-                        help="train with reversed + inverted copies")
+                        help="also train on each train clip time-reversed")
     parser.add_argument("--sweep", action="store_true",
                         help="also run the 13-point x 10-run SVM sweep (slow)")
     parser.add_argument("--sweep-runs", type=int, default=10)
@@ -81,23 +82,21 @@ def reproduce(args, run: RunDir) -> int:
     cnn_point = cfgs.index(cfg)
     t0 = time.time()
     sets = {name: ([], []) for name in ("train", "val", "test")}
-    base, sweep_windows = [], []
+    sweep_windows = []
     for r, clip in zip(records, audio_io.read_clips(records, target)):
         windows = features.extract_clip(clip, cfgs)
-        if args.sweep and r.augmented_from is None:
-            base.append(r)
+        if args.sweep:
             sweep_windows.append(windows)
         sets[r.split][0].append(windows[cnn_point])
         sets[r.split][1].append(int(r.label))
         if args.augment and r.split == "train":
-            for v in (features.augment_reverse(clip), features.augment_invert(clip)):
-                sets[r.split][0].extend(features.extract_clip(v, [cfg]))
-                sets[r.split][1].append(int(r.label))
+            sets[r.split][0].extend(
+                features.extract_clip(features.augment_reverse(clip), [cfg]))
+            sets[r.split][1].append(int(r.label))
     print(f"extracted {len(sets['train'][0]) + len(sets['val'][0]) + len(sets['test'][0])} "
           f"windows in {time.time() - t0:.0f}s")
     if args.augment:
-        print(f"train split augmented to {len(sets['train'][0])} windows "
-              "(note: inverted windows duplicate their sources)")
+        print(f"train split augmented to {len(sets['train'][0])} windows")
 
     x_train = np.stack([w.matrix for w in sets["train"][0]])[..., None]
     y_train = np.asarray(sets["train"][1])
@@ -129,8 +128,8 @@ def reproduce(args, run: RunDir) -> int:
 
     if args.sweep:
         result = sweep.fit_svm_sweep(
-            sweep_windows, [int(r.label) for r in base],
-            runs=args.sweep_runs, base_seed=args.seed, records=base)
+            sweep_windows, [int(r.label) for r in records],
+            runs=args.sweep_runs, base_seed=args.seed, records=records)
         run.write_text("sweep_raw.csv", result.raw_csv())
         run.write_text("sweep_mean.csv", result.mean_csv())
         best = max(result.mean().items(), key=lambda kv: kv[1])

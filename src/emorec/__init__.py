@@ -13,8 +13,8 @@ from .dataset import (EmotionLabel, SampleRecord, parse_ravdess_filename,
                       parse_tess_filename, stratified_split, validate_manifest)
 from .dsp import (MfccMatrix, dct2, fft, inverse_mel_scale, mel_filterbank,
                   mel_scale, mfcc, stft)
-from .features import (FeatureWindow, PipelineConfig, augment_invert,
-                       augment_reverse, extract_clip, extract_window, flatten)
+from .features import (FeatureWindow, PipelineConfig, augment_reverse,
+                       extract_clip, extract_window, flatten)
 from .metrics import (confusion_matrix, metrics_report, precision_recall_f1,
                       top_k_accuracy)
 from .nn import (CnnModel, TrainConfig, build_emotion_cnn, cross_entropy_loss,

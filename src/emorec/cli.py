@@ -6,7 +6,7 @@ sweep-svm, augment, stream, gradient-check, audit-params.
 The paper's protocol fixes what has no option: full-band 26-mel MFCC windows
 (more bands when more coefficients are asked), a 60/20/20 stratified split,
 SVMs at C = 10 with gamma "scale" and tol 1e-3, a 512-unit CNN trained with
-RMSProp (lr 1e-4, decay 1e-6), reverse + invert augmentation, and streaming
+RMSProp (lr 1e-4, decay 1e-6), time-reversal augmentation, and streaming
 through 4096-sample chunks.  The options left are the inputs, the outputs
 and the protocol's own variables (coefficients, frame length, kernel, epochs,
 batch size, sweep grid, stream window and hop).
@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -311,25 +312,20 @@ def cmd_augment(opts, run: RunDir) -> int:
     wav_dir = os.path.join(run.path, "wavs")
     os.makedirs(wav_dir, exist_ok=True)
     out_records = list(records)
-    n_written = 0
     base = [r for r in records if r.augmented_from is None]
     for r, clip in zip(base, audio_io.read_clips(base)):
-        for aug, transform in features.AUGMENTATIONS.items():
-            new_id = f"{r.id}_{aug[:3]}"
-            data, _clipped = audio_io.encode_wav(transform(clip))
-            path = os.path.join(wav_dir, new_id + ".wav")
-            with open(path, "wb") as fh:
-                fh.write(data)
-            run.produced.append(os.path.join("wavs", new_id + ".wav"))
-            out_records.append(dataset.SampleRecord(
-                id=new_id, path=path, label=r.label, corpus=r.corpus,
-                actor=r.actor, augmented_from=r.id, augmentation=aug))
-            n_written += 1
+        new_id = f"{r.id}_rev"
+        data, _clipped = audio_io.encode_wav(features.augment_reverse(clip))
+        path = os.path.join(wav_dir, new_id + ".wav")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        run.produced.append(os.path.join("wavs", new_id + ".wav"))
+        out_records.append(dataset.SampleRecord(
+            id=new_id, path=path, label=r.label, corpus=r.corpus,
+            actor=r.actor, augmented_from=r.id, augmentation="reverse"))
     out = opts.out or run.file("manifest_augmented.csv")
     dataset.write_manifest(out, out_records)
-    print(f"wrote {n_written} augmented clips; manifest -> {out}")
-    print("note: inverted clips produce feature windows identical to "
-          "their source (polarity flips leave magnitude spectra unchanged)")
+    print(f"wrote {len(base)} augmented clips; manifest -> {out}")
     return 0
 
 
@@ -345,12 +341,13 @@ def cmd_stream(opts, run: RunDir) -> int:
     if meta.get("sample_rate") and meta["sample_rate"] != clip.sample_rate:
         raise DataError(f"stream sample rate {clip.sample_rate} Hz does not "
                         f"match the training rate {meta['sample_rate']} Hz")
-    stream_cfg = streaming.StreamConfig(window_seconds=opts.window,
-                                        hop_seconds=opts.hop)
-    # before the engine allocates a ring buffer of twice the window
-    if round(opts.window * clip.sample_rate) > len(clip):
+    # a finite window too long for the WAV is named against its duration
+    # before StreamConfig's own limit can refuse it
+    if math.isfinite(opts.window) and round(opts.window * clip.sample_rate) > len(clip):
         raise ConfigError(f"--window {opts.window:g} s is longer than the "
                           f"{len(clip) / clip.sample_rate:g} s of {opts.wav}")
+    stream_cfg = streaming.StreamConfig(window_seconds=opts.window,
+                                        hop_seconds=opts.hop)
     events, summary = streaming.stream_infer(clip, model, pipeline_cfg,
                                              stream_cfg)
     run.write_text("stream_events.csv", streaming.events_csv(events))

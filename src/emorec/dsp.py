@@ -19,6 +19,7 @@ Conventions fixed here:
   * Hann window, periodic form w[n] = 0.5 - 0.5*cos(2*pi*n/N).
   * STFT frames are zero-padded to the next power of two before the FFT;
     magnitudes keep bins 0 .. frame_length//2.
+  * Mel filters span [0, Nyquist].
   * Log floor eps = 1e-10 keeps silent frames finite.
 """
 
@@ -188,9 +189,6 @@ class MelFilterbank:
 
     weights: np.ndarray        # n_mels x n_bins, entries in [0, 1]
     centers_hz: np.ndarray     # n_mels center frequencies, strictly increasing
-    f_min: float
-    f_max: float
-    sample_rate: int
 
     @property
     def n_mels(self) -> int:
@@ -198,8 +196,8 @@ class MelFilterbank:
 
 
 @functools.lru_cache(maxsize=64)
-def _filterbank_cached(n_mels, n_bins, sample_rate, f_min, f_max, fft_length):
-    lo, hi = mel_scale(f_min), mel_scale(f_max)
+def _filterbank_cached(n_mels, n_bins, sample_rate, fft_length):
+    lo, hi = mel_scale(0.0), mel_scale(sample_rate / 2)
     breaks_hz = inverse_mel_scale(np.linspace(lo, hi, n_mels + 2))
     bin_freqs = np.arange(n_bins) * (sample_rate / fft_length)
 
@@ -214,7 +212,7 @@ def _filterbank_cached(n_mels, n_bins, sample_rate, f_min, f_max, fft_length):
         if peak <= 0.0:
             raise ConfigError(
                 f"mel filter {j} has no support: {n_bins} bins cannot resolve "
-                f"{n_mels} mel bands over [{f_min}, {f_max}] Hz")
+                f"{n_mels} mel bands over [0, {sample_rate / 2}] Hz")
         weights[j] /= peak
     weights.setflags(write=False)
     centers = breaks_hz[1:-1].copy()
@@ -223,9 +221,8 @@ def _filterbank_cached(n_mels, n_bins, sample_rate, f_min, f_max, fft_length):
 
 
 def mel_filterbank(n_mels: int, n_fft_bins: int, sample_rate: int,
-                   f_min: float = 0.0, f_max: float | None = None,
                    fft_length: int | None = None) -> MelFilterbank:
-    """Build n_mels triangular filters over [f_min, f_max].
+    """Build n_mels triangular filters over [0, Nyquist].
 
     n_mels + 2 break frequencies are spaced equally on the mel axis, mapped
     back to Hz; row j is the triangle over (break[j], break[j+1], break[j+2])
@@ -236,17 +233,10 @@ def mel_filterbank(n_mels: int, n_fft_bins: int, sample_rate: int,
     """
     if n_mels < 1:
         raise ValueError(f"n_mels must be >= 1, got {n_mels}")
-    if f_max is None:
-        f_max = sample_rate / 2
-    if f_max > sample_rate / 2:
-        raise ValueError(f"f_max {f_max} above Nyquist {sample_rate / 2}")
-    if not f_min < f_max:
-        raise ValueError(f"need f_min < f_max, got [{f_min}, {f_max}]")
     if fft_length is None:
         fft_length = 2 * (n_fft_bins - 1)
-    weights, centers = _filterbank_cached(
-        n_mels, n_fft_bins, sample_rate, float(f_min), float(f_max), fft_length)
-    return MelFilterbank(weights, centers, float(f_min), float(f_max), sample_rate)
+    return MelFilterbank(*_filterbank_cached(n_mels, n_fft_bins, sample_rate,
+                                             fft_length))
 
 
 # ---------------------------------------------------------------------------
@@ -298,23 +288,21 @@ class MfccMatrix:
 
 
 def mel_cepstrum(magnitudes: np.ndarray, sample_rate: int, fft_length: int,
-                 n_mfcc: int, n_mels: int, f_min: float = 0.0,
-                 f_max: float | None = None) -> np.ndarray:
+                 n_mfcc: int, n_mels: int) -> np.ndarray:
     """Magnitude frames (n_frames x n_bins) -> mel filterbank -> log -> DCT-II,
     truncated to n_mfcc rows: an n_mfcc x n_frames coefficient matrix."""
     if n_mfcc > n_mels:
         raise ValueError(f"n_mfcc {n_mfcc} exceeds n_mels {n_mels}")
-    fb = mel_filterbank(n_mels, magnitudes.shape[1], sample_rate, f_min, f_max,
+    fb = mel_filterbank(n_mels, magnitudes.shape[1], sample_rate,
                         fft_length=fft_length)
     log_energy = np.log(magnitudes @ fb.weights.T + LOG_FLOOR)  # frames x mels
     return dct2(log_energy, n_mfcc).T
 
 
 def mfcc(clip: AudioClip, n_mfcc: int, frame_length: int, hop_length: int,
-         n_mels: int = 26, f_min: float = 0.0,
-         f_max: float | None = None) -> MfccMatrix:
+         n_mels: int = 26) -> MfccMatrix:
     """MFCCs: :func:`stft`, then :func:`mel_cepstrum` of its magnitudes."""
     spec = stft(clip, frame_length, hop_length)
     return MfccMatrix(mel_cepstrum(spec.magnitudes, clip.sample_rate,
-                                   spec.fft_length, n_mfcc, n_mels, f_min, f_max),
+                                   spec.fft_length, n_mfcc, n_mels),
                       frame_length, hop_length, n_mels, n_mfcc)

@@ -11,10 +11,9 @@ bit-identical to running those steps on the whole clip
 (``normalize_loudness`` here, the cut and the padding in ``tests/oracles.py``),
 and builds the windows of several configs (a sweep's points) from one FFT.
 
-Augmentations: time reversal and polarity inversion.  Inversion leaves the
-magnitude spectrum, hence the feature window, bit-identical to the original;
-anything consuming augmented manifests is told about these duplicates rather
-than having them silently dropped.
+Augmentation: time reversal, which changes the window.  Polarity inversion
+would not: |FFT(-x)| = |FFT(x)|, so a negated clip's window is bit-identical
+to its source's, and it is not offered.
 
 Feature cache on disk: the models' container layout (magic ``EMOFEATC``,
 version 2), its JSON header holding the ids, labels, window shape
@@ -119,15 +118,6 @@ def normalize_loudness(clip: AudioClip) -> AudioClip:
 
 def augment_reverse(clip: AudioClip) -> AudioClip:
     return AudioClip(clip.samples[::-1].copy(), clip.sample_rate)
-
-
-def augment_invert(clip: AudioClip) -> AudioClip:
-    return AudioClip(-clip.samples, clip.sample_rate)
-
-
-# Inverted clips produce bit-identical feature windows (|FFT(-x)| == |FFT(x)|),
-# so augmented datasets carry duplicate features for every "invert" record.
-AUGMENTATIONS = {"reverse": augment_reverse, "invert": augment_invert}
 
 
 def _silent(cfg: PipelineConfig) -> FeatureWindow:

@@ -1,12 +1,12 @@
 """Sliding-window streaming inference over live or file audio.
 
-A ring buffer holds the most recent window (default 3 s); every hop
-(default 0.5 s) of newly arrived audio triggers one classification of the
-buffered window: normalize -> pad/truncate to the training target length ->
-feature window -> model scores.  Event emission depends only on cumulative
-sample counts, so the same audio produces the same events regardless of
-chunking or processing speed; a slow consumer delays events, it never drops
-them.
+A ring buffer holds the most recent window (default 3 s, at most
+``MAX_WINDOW_SECONDS``, 60 s); every hop (default 0.5 s) of newly arrived
+audio triggers one classification of the buffered window: normalize ->
+pad/truncate to the training target length -> feature window -> model
+scores.  Event emission depends only on cumulative sample counts, so the same
+audio produces the same events regardless of chunking or processing speed; a
+slow consumer delays events, it never drops them.
 
 Latency is wall-clock per event; the run summary reports p50/p95/max latency
 and the real-time factor (processing time / audio duration).  RTF < 1 means
@@ -31,6 +31,10 @@ from .dataset import N_CLASSES, csv_text
 from .errors import ConfigError, DataError
 
 
+# the ring holds twice the window: 46 MB of float64 at 48 kHz
+MAX_WINDOW_SECONDS = 60.0
+
+
 @dataclass(frozen=True)
 class StreamConfig:
     window_seconds: float = 3.0
@@ -41,6 +45,9 @@ class StreamConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        if self.window_seconds > MAX_WINDOW_SECONDS:
+            raise ConfigError(f"window_seconds {self.window_seconds:g} is above "
+                              f"the {MAX_WINDOW_SECONDS:g} s limit")
         if not 0 < self.hop_seconds <= self.window_seconds:
             raise ConfigError(
                 f"need 0 < hop ({self.hop_seconds}) <= window ({self.window_seconds})")

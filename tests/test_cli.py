@@ -424,38 +424,43 @@ class TestSweepCmd:
 
 
 class TestAugmentCmd:
-    def test_triples_and_flags_duplicates(self, workspace, tmp_path, capsys):
-        run = tmp_path / "r"
-        out_manifest = tmp_path / "aug.csv"
+    def augment(self, workspace, tmp_path):
+        run, out = tmp_path / "r", tmp_path / "aug.csv"
         assert main(["augment", "--manifest", str(workspace["manifest"]),
-                     "--out", str(out_manifest), "--out-dir", str(run)]) == 0
-        out = capsys.readouterr().out
-        assert "identical" in out  # the invert-duplicates note
-        records = dataset.read_manifest(out_manifest)
-        assert len(records) == 48 * 3
-        aug = [r for r in records if r.augmented_from]
-        assert len(aug) == 96
-        for r in aug[:4]:
-            assert os.path.exists(r.path)
+                     "--out", str(out), "--out-dir", str(run)]) == 0
+        return run, dataset.read_manifest(out)
+
+    def test_doubles_with_reversed_clips(self, workspace, tmp_path, capsys):
+        run, records = self.augment(workspace, tmp_path)
+        assert "wrote 48 augmented clips" in capsys.readouterr().out
+        base = dataset.read_manifest(workspace["manifest"])
+        assert len(records) == 2 * len(base) == 96
+        assert [r.id for r in records[:48]] == [r.id for r in base]
+        aug = records[48:]
+        assert [(r.id, r.augmented_from) for r in aug] == [
+            (f"{r.id}_rev", r.id) for r in base]
+        assert {r.augmentation for r in aug} == {"reverse"}
+        listed = (run / "artifacts.csv").read_text().splitlines()[1:]
+        assert [p for p in listed if p.startswith("wavs")] == [
+            os.path.join("wavs", r.id + ".wav") for r in aug]
 
     def test_augmented_features_match_expectation(self, workspace, tmp_path):
-        # decode one inverted file and check bit-identical feature window
+        # each _rev.wav is its source reversed, bit for bit (the PCM16 grid is
+        # closed under reversal), so its window is the reversed clip's, which
+        # is not the source's
         from emorec import features as feat
-        run = tmp_path / "r"
-        out_manifest = tmp_path / "aug.csv"
-        main(["augment", "--manifest", str(workspace["manifest"]),
-              "--out", str(out_manifest), "--out-dir", str(run)])
-        records = dataset.read_manifest(out_manifest)
+        _, records = self.augment(workspace, tmp_path)
         by_id = {r.id: r for r in records}
-        aug = next(r for r in records if r.augmentation == "invert")
-        src = by_id[aug.augmented_from]
         cfg = feat.PipelineConfig(n_mfcc=13, target_length=4200,
                                   frame_length=512, n_mels=26)
-        with open(src.path, "rb") as fh:
-            w1 = feat.extract_window(audio_io.decode_wav(fh.read()), cfg)
-        with open(aug.path, "rb") as fh:
-            w2 = feat.extract_window(audio_io.decode_wav(fh.read()), cfg)
-        np.testing.assert_allclose(w1.matrix, w2.matrix, atol=1e-9)
+        for r in records[48:]:
+            src = audio_io.decode_wav(audio_io.read_file(by_id[r.augmented_from].path))
+            rev = audio_io.decode_wav(audio_io.read_file(r.path))
+            np.testing.assert_array_equal(rev.samples, src.samples[::-1])
+            w_src, w_rev = (feat.extract_window(c, cfg).matrix for c in (src, rev))
+            np.testing.assert_array_equal(
+                w_rev, feat.extract_window(feat.augment_reverse(src), cfg).matrix)
+            assert not np.array_equal(w_rev, w_src)
 
 
 class TestStreamCmd:
@@ -510,6 +515,18 @@ class TestStreamWindowExit2:
                      "--out-dir", str(run)]) == 2
         err = capsys.readouterr().err
         assert says in err
+        assert "Traceback" not in err
+        assert not (run / "stream_events.csv").exists()
+
+    def test_window_above_limit_refused(self, workspace, tmp_path, capsys):
+        wav = tmp_path / "long.wav"   # 62 s, so the window fits it
+        wav.write_bytes(audio_io.encode_wav(audio_io.synth_tone(300, 62.0, 4000))[0])
+        run = tmp_path / "r"
+        assert main(["stream", "--model", str(workspace["cnn_model"]),
+                     "--wav", str(wav), "--window", "61",
+                     "--out-dir", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert "window_seconds 61 is above the 60 s limit" in err
         assert "Traceback" not in err
         assert not (run / "stream_events.csv").exists()
 

@@ -194,7 +194,7 @@ class TestMelFilterbank:
         assert np.all(np.diff(fb.centers_hz) > 0)
 
     def test_first_center_matches_break_construction(self):
-        fb = dsp.mel_filterbank(26, 1025, 16000, f_min=0.0, f_max=8000.0)
+        fb = dsp.mel_filterbank(26, 1025, 16000)
         delta = (dsp.mel_scale(8000.0) - dsp.mel_scale(0.0)) / 27
         expected = dsp.inverse_mel_scale(dsp.mel_scale(0.0) + delta)
         bin_width = 16000 / 2048
@@ -210,16 +210,12 @@ class TestMelFilterbank:
             assert np.all(np.diff(row[peak:support[-1] + 1]) <= 0)
 
     def test_support_partition(self):
-        # every bin strictly inside (f_min, f_max) touched by some filter
-        fb = dsp.mel_filterbank(26, 513, 8000, f_min=0.0, f_max=4000.0)
+        # every bin strictly inside (0, Nyquist) touched by some filter
+        fb = dsp.mel_filterbank(26, 513, 8000)
         freqs = np.arange(513) * (8000 / 1024)
         inside = (freqs > 0) & (freqs < 4000)
         covered = fb.weights.sum(axis=0) > 0
         assert np.all(covered[inside])
-
-    def test_nyquist_guard(self):
-        with pytest.raises(ValueError):
-            dsp.mel_filterbank(26, 513, 8000, f_max=4001.0)
 
     def test_too_many_bands_for_resolution(self):
         with pytest.raises(ConfigError):

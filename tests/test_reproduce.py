@@ -3,6 +3,7 @@ import os
 import runpy
 import sys
 
+import numpy as np
 import pytest
 
 from emorec import audio_io, dataset, features, nn, sweep
@@ -62,6 +63,37 @@ def test_sweep_run_decodes_each_clip_once(tmp_path, monkeypatch, capsys):
     assert main(["stream", "--model", str(out / "cnn_model.bin"),
                  "--wav", records[0].path, "--window", "0.5", "--hop", "0.25",
                  "--out-dir", str(out / "stream")]) == 0
+
+
+def test_augment_adds_each_train_clips_reversed_window(tmp_path, monkeypatch,
+                                                      capsys):
+    """`reproduce.py --augment` trains on each train clip's window followed
+    by its time-reversed clip's: twice the train clips' windows."""
+    demo, out = tmp_path / "demo", tmp_path / "out"
+    run_script("make_demo_data", ["--out", demo, "--per-class", 5], monkeypatch)
+    seen = []
+    train = nn.train
+
+    def spy(model, x, labels, *args, **kwargs):
+        seen.append((x.copy(), labels.copy()))
+        return train(model, x, labels, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "train", spy)
+    run_script("reproduce", ["--ravdess-dir", demo, "--out", out, "--epochs", 1,
+                             "--augment"], monkeypatch)
+    [(x, labels)] = seen
+    records = dataset.read_manifest(out / "manifest.csv")
+    train_records = [r for r in records if r.split == "train"]
+    assert (f"train split augmented to {2 * len(train_records)} windows"
+            in capsys.readouterr().out)
+    assert x.shape == (2 * len(train_records), 13, 26, 1)
+    cfg = features.PipelineConfig(target_length=audio_io.max_length(records))
+    for k, (r, clip) in enumerate(zip(train_records,
+                                      audio_io.read_clips(train_records))):
+        want = [features.extract_clip(c, [cfg])[0].matrix
+                for c in (clip, features.augment_reverse(clip))]
+        np.testing.assert_array_equal(x[2 * k : 2 * k + 2, ..., 0], want)
+        assert list(labels[2 * k : 2 * k + 2]) == [int(r.label)] * 2
 
 
 @pytest.mark.parametrize("which", ["ravdess", "tess"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,24 @@ class TestGuards:
     def test_non_finite_window_or_hop_rejected(self, window, hop, field):
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             StreamConfig(window_seconds=window, hop_seconds=hop)
+
+    def test_window_above_limit_refused_before_any_buffer(
+            self, trained_cnn, stream_pipeline_cfg):
+        # a 1e9 s window's ring would be 58.2 TiB at 4 kHz
+        clip = ten_second_clip()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"window_seconds 1e\+09 is "
+                               "above the 60 s limit"):
+                stream_infer(clip, trained_cnn, stream_pipeline_cfg,
+                             StreamConfig(1e9, 0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert StreamConfig(streaming.MAX_WINDOW_SECONDS, 0.5)
+        with pytest.raises(ConfigError, match="window_seconds"):
+            StreamConfig(np.nextafter(streaming.MAX_WINDOW_SECONDS, np.inf), 0.5)
 
     @pytest.mark.parametrize("chunk_size", [0, -5])
     def test_chunk_size_below_one_rejected(self, trained_cnn,

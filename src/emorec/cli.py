@@ -5,9 +5,10 @@ sweep-svm, augment, stream, gradient-check, audit-params.
 
 The paper's protocol fixes what has no option: full-band 26-mel MFCC windows
 (more bands when more coefficients are asked), a 60/20/20 stratified split,
-SVMs at C = 10 with gamma "scale" and tol 1e-3, a 512-unit CNN trained with
-RMSProp (lr 1e-4, decay 1e-6), time-reversal augmentation, and streaming
-through 4096-sample chunks.  The options left are the inputs, the outputs
+SVMs at C = 10 with gamma "scale" and tol 1e-3, a 512-unit CNN of 3x3 ReLU
+convolutions trained with RMSProp (lr 1e-4, decay 1e-6), time-reversal
+augmentation, and streaming through 4096-sample chunks, whose events and
+wall-clock latencies go to separate CSVs.  The options left are the inputs, the outputs
 and the protocol's own variables (coefficients, frame length, kernel, epochs,
 batch size, sweep grid, stream window and hop).
 
@@ -338,7 +339,7 @@ def cmd_stream(opts, run: RunDir) -> int:
         raise DataError("model carries no pipeline config; train it on an `extract` cache")
     pipeline_cfg = features.PipelineConfig.from_dict(meta["pipeline"])
     clip = audio_io.decode_wav(audio_io.read_file(opts.wav))
-    if meta.get("sample_rate") and meta["sample_rate"] != clip.sample_rate:
+    if meta["sample_rate"] != clip.sample_rate:
         raise DataError(f"stream sample rate {clip.sample_rate} Hz does not "
                         f"match the training rate {meta['sample_rate']} Hz")
     # a finite window too long for the WAV is named against its duration
@@ -351,6 +352,7 @@ def cmd_stream(opts, run: RunDir) -> int:
     events, summary = streaming.stream_infer(clip, model, pipeline_cfg,
                                              stream_cfg)
     run.write_text("stream_events.csv", streaming.events_csv(events))
+    run.write_text("stream_latency.csv", streaming.latency_csv(events))
     names = [l.name for l in dataset.EmotionLabel]
     for e in events:
         print(e.text_line(names))

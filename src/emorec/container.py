@@ -3,10 +3,10 @@
 A container is an 8-byte magic, u32 version, u32 header length, a JSON
 header and little-endian tensors.  `read_model` checks the header against a
 schema spelled in Python: `int` (not a bool), `float` (finite; an int too),
-`str`, `bool`, `None` and `math.nan` match one JSON value; a set of strings,
-one of them; a tuple, any of its alternatives; `[item]`, a list of items;
-`{key: spec}`, an object with these keys, of which `Maybe(spec)` ones may be
-absent; `ByType({type: {key: spec}})`, an object whose "type" picks its keys.
+`str`, `bool` and `None` match one JSON value; a set of strings, one of
+them; a tuple, any of its alternatives; `[item]`, a list of items;
+`{key: spec}`, an object with exactly these keys; `ByType({type: {key:
+spec}})`, an object whose "type" picks its keys.
 """
 
 from __future__ import annotations
@@ -23,11 +23,6 @@ import numpy as np
 from .errors import FormatError
 
 
-class Maybe(NamedTuple):
-    """An object key that may be absent."""
-    spec: object
-
-
 class ByType(NamedTuple):
     """An object whose "type" string picks the schema of its other keys."""
     schemas: dict
@@ -37,8 +32,6 @@ def _fits(v, spec) -> bool:
     """Whether v is a value of the one-value spec."""
     if spec is float:
         return type(v) in (int, float) and math.isfinite(v)
-    if type(spec) is float:   # math.nan
-        return type(v) is float and math.isnan(v)
     if type(spec) is set:
         return type(v) is str and v in spec
     return v is None if spec is None else type(v) is spec
@@ -72,13 +65,11 @@ def _problem(v, spec, path=""):
         field = f"{path}.{key}" if path else key
         if key not in spec:
             return field, f"has unknown field {field}"
-        sub = spec[key]
-        if key in v:
-            found = _problem(v[key], sub.spec if type(sub) is Maybe else sub, field)
-            if found:
-                return found
-        elif type(sub) is not Maybe:
+        if key not in v:
             return field, f"needs field {field}"
+        found = _problem(v[key], spec[key], field)
+        if found:
+            return found
     return None
 
 

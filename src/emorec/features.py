@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .audio_io import AudioClip
-from .container import Maybe, read_model, write_model
+from .container import read_model, write_model
 from .dataset import N_CLASSES
 from .dsp import frame_magnitudes, hann_window, mel_cepstrum, next_pow2
 from .errors import ConfigError, FormatError
@@ -82,12 +82,11 @@ class PipelineConfig:
         return cls(**d)
 
 
-# the {"pipeline", "sample_rate"} record of a cache or model, or null; its
-# keys may be absent, as PipelineConfig's fields have defaults
+# the {"pipeline", "sample_rate"} record of a cache or model, or null
 PIPELINE_RECORD = (None, {
-    "pipeline": {"n_mfcc": Maybe(int), "target_length": Maybe(int),
-                 "frame_length": Maybe(int), "n_mels": Maybe(int)},
-    "sample_rate": Maybe(int)})
+    "pipeline": {"n_mfcc": int, "target_length": int, "frame_length": int,
+                 "n_mels": int},
+    "sample_rate": int})
 
 
 @dataclass

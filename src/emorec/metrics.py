@@ -71,17 +71,11 @@ def roc_auc_ovr(scores, true_labels, n_classes=N_CLASSES):
         n_pos, n_neg = int(pos.sum()), int((~pos).sum())
         if n_pos == 0 or n_neg == 0:
             continue
-        s = scores[:, c]
-        order = np.argsort(s, kind="stable")
-        ranks = np.empty(len(s))
-        ranks[order] = np.arange(1, len(s) + 1)
-        # average ranks over exact ties
-        sorted_s = s[order]
-        start = 0
-        for end in range(1, len(s) + 1):
-            if end == len(s) or sorted_s[end] != sorted_s[start]:
-                ranks[order[start:end]] = 0.5 * (start + 1 + end)
-                start = end
+        # a tie group of n scores ending at sorted position e has the average
+        # rank e - (n - 1) / 2, exact in float64
+        _, group, counts = np.unique(scores[:, c], return_inverse=True,
+                                     return_counts=True)
+        ranks = (np.cumsum(counts) - (counts - 1) / 2)[group]
         auc = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
         aucs[c] = auc
     return aucs

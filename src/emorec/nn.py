@@ -77,6 +77,13 @@ CNN_VERSION = 1
 
 PROB_FLOOR = 1e-12
 PREDICT_BLOCK = 16   # windows per predict_proba pass (see Determinism)
+KERNEL = 3   # every convolution is KERNEL x KERNEL
+
+# RMSProp: lr_t = lr / (1 + DECAY * t), accumulator decay RHO, and EPSILON
+# added to the root of the accumulator
+DECAY = 1e-6
+RHO = 0.9
+EPSILON = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -119,19 +126,6 @@ class Workspace:
         return buf
 
 
-# The activation is applied in place: the pre-activation output and the
-# incoming gradient belong to the layer and nothing reads them afterwards.
-
-def _activate(x, activation):
-    if activation == "relu":
-        return relu_forward(x, out=x)
-    return x, None
-
-
-def _deactivate(d, relu_out, buf):
-    return d if relu_out is None else relu_backward(d, relu_out, out=d, buf=buf)
-
-
 class _Layer:
     """Defaults for a layer that has no parameters, keeps its input shape and
     reads every row of its input.
@@ -158,46 +152,48 @@ class _Layer:
         return None
 
 
+# A ReLU is applied in place: the pre-activation output and the incoming
+# gradient belong to the layer and nothing reads them afterwards.
+
 @dataclass(frozen=True)
 class Conv2D(_Layer):
+    """KERNEL x KERNEL convolution followed by a ReLU."""
+
     filters: int
-    kernel: int = 3
     padding: str = "same"        # "same" | "valid"
-    activation: str = "relu"     # "relu" | "none"
 
     kind = "conv2d"
-    header = {"filters": int, "kernel": int, "padding": {"same", "valid"},
-              "activation": {"relu", "none"}}
+    header = {"filters": int, "padding": {"same", "valid"}}
 
     def out_shape(self, shape):
         h, w, _ = shape
         if self.padding == "valid":
-            h, w = h - self.kernel + 1, w - self.kernel + 1
+            h, w = h - KERNEL + 1, w - KERNEL + 1
         if h < 1 or w < 1:
             raise ConfigError(f"conv output collapsed to {h}x{w}")
         return (h, w, self.filters)
 
     def param_shapes(self, shape):
-        k = self.kernel
-        return {"W": (k, k, shape[-1], self.filters), "b": (self.filters,)}
+        return {"W": (KERNEL, KERNEL, shape[-1], self.filters),
+                "b": (self.filters,)}
 
     def rows_read(self, rows, shape):
         if rows is None:
             return None
         if self.padding == "valid":
-            return rows + self.kernel - 1
-        return min(shape[0], rows + (self.kernel - 1) // 2)
+            return rows + KERNEL - 1
+        return min(shape[0], rows + (KERNEL - 1) // 2)
 
     def forward(self, x, p, rng, buf, rows):
         x, cache = conv2d_forward(x, p["W"], p["b"], self.padding, buf=buf,
                                   rows=rows)
-        x, relu_out = _activate(x, self.activation)
+        x, relu_out = relu_forward(x, out=x)
         return x, (cache, relu_out)
 
     def backward(self, d, cache, buf, need_dx):
         conv_cache, relu_out = cache
-        d, dW, db = conv2d_backward(_deactivate(d, relu_out, buf), conv_cache,
-                                    need_dx=need_dx, buf=buf)
+        d, dW, db = conv2d_backward(relu_backward(d, relu_out, out=d, buf=buf),
+                                    conv_cache, need_dx=need_dx, buf=buf)
         return d, {"W": dW, "b": db}
 
 
@@ -263,10 +259,10 @@ class FlattenSpec(_Layer):
 @dataclass(frozen=True)
 class Dense(_Layer):
     units: int
-    activation: str = "relu"     # "relu" | "softmax" | "none"
+    activation: str = "relu"     # "relu" | "softmax"
 
     kind = "dense"
-    header = {"units": int, "activation": {"relu", "softmax", "none"}}
+    header = {"units": int, "activation": {"relu", "softmax"}}
 
     def out_shape(self, shape):
         if len(shape) != 1:
@@ -278,13 +274,15 @@ class Dense(_Layer):
 
     def forward(self, x, p, rng, buf, rows):
         x, cache = dense_forward(x, p["W"], p["b"], buf=buf)
-        x, relu_out = _activate(x, self.activation)
+        x, relu_out = (relu_forward(x, out=x) if self.activation == "relu"
+                       else (x, None))
         return x, (cache, relu_out)
 
     def backward(self, d, cache, buf, need_dx):
         dense_cache, relu_out = cache
-        d, dW, db = dense_backward(_deactivate(d, relu_out, buf), dense_cache,
-                                   need_dx=need_dx, buf=buf)
+        if relu_out is not None:
+            d = relu_backward(d, relu_out, out=d, buf=buf)
+        d, dW, db = dense_backward(d, dense_cache, need_dx=need_dx, buf=buf)
         return d, {"W": dW, "b": db}
 
 
@@ -720,9 +718,6 @@ def predict_proba(model: CnnModel, x) -> np.ndarray:
 @dataclass
 class TrainConfig:
     lr: float = 1e-4
-    decay: float = 1e-6
-    rho: float = 0.9
-    epsilon: float = 1e-7
     batch_size: int = 32
     epochs: int = 10
     seed: int = 0
@@ -734,8 +729,6 @@ class TrainConfig:
                               f"got {self.dtype!r}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if not 0.0 <= self.rho < 1.0:
-            raise ConfigError(f"rho {self.rho} outside [0, 1)")
         for name in ("batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, "
@@ -745,23 +738,23 @@ class TrainConfig:
 def rmsprop_step(params, grads, acc, cfg: TrainConfig, t: int):
     """In-place RMSProp update with iteration-decayed learning rate.
 
-    lr_t = lr / (1 + decay*t); acc <- rho*acc + (1-rho)*g^2;
-    p <- p - lr_t * g / (sqrt(acc) + epsilon).  Each operation is the one the
+    lr_t = lr / (1 + DECAY*t); acc <- RHO*acc + (1-RHO)*g^2;
+    p <- p - lr_t * g / (sqrt(acc) + EPSILON).  Each operation is the one the
     formula names, in its order, so the bits match the out-of-place form;
     the parameter and accumulator arrays are updated where they are.
     """
-    lr_t = cfg.lr / (1.0 + cfg.decay * t)
+    lr_t = cfg.lr / (1.0 + DECAY * t)
     for p, g, a in zip(params, grads, acc):
         if p is None:
             continue
         for key in p:
             step = np.square(g[key])
-            step *= 1.0 - cfg.rho
-            a[key] *= cfg.rho
+            step *= 1.0 - RHO
+            a[key] *= RHO
             a[key] += step
             np.multiply(g[key], lr_t, out=step)
             denom = np.sqrt(a[key])
-            denom += cfg.epsilon
+            denom += EPSILON
             step /= denom
             p[key] -= step
 

@@ -8,10 +8,11 @@ scores.  Event emission depends only on cumulative sample counts, so the same
 audio produces the same events regardless of chunking or processing speed; a
 slow consumer delays events, it never drops them.
 
-Latency is wall-clock per event; the run summary reports p50/p95/max latency
-and the real-time factor (processing time / audio duration).  RTF < 1 means
-faster than real time; this artifact's service target is RTF < 0.25 on a
-desktop CPU.
+Latency is wall-clock per event, kept out of the events' CSV so that the
+events depend only on the audio and the model; the run summary reports
+p50/p95/max latency and the real-time factor (processing time / audio
+duration).  RTF < 1 means faster than real time; this artifact's service
+target is RTF < 0.25 on a desktop CPU.
 
 Samples are checked for finiteness once, at ``push``; the window classified is
 a view of the ring, with no copy and no second check.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,7 +70,7 @@ class StreamEvent:
     def csv_row(self):
         return ([repr(self.t_start), repr(self.t_end)]
                 + [repr(float(p)) for p in self.probs]
-                + [self.label, repr(self.latency_ms)])
+                + [self.label])
 
 
 @dataclass
@@ -99,11 +100,13 @@ class _RingBuffer:
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._buf = np.zeros(2 * capacity)
+        self._buf = None   # allocated by the first push
         self._end = capacity   # the window is _buf[_end - capacity : _end]
         self.total = 0
 
     def push(self, samples: np.ndarray):
+        if self._buf is None:
+            self._buf = np.zeros(2 * self.capacity)
         self.total += len(samples)
         samples = samples[-self.capacity:]
         end = self._end + len(samples)
@@ -198,12 +201,16 @@ def stream_infer(clip: AudioClip, model, pipeline_cfg: features.PipelineConfig,
     """File-feed streaming: push the clip through in chunks.
 
     A D-second clip with window W and hop H yields floor((D-W)/H) + 1 events,
-    the first at t_end = W.  chunk_size below 1 is a ConfigError.
+    the first at t_end = W; a clip shorter than W yields none and builds no
+    ring.  chunk_size below 1 is a ConfigError.
     """
     if chunk_size < 1:
         raise ConfigError(f"chunk_size must be at least 1, got {chunk_size}")
     engine = StreamingClassifier(model, pipeline_cfg, stream_cfg,
                                  clip.sample_rate)
+    if len(clip) < engine.window_samples:
+        return [], replace(engine.summary(),
+                           audio_seconds=len(clip) / clip.sample_rate)
     events = []
     for start in range(0, len(clip), chunk_size):
         events.extend(engine.push(clip.samples[start : start + chunk_size]))
@@ -212,4 +219,10 @@ def stream_infer(clip: AudioClip, model, pipeline_cfg: features.PipelineConfig,
 
 def events_csv(events) -> str:
     return csv_text(["t_start", "t_end"] + [f"p{i}" for i in range(N_CLASSES)]
-                    + ["label", "latency_ms"], (e.csv_row() for e in events))
+                    + ["label"], (e.csv_row() for e in events))
+
+
+def latency_csv(events) -> str:
+    """Each event's end time and wall-clock latency."""
+    return csv_text(["t_end", "latency_ms"],
+                    ([repr(e.t_end), repr(e.latency_ms)] for e in events))

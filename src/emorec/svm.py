@@ -10,9 +10,9 @@ Solves, per binary subproblem,
 Each iteration pairs the maximal violator i with the partner j of largest
 second-order gain b^2/a and takes the clipped two-variable step, updating the
 gradient from rows i and j of the kernel matrix; nothing is random.  Training
-stops when the gap m(alpha) - M(alpha) drops below tol (default 1e-3), which
-bounds every KKT violation by tol under the returned bias, or after
-max_passes iterations; `n_passes` counts the iterations from SMO's start and
+stops when the gap m(alpha) - M(alpha) drops below tol (TOL, 1e-3), which
+bounds every KKT violation by tol under the returned bias, or after MAX_ITER
+iterations; `n_passes` counts the iterations from SMO's start and
 `kkt_violation` records the largest violation left.
 
 Multiclass is one-vs-rest: one binary per class against the rest, sharing
@@ -27,7 +27,6 @@ meaning 1 / (n_features * population variance of all entries of X).
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -41,6 +40,8 @@ from .nn import softmax
 SUPPORT_THRESHOLD = 1e-8
 TAU = 1e-12   # floor on the curvature a of a working-set pair
 START_MAX_N = 256   # started linear fits win 1.3-4x up to n = 256, lose at 432
+TOL = 1e-3   # SMO's gap test, LIBSVM's default
+MAX_ITER = 10_000_000   # SMO's iteration cap
 
 SVM_MAGIC = b"EMOSVM\x00\x00"
 SVM_VERSION = 1
@@ -50,27 +51,19 @@ SVM_VERSION = 1
 class KernelSpec:
     kind: str = "rbf"                 # "rbf" | "linear"
     C: float = 10.0
-    gamma_mode: str = "scale"         # "scale" | "fixed"
-    gamma_value: float | None = None  # used when gamma_mode == "fixed"
 
     def __post_init__(self):
         if self.kind not in ("rbf", "linear"):
             raise ValueError(f"unknown kernel {self.kind!r}")
         if self.C <= 0:
             raise ValueError(f"C must be positive, got {self.C}")
-        if self.gamma_mode not in ("scale", "fixed"):
-            raise ValueError(f"unknown gamma mode {self.gamma_mode!r}")
-        if self.gamma_mode == "fixed" and (self.gamma_value is None or self.gamma_value <= 0):
-            raise ValueError("fixed gamma requires a positive gamma_value")
 
 
-def resolve_gamma(X: np.ndarray, spec: KernelSpec) -> float:
-    """gamma for the RBF kernel: 1 / (n_features * var(X)) in "scale" mode.
+def resolve_gamma(X: np.ndarray) -> float:
+    """The "scale" gamma for the RBF kernel: 1 / (n_features * var(X)).
 
     var is the population variance over all entries of X.
     """
-    if spec.gamma_mode == "fixed":
-        return float(spec.gamma_value)
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
         raise ValueError("cannot resolve gamma on empty data")
@@ -85,7 +78,7 @@ def _fit_kernel(X, spec: KernelSpec, gamma=None):
     place of numpy's overflow warnings if K is not finite (SMO would spin)."""
     with np.errstate(over="ignore", invalid="ignore"):
         if gamma is None and spec.kind == "rbf":
-            gamma = resolve_gamma(X, spec)
+            gamma = resolve_gamma(X)
         K = kernel_matrix(X, X, spec, gamma)
     if not np.isfinite(K).all():
         raise DataError("non-finite kernel values: features non-finite or too large")
@@ -119,7 +112,7 @@ class BinarySvm:
     objective: float
     n_passes: int                 # working-set iterations from the start
     converged: bool
-    kkt_violation: float = math.nan   # max KKT violation under the bias
+    kkt_violation: float          # max KKT violation under the bias
 
 
 def _kkt_violation(alpha, y, E, C, eps=SUPPORT_THRESHOLD):
@@ -129,8 +122,7 @@ def _kkt_violation(alpha, y, E, C, eps=SUPPORT_THRESHOLD):
                     np.where(alpha < eps, np.maximum(0.0, -r), np.abs(r)))
 
 
-def train_binary(X, y, spec: KernelSpec, tol: float = 1e-3,
-                 max_passes: int = 10_000_000,
+def train_binary(X, y, spec: KernelSpec, tol: float = TOL,
                  K: np.ndarray | None = None,
                  gamma: float | None = None,
                  alpha0: np.ndarray | None = None) -> BinarySvm:
@@ -138,7 +130,7 @@ def train_binary(X, y, spec: KernelSpec, tol: float = 1e-3,
 
     A precomputed kernel matrix K (against X itself) can be shared across
     one-vs-rest subproblems.  SMO starts from `feasible_start(alpha0)`, else
-    alpha = 0; the gap test alone decides convergence.  max_passes caps, and
+    alpha = 0; the gap test alone decides convergence.  MAX_ITER caps, and
     n_passes counts, working-set iterations from the start.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -172,7 +164,7 @@ def train_binary(X, y, spec: KernelSpec, tol: float = 1e-3,
         b = E + low_pen
         b -= E[i]          # b_t = E_t - E_i: gain of the pair (i, t) per unit step
         gap = b.max()      # m(alpha) - M(alpha)
-        if gap < tol or n_iter >= max_passes:
+        if gap < tol or n_iter >= MAX_ITER:
             break
         # second-order partner: largest guaranteed decrease b^2 / a
         a = curv[i]
@@ -321,8 +313,7 @@ class SvmModel:
         return "\n".join(lines) + "\n"
 
 
-def train_multiclass(X, labels, spec: KernelSpec, tol: float = 1e-3,
-                     max_passes: int = 10_000_000) -> SvmModel:
+def train_multiclass(X, labels, spec: KernelSpec) -> SvmModel:
     """Train a one-vs-rest multiclass SVM over integer labels."""
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -340,7 +331,7 @@ def train_multiclass(X, labels, spec: KernelSpec, tol: float = 1e-3,
               and len(X) <= START_MAX_N else [None] * len(Y))
     for y, alpha0 in zip(Y, starts):
         model.binaries.append(train_binary(
-            X, y, spec, tol=tol, max_passes=max_passes, K=K, gamma=gamma, alpha0=alpha0))
+            X, y, spec, K=K, gamma=gamma, alpha0=alpha0))
     return model
 
 
@@ -373,12 +364,11 @@ def save_svm(path, model: SvmModel) -> None:
 
 
 _HEADER = {
-    "kernel": {"kind": str, "C": float, "gamma_mode": str,
-               "gamma_value": (float, None)},
+    "kernel": {"kind": str, "C": float},
     "gamma": (float, None), "classes": [int], "n_features": int,
     "binaries": [{"n_sv": int, "bias": float, "objective": float,
                   "n_passes": int, "converged": bool,
-                  "kkt_violation": (float, math.nan)}],
+                  "kkt_violation": float}],
     "pipeline_config": PIPELINE_RECORD,
 }
 

@@ -19,7 +19,7 @@ from emorec.cli import main as cli_main
 from conftest import class_tone_clip, overfit_windows
 from test_dsp import naive_dft
 from test_nn import naive_conv2d
-from test_svm import TOY_PROBLEMS, dual_grid_search, toy_spec
+from test_svm import TOY_PROBLEMS, dual_grid_search
 
 PIPE_CFG = features.PipelineConfig(n_mfcc=13, target_length=4200,
                                    frame_length=512, n_mels=26)
@@ -123,14 +123,13 @@ def test_criterion_06_svm_correctness():
     for points, labs, kind, gamma in TOY_PROBLEMS:
         Xp = np.array(points, dtype=np.float64)
         y = np.array(labs, dtype=np.float64)
-        spec = toy_spec(kind, gamma)
-        g = gamma if kind == "rbf" else None
-        binary = svm.train_binary(Xp, y, spec, gamma=g)
+        spec = svm.KernelSpec(kind=kind, C=10.0)
+        binary = svm.train_binary(Xp, y, spec, gamma=gamma)
         assert binary.converged
         alpha = np.abs(binary.dual_coef)
         assert np.all(alpha >= 0) and np.all(alpha <= spec.C + 1e-9)
         assert abs(binary.dual_coef.sum()) < 1e-6
-        K = svm.kernel_matrix(Xp, Xp, spec, g)
+        K = svm.kernel_matrix(Xp, Xp, spec, gamma)
         _, w_oracle = dual_grid_search(K, y, spec.C)
         assert abs(binary.objective - w_oracle) < 1e-2
     elapsed = time.perf_counter() - t0
@@ -143,7 +142,7 @@ def test_criterion_07_overfit_fixture():
     t0 = time.perf_counter()
     x, labels = overfit_windows()
     model = nn.build_emotion_cnn(seed=0)
-    cfg = nn.TrainConfig(lr=1e-4, decay=1e-6, epochs=500, batch_size=8, seed=0)
+    cfg = nn.TrainConfig(lr=1e-4, epochs=500, batch_size=8, seed=0)
     history = nn.train(model, x, labels, cfg)
     assert abs(history[0].train_loss - math.log(8)) < 0.05
     _, acc = nn.evaluate(model, x, labels)

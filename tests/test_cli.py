@@ -476,6 +476,11 @@ class TestStreamCmd:
         assert "RTF" in out
         events = (run / "stream_events.csv").read_text().strip().splitlines()
         assert len(events) == 1 + 15
+        assert events[0].endswith(",label")
+        latency = (run / "stream_latency.csv").read_text().strip().splitlines()
+        assert latency[0] == "t_end,latency_ms" and len(latency) == 1 + 15
+        assert (run / "artifacts.csv").read_text().splitlines()[1:] == [
+            "stream_events.csv", "stream_latency.csv"]
 
     def test_stream_svm_model(self, workspace, tmp_path, capsys):
         wav = tmp_path / "long.wav"

@@ -7,8 +7,10 @@ only once the whole file is written.
 """
 
 import contextlib
+import copy
 import io
 import os
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ import pytest
 from emorec import container, features, nn, svm
 from emorec.cli import main
 from emorec.errors import FormatError
+from conftest import edit_header
 
 
 def save_tiny_svm(path):
@@ -68,6 +71,46 @@ class TestModelContainersFailClosed:
         with pytest.raises(FormatError, match="16 trailing bytes"):
             loader(path)
         assert eval_exit_code(path, tmp_path / "r") == 2
+
+
+RECORD = {"pipeline": features.PipelineConfig(target_length=4200,
+                                              frame_length=512).to_dict(),
+          "sample_rate": 4000}
+LOADERS = {"svm": svm.load_svm, "cnn": nn.load_cnn,
+           "cache": features.load_feature_cache}
+
+
+def drop_target_length(meta):
+    meta["pipeline_config"] = copy.deepcopy(RECORD)
+    del meta["pipeline_config"]["pipeline"]["target_length"]
+
+
+@pytest.mark.parametrize("kind,edit,message", [
+    ("svm", lambda meta: meta["kernel"].update(gamma_mode="scale"),
+     "unknown field kernel.gamma_mode"),
+    ("svm", lambda meta: meta["kernel"].update(gamma_value=None),
+     "unknown field kernel.gamma_value"),
+    ("cnn", lambda meta: meta["specs"][0].update(kernel=3),
+     r"unknown field specs\[0\]\.kernel"),
+    ("cnn", lambda meta: meta["specs"][0].update(activation="relu"),
+     r"unknown field specs\[0\]\.activation"),
+    *[(kind, drop_target_length,
+       "needs field pipeline_config.pipeline.target_length")
+      for kind in ("svm", "cnn", "cache")]])
+def test_removed_field_refused(tmp_path, kind, edit, message):
+    # the fields older writers still wrote: the SVM's fixed-gamma settings,
+    # a convolution's kernel size and activation, and a partial record
+    path = tmp_path / "old.bin"
+    SAVERS[kind](path)
+    edit_header(path, edit)
+    with pytest.raises(FormatError, match=message):
+        LOADERS[kind](path)
+    if kind != "cache":
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["eval", "--model", str(path),
+                         "--out-dir", str(tmp_path / "r")]) == 2
+        assert re.search(message, err.getvalue())
 
 
 def test_truncation_names_offset_and_size(tmp_path):

@@ -410,7 +410,9 @@ def tiny_cache(path, pipeline_config=None):
 class TestFeatureCache:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "cache.bin"
-        record = {"pipeline": {"n_mfcc": 2}, "sample_rate": 4000}
+        cfg = features.PipelineConfig(n_mfcc=2, target_length=4200,
+                                      frame_length=512)
+        record = {"pipeline": cfg.to_dict(), "sample_rate": 4000}
         recs = tiny_cache(path, record)
         back = features.load_feature_cache(path)
         assert len(back) == 3

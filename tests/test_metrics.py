@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from emorec import metrics
 from emorec.errors import DataError
+import oracles
 
 
 class TestConfusionMatrix:
@@ -114,6 +115,20 @@ class TestRocAuc:
         labels = np.array([0, 0, 1, 1])
         aucs = metrics.roc_auc_ovr(scores, labels, n_classes=3)
         assert np.isnan(aucs[2])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_loop_on_ties(self, seed):
+        # few distinct values, so most scores tie; the SVM scores a class
+        # absent from training -inf, a column that is one tie group
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 300))
+        scores = rng.integers(0, 1 + seed * 3, size=(n, 8)) / 4.0
+        scores[:, 1] = -np.inf
+        scores[rng.random((n, 8)) < 0.2] = -np.inf
+        labels = rng.integers(0, 8, n)
+        got = metrics.roc_auc_ovr(scores, labels)
+        want = oracles.roc_auc_ovr(scores, labels, metrics.N_CLASSES)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestReport:

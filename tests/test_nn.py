@@ -5,6 +5,7 @@ import pytest
 
 from emorec import container, nn
 from emorec.errors import ConfigError, DataError, FormatError
+from emorec.features import PipelineConfig
 from conftest import overfit_windows, rewrite_header
 
 TABLE_SHAPES = [(13, 26, 32), (11, 24, 32), (5, 12, 32), (5, 12, 32),
@@ -371,15 +372,15 @@ class TestRmsprop:
         params = [{"W": np.array([0.0])}]
         grads = [{"W": np.array([1.0])}]
         acc = [{"W": np.array([0.0])}]
-        cfg = nn.TrainConfig(lr=1e-4, rho=0.9, epsilon=1e-7)
+        cfg = nn.TrainConfig(lr=1e-4)
         nn.rmsprop_step(params, grads, acc, cfg, t=0)
         expected = -1e-4 / (math.sqrt(0.1) + 1e-7)
         assert abs(params[0]["W"][0] - expected) < 1e-12
         assert abs(expected + 3.1623e-4) < 1e-7
 
     def test_lr_decay_halves_at_million(self):
-        cfg = nn.TrainConfig(lr=1e-4, decay=1e-6)
-        lr_t = cfg.lr / (1.0 + cfg.decay * 10 ** 6)
+        cfg = nn.TrainConfig(lr=1e-4)
+        lr_t = cfg.lr / (1.0 + nn.DECAY * 10 ** 6)
         assert abs(lr_t - cfg.lr / 2) < 1e-18
 
 
@@ -786,12 +787,15 @@ class TestCheckpoint:
     def test_roundtrip_predictions(self, tmp_path):
         x, labels = overfit_windows()
         model = nn.build_emotion_cnn(seed=5)
-        model.pipeline_config = {"pipeline": {"n_mfcc": 13}}
+        record = {"pipeline": PipelineConfig(n_mfcc=13, target_length=4200,
+                                             frame_length=512).to_dict(),
+                  "sample_rate": 4000}
+        model.pipeline_config = record
         nn.train(model, x, labels, nn.TrainConfig(epochs=2, batch_size=4))
         path = tmp_path / "model.bin"
         nn.save_cnn(path, model)
         back = nn.load_cnn(path)
-        assert back.pipeline_config == {"pipeline": {"n_mfcc": 13}}
+        assert back.pipeline_config == record
         assert back.specs == model.specs
         # float32 training leaves float64 parameters holding float32 values,
         # which is what the checkpoint stores: the round trip is exact

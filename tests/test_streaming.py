@@ -55,6 +55,25 @@ class TestEventSchedule:
                                  StreamConfig(3.0, 0.5))
         assert events == []
 
+    def test_window_longer_than_clip_builds_no_ring(self, trained_cnn,
+                                                    stream_pipeline_cfg):
+        # a 60 s window's ring is 2 x 60 s x 48 kHz float64 = 46 MB
+        clip = audio_io.synth_tone(300, 1.0, 48000)
+        cfg = StreamConfig(streaming.MAX_WINDOW_SECONDS, 0.5)
+        tracemalloc.start()
+        try:
+            events, summary = stream_infer(clip, trained_cnn,
+                                           stream_pipeline_cfg, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert events == [] and peak < 2 << 20
+        assert (summary.n_events, summary.audio_seconds) == (0, 1.0)
+        # the model and pipeline are checked first, as for any clip
+        with pytest.raises(ConfigError, match="coefficients"):
+            stream_infer(clip, nn.build_emotion_cnn(n_mfcc=20, n_frames=26),
+                         stream_pipeline_cfg, cfg)
+
 
 class TestDeterminism:
     def test_chunk_size_independence(self, trained_cnn, stream_pipeline_cfg):
@@ -127,16 +146,27 @@ class TestEventContents:
         for e in events:
             assert e.label == 2 and e.probs[1] == 0.0
         assert streaming.events_csv(events).startswith(
-            "t_start,t_end,p0,p1,p2,p3,p4,p5,p6,p7,label,latency_ms\n")
+            "t_start,t_end,p0,p1,p2,p3,p4,p5,p6,p7,label\n")
 
     def test_csv_format(self, trained_cnn, stream_pipeline_cfg):
         events, _ = stream_infer(ten_second_clip(), trained_cnn,
                                  stream_pipeline_cfg, StreamConfig(3.0, 0.5))
         text = streaming.events_csv(events)
         lines = text.strip().split("\n")
-        assert lines[0] == ("t_start,t_end,p0,p1,p2,p3,p4,p5,p6,p7,"
-                            "label,latency_ms")
+        assert lines[0] == "t_start,t_end,p0,p1,p2,p3,p4,p5,p6,p7,label"
         assert len(lines) == 16
+        latency = streaming.latency_csv(events).strip().split("\n")
+        assert latency[0] == "t_end,latency_ms" and len(latency) == 16
+        assert [float(line.split(",")[0]) for line in latency[1:]] == \
+            [e.t_end for e in events]
+
+    def test_csv_depends_only_on_audio_and_model(self, trained_cnn,
+                                                 stream_pipeline_cfg):
+        # no wall-clock column: two runs give the same text
+        runs = [streaming.events_csv(stream_infer(
+            ten_second_clip(), trained_cnn, stream_pipeline_cfg,
+            StreamConfig(3.0, 0.5))[0]) for _ in range(2)]
+        assert runs[0] == runs[1]
 
 
 class TestSummary:

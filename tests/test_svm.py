@@ -9,6 +9,7 @@ from emorec import svm, sweep
 from emorec.cli import main
 from emorec.errors import DataError, FormatError
 from conftest import rewrite_header
+from emorec.features import PipelineConfig
 from emorec.svm import KernelSpec, resolve_gamma, train_binary
 from oracles import kernel_eval
 
@@ -30,12 +31,6 @@ TOY_PROBLEMS = [
     ([(0, 2), (1, 1), (2, 0), (2, 2)], [1, 1, 1, -1], "rbf", 1.0),
     ([(0, 0), (0, 2), (1, 1), (2, 0)], [-1, 1, -1, 1], "rbf", 0.25),
 ]
-
-
-def toy_spec(kind, gamma, C=10.0):
-    if gamma is None:
-        return KernelSpec(kind=kind, C=C)
-    return KernelSpec(kind=kind, C=C, gamma_mode="fixed", gamma_value=gamma)
 
 
 def dual_grid_search(K, y, C, pivot=3):
@@ -75,13 +70,13 @@ class TestResolveGamma:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(50, 338))
         X = (X - X.mean()) / X.std()
-        assert abs(resolve_gamma(X, KernelSpec()) - 1 / 338) < 1e-12
+        assert abs(resolve_gamma(X) - 1 / 338) < 1e-12
 
     def test_scaling_by_two_quarters_gamma(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(20, 7))
-        g1 = resolve_gamma(X, KernelSpec())
-        g2 = resolve_gamma(2 * X, KernelSpec())
+        g1 = resolve_gamma(X)
+        g2 = resolve_gamma(2 * X)
         assert abs(g2 - g1 / 4) < 1e-12 * g1
 
     def test_matches_two_pass_variance(self):
@@ -89,15 +84,11 @@ class TestResolveGamma:
         X = rng.uniform(-3, 5, size=(10, 5))
         mu = sum(float(v) for v in X.reshape(-1)) / X.size
         var = sum((float(v) - mu) ** 2 for v in X.reshape(-1)) / X.size
-        assert abs(resolve_gamma(X, KernelSpec()) - 1 / (5 * var)) < 1e-12
+        assert abs(resolve_gamma(X) - 1 / (5 * var)) < 1e-12
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError, match="variance"):
-            resolve_gamma(np.full((4, 3), 2.5), KernelSpec())
-
-    def test_fixed_mode(self):
-        spec = KernelSpec(gamma_mode="fixed", gamma_value=0.7)
-        assert resolve_gamma(np.zeros((2, 2)), spec) == 0.7
+            resolve_gamma(np.full((4, 3), 2.5))
 
 
 class TestKernelEval:
@@ -145,7 +136,7 @@ class TestTrainBinary:
     def test_xor_rbf_trains_to_100(self):
         spec = KernelSpec(kind="rbf", C=10.0)
         model = train_binary(XOR_POINTS, XOR_SIGNS, spec)
-        gamma = resolve_gamma(XOR_POINTS, spec)
+        gamma = resolve_gamma(XOR_POINTS)
         K = svm.kernel_matrix(XOR_POINTS, model.support_vectors, spec, gamma)
         decisions = K @ model.dual_coef + model.bias
         assert np.all(np.sign(decisions) == XOR_SIGNS)
@@ -194,7 +185,7 @@ class TestTrainBinary:
         y = np.repeat([1.0, -1.0], 10)
         spec = KernelSpec(kind="rbf", C=10.0)
         model = train_binary(X, y, spec)
-        gamma = resolve_gamma(X, spec)
+        gamma = resolve_gamma(X)
         K = svm.kernel_matrix(X, model.support_vectors, spec, gamma)
         assert np.all(np.sign(K @ model.dual_coef + model.bias) == y)
 
@@ -227,11 +218,10 @@ class TestDualOracle:
     def test_objective_matches_grid_search(self, points, labels, kind, gamma):
         X = np.array(points, dtype=np.float64)
         y = np.array(labels, dtype=np.float64)
-        spec = toy_spec(kind, gamma)
-        g = gamma if kind == "rbf" else None
-        K = svm.kernel_matrix(X, X, spec, g)
+        spec = KernelSpec(kind=kind, C=10.0)
+        K = svm.kernel_matrix(X, X, spec, gamma)
         _, w_oracle = dual_grid_search(K, y, spec.C)
-        model = train_binary(X, y, spec, gamma=g)
+        model = train_binary(X, y, spec, gamma=gamma)
         assert model.converged
         assert abs(model.objective - w_oracle) < 1e-2
 
@@ -267,7 +257,7 @@ class TestMulticlass:
                              classes=[0, 1, 2], n_features=2)
         zero = svm.BinarySvm(support_vectors=np.zeros((1, 2)),
                              dual_coef=np.zeros(1), bias=0.0, objective=0.0,
-                             n_passes=0, converged=True)
+                             n_passes=0, converged=True, kkt_violation=0.0)
         model.binaries = [zero, zero, zero]
         assert svm.predict(model, np.array([[1.0, 1.0]]))[0] == 0
 
@@ -317,10 +307,13 @@ class TestSerialization:
         labels = (X[:, 0] > 0).astype(int) * 2
         model = svm.train_multiclass(X, labels, KernelSpec(kind="rbf", C=10.0))
         path = tmp_path / "model.bin"
-        model.pipeline_config = {"pipeline": {"n_mfcc": 13}}
+        record = {"pipeline": PipelineConfig(n_mfcc=13, target_length=4200,
+                                             frame_length=512).to_dict(),
+                  "sample_rate": 4000}
+        model.pipeline_config = record
         svm.save_svm(path, model)
         back = svm.load_svm(path)
-        assert back.pipeline_config == {"pipeline": {"n_mfcc": 13}}
+        assert back.pipeline_config == record
         assert back.classes == model.classes
         np.testing.assert_allclose(back.scores(X), model.scores(X), rtol=1e-12)
 
@@ -392,7 +385,7 @@ def test_kkt_holds_for_random_problems(seed):
     assert np.all(alpha <= 10.0 + 1e-9)
     assert abs(model.dual_coef.sum()) < 1e-6
     if model.converged:
-        gamma = resolve_gamma(X, spec)
+        gamma = resolve_gamma(X)
         K = svm.kernel_matrix(X, model.support_vectors, spec, gamma)
         decisions = K @ model.dual_coef + model.bias
         margins = y * decisions
@@ -425,7 +418,7 @@ def one_vs_rest(labels):
 
 def cold_fit(X, labels, spec):
     """The one-vs-rest fit with every binary's SMO started at alpha = 0."""
-    K = svm.kernel_matrix(X, X, spec, resolve_gamma(X, spec)
+    K = svm.kernel_matrix(X, X, spec, resolve_gamma(X)
                           if spec.kind == "rbf" else None)
     return [train_binary(X, y, spec, K=K) for y in one_vs_rest(labels)]
 
@@ -516,9 +509,12 @@ class TestInteriorPointStart:
 
     @pytest.mark.parametrize("points,labels,kind,gamma", TOY_PROBLEMS)
     def test_dual_oracle_through_multiclass(self, points, labels, kind, gamma):
+        # train_multiclass resolves the "scale" gamma; the toy's own gamma is
+        # train_binary's (TestDualOracle)
         X = np.array(points, dtype=np.float64)
-        spec = toy_spec(kind, gamma)
-        K = svm.kernel_matrix(X, X, spec, gamma)
+        spec = KernelSpec(kind=kind, C=10.0)
+        K = svm.kernel_matrix(X, X, spec,
+                              resolve_gamma(X) if kind == "rbf" else None)
         _, w_oracle = dual_grid_search(K, labels, spec.C)
         # classes 0 and 1: the two binaries are the problem and its mirror
         model = svm.train_multiclass(X, (np.array(labels) > 0).astype(int), spec)

@@ -14,10 +14,11 @@ the original seeds are not recoverable.
     python scripts/reproduce.py --ravdess-dir ... --tess-dir ... --augment
 
 Clips are decoded one at a time; mixed sample rates (RAVDESS is 48 kHz, TESS
-24,414 Hz) or a missing file exit 2, as in the `emorec` CLI.  The out dir is a
-CLI run directory: its `artifacts.csv` lists every file written, and
-`report.txt` holds the results printed (validation, test report, sweep best
-and the comparison table).
+24,414 Hz) or a missing file exit 2, as in the `emorec` CLI, and so does an
+--epochs, --batch-size or --sweep-runs below 1, before the corpus is scanned.
+The out dir is a CLI run directory: once the run completes, its
+`artifacts.csv` lists every file written, and `report.txt` holds the results
+printed (validation, test report, sweep best and the comparison table).
 """
 
 import argparse
@@ -28,7 +29,7 @@ import numpy as np
 
 from emorec import audio_io, dataset, features, nn, reference, sweep
 from emorec.cli import RunDir
-from emorec.errors import EmorecError
+from emorec.errors import ConfigError, EmorecError
 
 
 def main() -> int:
@@ -45,14 +46,18 @@ def main() -> int:
                         help="also run the 13-point x 10-run SVM sweep (slow)")
     parser.add_argument("--sweep-runs", type=int, default=10)
     args = parser.parse_args()
+    # bad counts are refused before the corpus is scanned, naming the field
+    train_cfg = nn.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
+                               seed=args.seed)
+    if args.sweep_runs < 1:
+        raise ConfigError(f"--sweep-runs must be at least 1, got {args.sweep_runs}")
     run = RunDir(args.out)
-    try:
-        return reproduce(args, run)
-    finally:
-        run.finalize()
+    code = reproduce(args, train_cfg, run)
+    run.finalize()   # a run that raised writes no artifacts.csv
+    return code
 
 
-def reproduce(args, run: RunDir) -> int:
+def reproduce(args, train_cfg: nn.TrainConfig, run: RunDir) -> int:
     report = []
 
     def say(text):
@@ -104,8 +109,6 @@ def reproduce(args, run: RunDir) -> int:
     y_val = np.asarray(sets["val"][1])
 
     model = nn.build_emotion_cnn(seed=args.seed)
-    train_cfg = nn.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                               seed=args.seed)
     t0 = time.time()
     history = nn.train(model, x_train, y_train, train_cfg,
                        x_val=x_val, labels_val=y_val, verbose=True)

@@ -12,13 +12,12 @@ wall-clock latencies go to separate CSVs.  The options left are the inputs, the 
 and the protocol's own variables (coefficients, frame length, kernel, epochs,
 batch size, sweep grid, stream window and hop).
 
-Every subcommand accepts ``--config FILE`` (a flat JSON key/value document
-with a "version" key), ``--seed``, and ``--out-dir`` (run directory; every
-produced file is listed in its ``artifacts.csv``).  Config keys are the flag
-names in snake_case, ``seed`` and ``out_dir`` included; ``main`` resolves each
-option once, explicit flag > config file > default.  A config value must have
-its flag's type (any JSON number for a float; a string or a number, read as
-its text, for a text option) and choices, or is a ConfigError.
+Flags are the one way to set an option.  Every subcommand takes ``--seed``
+and ``--out-dir`` (run directory; a run that returns lists each file it made
+in ``artifacts.csv``).  Required: ``--manifest`` (extract, split, sweep-svm,
+augment, train-svm, train-cnn, eval), ``--features`` (train-svm, train-cnn,
+eval), ``--model`` (eval, stream), ``--wav`` (stream) and ``--data-root``
+(validate-dataset).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -36,8 +34,6 @@ import numpy as np
 
 from . import audio_io, dataset, features, nn, reference, streaming, svm, sweep
 from .errors import ConfigError, DataError, EmorecError, NumericalError
-
-CONFIG_VERSION = 1
 
 
 class UsageError(Exception):
@@ -75,52 +71,12 @@ class RunDir:
             fh.write(dataset.csv_text(["file"], ([name] for name in self.produced)))
 
 
-# JSON types a config value may take, by its flag's type; a number given for
-# a text option (``"extra_points": 20``) is read as its text
-_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float),
-               str: (str, int, float)}
-
-
-def _resolve(args) -> argparse.Namespace:
-    """The options of args' subcommand: explicit flag > config file > default."""
-    file_cfg = {}
-    if args.config:
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
-        version = file_cfg.pop("version", CONFIG_VERSION)
-        if version != CONFIG_VERSION:
-            raise ConfigError(f"config version {version}, expected {CONFIG_VERSION}")
-    unknown = set(file_cfg) - set(args.options)
-    if unknown:
-        raise ConfigError(f"config keys not understood: {sorted(unknown)}")
-    opts = {}
-    for key, (default, kind, choices) in args.options.items():
-        value = getattr(args, key)
-        if value is None and key in file_cfg:   # checked as the flag's value
-            value = file_cfg[key]
-            if (type(value) not in _JSON_TYPES[kind]
-                    or choices and value not in choices):
-                raise ConfigError(f"config key {key!r}: got {value!r}, expected "
-                                  f"{list(choices) if choices else kind.__name__}")
-            value = kind(value)
-        opts[key] = default if value is None else value
-    return argparse.Namespace(**opts)
-
-
-def _read_required_manifest(path):
-    if not path:
-        raise UsageError("--manifest is required")
-    return dataset.read_manifest(path)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_extract(opts, run: RunDir) -> int:
-    records = _read_required_manifest(opts.manifest)
+    records = dataset.read_manifest(opts.manifest)
     if not records:
         raise DataError("empty manifest")
 
@@ -141,8 +97,6 @@ def cmd_extract(opts, run: RunDir) -> int:
 
 
 def cmd_validate_dataset(opts, run: RunDir) -> int:
-    if not opts.data_root:
-        raise UsageError("--data-root is required")
     records = dataset.scan_corpus(opts.data_root, opts.corpus)
     report = dataset.validate_manifest(records, opts.corpus)
     print(report.to_text(), end="")
@@ -151,7 +105,7 @@ def cmd_validate_dataset(opts, run: RunDir) -> int:
 
 
 def cmd_split(opts, run: RunDir) -> int:
-    records = _read_required_manifest(opts.manifest)
+    records = dataset.read_manifest(opts.manifest)
     split = dataset.stratified_split(records, seed=opts.seed)
     dataset.apply_split(records, split)
     out = opts.out or run.file("manifest_split.csv")
@@ -169,11 +123,9 @@ def _load_splits(cache_path, manifest_path, *names, optional=()):
     from one read of the feature cache and the manifest.  A split without
     records is a DataError, or None when it is named in optional; an id
     missing from the cache is a DataError."""
-    if not cache_path:
-        raise UsageError("--features is required")
     cache = {rid: (label, matrix)
              for rid, label, matrix in features.load_feature_cache(cache_path)}
-    records = _read_required_manifest(manifest_path)
+    records = dataset.read_manifest(manifest_path)
     splits = []
     for name in names:
         wanted = [r for r in records if r.split == name]
@@ -245,8 +197,6 @@ def _sniff_model(path):
 
 
 def cmd_eval(opts, run: RunDir) -> int:
-    if not opts.model:
-        raise UsageError("--model is required")
     model, reference_key = _sniff_model(opts.model)
     [(windows, labels)] = _load_splits(opts.features, opts.manifest, opts.split)
     trained, made = model.pipeline_config, features.cache_pipeline(opts.features)
@@ -288,7 +238,7 @@ def cmd_sweep_svm(opts, run: RunDir) -> int:
     if not set(kernels) <= {"rbf", "linear"} or len(set(kernels)) < len(kernels):
         raise ConfigError(f"--kernels must list rbf and/or linear, each once; "
                           f"got {opts.kernels!r}")
-    records = _read_required_manifest(opts.manifest)
+    records = dataset.read_manifest(opts.manifest)
     base = [r for r in records if r.augmented_from is None]
     if not base:
         raise DataError("empty manifest: no base records")
@@ -309,7 +259,7 @@ def cmd_sweep_svm(opts, run: RunDir) -> int:
 
 
 def cmd_augment(opts, run: RunDir) -> int:
-    records = _read_required_manifest(opts.manifest)
+    records = dataset.read_manifest(opts.manifest)
     wav_dir = os.path.join(run.path, "wavs")
     os.makedirs(wav_dir, exist_ok=True)
     out_records = list(records)
@@ -331,8 +281,6 @@ def cmd_augment(opts, run: RunDir) -> int:
 
 
 def cmd_stream(opts, run: RunDir) -> int:
-    if not opts.model or not opts.wav:
-        raise UsageError("--model and --wav are required")
     model, _ = _sniff_model(opts.model)
     meta = model.pipeline_config
     if meta is None:
@@ -397,19 +345,17 @@ def build_parser() -> _Parser:
     Each subcommand's options are one table of name=default, and the default
     fixes the flag: a bool is a switch, a tuple lists the choices (the first
     is the default), a type means that type and no default, and any other
-    value gives the flag its type.  An absent flag parses to None, so
-    `_resolve` can fall back to the config file, whose values it checks
-    against the same type and choices, and then the default.
+    value gives the flag its type.  The names in `required` are text flags
+    the subcommand cannot run without.
     """
     parser = _Parser(prog="emorec",
                      description="speech emotion recognition toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **table):
+    def add(name, fn, required=(), **table):
         p = sub.add_parser(name)
-        p.add_argument("--config", help="flat JSON key/value config file")
-        options = {}
-        for key, default in dict(seed=0, out_dir=str, **table).items():
+        for key, default in dict(dict.fromkeys(required, str), seed=0,
+                                 out_dir=str, **table).items():
             choices = None
             if isinstance(default, tuple):
                 choices, default = default, default[0]
@@ -418,37 +364,37 @@ def build_parser() -> _Parser:
             kw = ({"action": "store_true"} if kind is bool
                   else {"type": kind, "choices": choices})
             p.add_argument("--" + key.replace("_", "-"), dest=key,
-                           default=None, **kw)
-            options[key] = (default, kind, choices)
-        p.set_defaults(fn=fn, options=options)
+                           default=default, required=key in required, **kw)
+        p.set_defaults(fn=fn)
 
-    add("extract", cmd_extract, manifest=str, out=str, n_mfcc=13,
+    add("extract", cmd_extract, required=("manifest",), out=str, n_mfcc=13,
         frame_length=2048)
-    add("validate-dataset", cmd_validate_dataset, data_root=str,
+    add("validate-dataset", cmd_validate_dataset, required=("data_root",),
         corpus=("ravdess", "tess"))
-    add("split", cmd_split, manifest=str, out=str)
-    add("train-svm", cmd_train_svm, features=str, manifest=str,
+    add("split", cmd_split, required=("manifest",), out=str)
+    add("train-svm", cmd_train_svm, required=("features", "manifest"),
         kernel=("rbf", "linear"), out=str)
-    add("train-cnn", cmd_train_cnn, features=str, manifest=str, epochs=10,
-        batch_size=32, out=str)
-    add("eval", cmd_eval, model=str, features=str, manifest=str, split="test",
-        roc=False, compare_reference=False)
-    add("sweep-svm", cmd_sweep_svm, manifest=str, range="10:120:10",
+    add("train-cnn", cmd_train_cnn, required=("features", "manifest"),
+        epochs=10, batch_size=32, out=str)
+    add("eval", cmd_eval, required=("model", "features", "manifest"),
+        split=("test", "train", "val"), roc=False, compare_reference=False)
+    add("sweep-svm", cmd_sweep_svm, required=("manifest",), range="10:120:10",
         extra_points="13,100", runs=10, kernels="rbf,linear")
-    add("augment", cmd_augment, manifest=str, out=str)
-    add("stream", cmd_stream, model=str, wav=str, window=3.0, hop=0.5)
+    add("augment", cmd_augment, required=("manifest",), out=str)
+    add("stream", cmd_stream, required=("model", "wav"), window=3.0, hop=0.5)
     add("gradient-check", cmd_gradient_check)
     add("audit-params", cmd_audit_params)
     return parser
 
 
 def main(argv=None) -> int:
-    run = None
     try:
         args = build_parser().parse_args(argv)
-        opts = _resolve(args)
-        run = RunDir(opts.out_dir or os.path.join("runs", args.command))
-        return args.fn(opts, run)
+        run = RunDir(args.out_dir or os.path.join("runs", args.command))
+        code = args.fn(args, run)
+        # not in finally: a run that raised must not look like an empty success
+        run.finalize()
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -458,9 +404,6 @@ def main(argv=None) -> int:
     except (EmorecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if run is not None:
-            run.finalize()
 
 
 if __name__ == "__main__":

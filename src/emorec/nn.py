@@ -264,6 +264,11 @@ class Dense(_Layer):
     kind = "dense"
     header = {"units": int, "activation": {"relu", "softmax"}}
 
+    def __post_init__(self):   # what load_cnn would refuse is not built
+        if self.activation not in self.header["activation"]:
+            raise ConfigError(f"dense activation must be relu or softmax, "
+                              f"got {self.activation!r}")
+
     def out_shape(self, shape):
         if len(shape) != 1:
             raise ConfigError("dense layer needs flattened input")

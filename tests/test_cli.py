@@ -1,4 +1,3 @@
-import json
 import os
 
 import numpy as np
@@ -100,6 +99,9 @@ class TestValidateDataset:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert (tmp_path / "r" / "class_counts.csv").exists()
+        # a run that returns, exit 2 included, lists what it wrote
+        listed = (tmp_path / "r" / "artifacts.csv").read_text().splitlines()
+        assert listed == ["file", "class_counts.csv"]
 
     @pytest.mark.parametrize("corpus", ["ravdess", "tess"])
     def test_missing_root_exits_2_naming_it(self, tmp_path, capsys, corpus):
@@ -111,6 +113,8 @@ class TestValidateDataset:
         assert root in captured.err and "not a directory" in captured.err
         assert "result:" not in captured.out
         assert not (tmp_path / "r" / "class_counts.csv").exists()
+        # a run that raised is not listed as one that wrote nothing
+        assert not (tmp_path / "r" / "artifacts.csv").exists()
 
 
 class TestSplitCmd:
@@ -588,86 +592,6 @@ class TestDamagedInputsExit2:
 
 
 class TestConfigFileAndExitCodes:
-    def test_config_file_with_flag_override(self, workspace, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"version": 1, "seed": 7,
-                                   "manifest": str(workspace["manifest"])}))
-        outs = [tmp_path / f"s{k}.csv" for k in range(3)]
-        assert main(["split", "--config", str(cfg), "--out", str(outs[0]),
-                     "--out-dir", str(tmp_path / "r1")]) == 0
-        assert "split seed=7" in capsys.readouterr().out
-        # flag overrides config: seed 5 draws as a plain --seed 5 run does
-        assert main(["split", "--config", str(cfg), "--seed", "5",
-                     "--out", str(outs[1]), "--out-dir", str(tmp_path / "r2")]) == 0
-        assert main(["split", "--manifest", str(workspace["manifest"]),
-                     "--seed", "5", "--out", str(outs[2]),
-                     "--out-dir", str(tmp_path / "r3")]) == 0
-        assert "split seed=5" in capsys.readouterr().out
-        assert outs[1].read_text() == outs[2].read_text() != outs[0].read_text()
-
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"version": 1, "bogus_key": 5}))
-        assert main(["audit-params", "--config", str(cfg),
-                     "--out-dir", str(tmp_path / "r")]) == 2
-
-    def test_wrong_config_version(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"version": 99}))
-        assert main(["audit-params", "--config", str(cfg),
-                     "--out-dir", str(tmp_path / "r")]) == 2
-
-    def test_config_out_dir_places_the_run(self, tmp_path, monkeypatch,
-                                           capsys):
-        monkeypatch.chdir(tmp_path)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"version": 1, "out_dir": "wanted"}))
-        assert main(["audit-params", "--config", str(cfg)]) == 0
-        assert (tmp_path / "wanted" / "artifacts.csv").exists()
-        assert not (tmp_path / "runs").exists()
-        assert main(["audit-params", "--config", str(cfg),
-                     "--out-dir", "flagged"]) == 0
-        assert (tmp_path / "flagged" / "artifacts.csv").exists()
-
-    @pytest.mark.parametrize("text", [
-        '{"version": 99}', '{"version": 1, "bogus_key": 5}', '{"version": 1',
-        '[1]'])
-    def test_bad_config_exits_2_without_run_dir(self, tmp_path, capsys, text):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(text)
-        run = tmp_path / "r"
-        assert main(["audit-params", "--config", str(cfg),
-                     "--out-dir", str(run)]) == 2
-        assert "error:" in capsys.readouterr().err
-        assert not run.exists()
-
-    @pytest.mark.parametrize("command, entry", [
-        ("extract", {"n_mfcc": "13"}), ("gradient-check", {"seed": "3"}),
-        ("stream", {"window": "3"}), ("train-cnn", {"epochs": 1.5}),
-        ("eval", {"roc": 1})])
-    def test_config_value_checked_as_its_flag(self, workspace, tmp_path, capsys,
-                                              command, entry):
-        # the inputs each command needs to get past its own checks
-        ws = workspace
-        inputs = {
-            "extract": ["--manifest", ws["split_manifest"]],
-            "gradient-check": [],
-            "stream": ["--model", ws["cnn_model"],
-                       "--wav", sorted(ws["corpus"].glob("*.wav"))[0]],
-            "train-cnn": ["--features", ws["cache"],
-                          "--manifest", ws["split_manifest"]],
-            "eval": ["--model", ws["svm_model"], "--features", ws["cache"],
-                     "--manifest", ws["split_manifest"]],
-        }[command]
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"version": 1, **entry}))
-        run = tmp_path / "r"
-        argv = [command, "--config", cfg, *inputs, "--out-dir", run]
-        assert main([str(a) for a in argv]) == 2
-        [key] = entry
-        assert f"config key {key!r}" in capsys.readouterr().err
-        assert not run.exists()
-
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["audit-params", "--bogus"]) == 1
         assert "usage error" in capsys.readouterr().err
@@ -676,18 +600,19 @@ class TestConfigFileAndExitCodes:
                                              monkeypatch):
         from emorec import cli, nn
         assert cli.build_parser() is cli.build_parser()
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"version": 1, "seed": 7}))
         split = ["split", "--manifest", str(workspace["manifest"])]
-        assert main(split + ["--config", str(cfg), "--seed", "5",
+        assert main(split + ["--seed", "5",
                              "--out-dir", str(tmp_path / "r1")]) == 0
         assert "split seed=5" in capsys.readouterr().out
         with monkeypatch.context() as m:
             m.setattr(nn, "gradient_check", lambda *a, **k: (1.0, {}))
-            assert main(["gradient-check", "--config", str(cfg),
+            assert main(["gradient-check", "--seed", "7",
                          "--out-dir", str(tmp_path / "r2")]) == 3
         assert main(["audit-params", "--bogus"]) == 1
         assert "usage error" in capsys.readouterr().err
+        assert main(["split", "--out-dir", str(tmp_path / "r6")]) == 1
+        assert "--manifest" in capsys.readouterr().err
+        # defaults come back after a run that set them, or that failed
         assert main(split + ["--out-dir", str(tmp_path / "r3")]) == 0
         assert "split seed=0" in capsys.readouterr().out
         assert main(["audit-params", "--out-dir", str(tmp_path / "r4")]) == 0

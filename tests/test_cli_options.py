@@ -1,14 +1,11 @@
-"""The CLI's option table, pinned per subcommand: its flags, the config keys
-it accepts, each resolved default, and the type a flag's value parses to.
+"""The CLI's option table, pinned per subcommand: its flags, the ones it
+requires, each parsed default, and the type a flag's value parses to.
 
-The options a subcommand works with are read from inside it: `main` runs
-under a trace hook that stops it at the first line of the `cmd_*` function
-where the resolved `opts` namespace is in scope, before any input is read.
+The options a subcommand works with are the namespace `parse_args` returns,
+which `main` hands to its `cmd_*` function as it is.
 """
 
 import argparse
-import json
-import sys
 
 import pytest
 
@@ -49,34 +46,27 @@ OPTION_TABLE = {
     "audit-params": dict(),
 }
 COMMON = dict(seed=(0, "3", 3))
-
-
-class _Resolved(Exception):
-    pass
-
-
-def _stop_at_opts(frame, event, arg):
-    if not frame.f_code.co_name.startswith("cmd_"):
-        return None
-
-    def local(frame, event, arg):
-        if "opts" in frame.f_locals:
-            raise _Resolved(dict(vars(frame.f_locals["opts"])))
-        return local
-    return local
+# subcommand -> the text flags it cannot run without
+REQUIRED = {
+    "extract": ("manifest",), "validate-dataset": ("data_root",),
+    "split": ("manifest",), "train-svm": ("features", "manifest"),
+    "train-cnn": ("features", "manifest"),
+    "eval": ("model", "features", "manifest"), "sweep-svm": ("manifest",),
+    "augment": ("manifest",), "stream": ("model", "wav"),
+}
 
 
 def resolved(argv) -> dict:
-    """The options the subcommand of argv sees once they are resolved."""
-    previous = sys.gettrace()
-    sys.settrace(_stop_at_opts)
-    try:
-        code = cli.main(argv)
-    except _Resolved as stop:
-        return stop.args[0]
-    finally:
-        sys.settrace(previous)
-    raise AssertionError(f"{argv[0]} exited {code} before resolving its options")
+    """The options the subcommand of argv is handed."""
+    opts = vars(cli.build_parser().parse_args(argv))
+    del opts["fn"], opts["command"]
+    return opts
+
+
+def required_argv(name) -> list:
+    """Each flag subcommand name requires, with its sample value."""
+    return [arg for key in REQUIRED.get(name, ())
+            for arg in (flag(key), OPTION_TABLE[name][key][1])]
 
 
 def flag(name) -> str:
@@ -104,7 +94,7 @@ def test_subcommands_and_flags():
     assert sum(len(table) for table in OPTION_TABLE.values()) == 34
     for name, table in OPTION_TABLE.items():
         flags = {s for a in sub.choices[name]._actions for s in a.option_strings}
-        assert flags == ({"-h", "--help", "--config", "--seed", "--out-dir"}
+        assert flags == ({"-h", "--help", "--seed", "--out-dir"}
                          | {flag(key) for key in table}), name
 
 
@@ -112,7 +102,8 @@ def test_subcommands_and_flags():
 def test_resolved_defaults(name):
     want = {key: default for key, (default, _, _) in
             {**OPTION_TABLE[name], **COMMON}.items()}
-    assert_same(resolved([name]), {**want, "out_dir": None})
+    want.update({key: OPTION_TABLE[name][key][2] for key in REQUIRED.get(name, ())})
+    assert_same(resolved([name, *required_argv(name)]), {**want, "out_dir": None})
 
 
 @pytest.mark.parametrize("name", sorted(OPTION_TABLE))
@@ -124,39 +115,39 @@ def test_flag_values_parse_to_their_types(name, tmp_path):
     assert_same(resolved(argv + ["--out-dir", want["out_dir"]]), want)
 
 
-@pytest.mark.parametrize("name", sorted(OPTION_TABLE))
-def test_config_keys_are_the_options(name, tmp_path):
-    want = {key: parsed for key, (_, _, parsed) in
-            {**OPTION_TABLE[name], **COMMON}.items()}
-    want["out_dir"] = str(tmp_path / "o")
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"version": 1, **want}))
-    assert_same(resolved([name, "--config", str(cfg)]), want)
-    # a flag overrides the config file
-    assert_same(resolved([name, "--config", str(cfg), "--seed", "5"]),
-                {**want, "seed": 5})
-    for key in ("bogus_key", "config", "command"):
-        cfg.write_text(json.dumps({"version": 1, key: 1}))
-        assert cli.main([name, "--config", str(cfg)]) == 2
+@pytest.mark.parametrize("name,key", [(name, key) for name in sorted(REQUIRED)
+                                      for key in REQUIRED[name]])
+def test_missing_required_flag_is_refused(name, key, tmp_path, capsys):
+    # argparse names the flag before anything is read or written
+    argv = [a for other in REQUIRED[name] if other != key
+            for a in (flag(other), OPTION_TABLE[name][other][1])]
+    assert cli.main([name, *argv, "--out-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: the following arguments are required: " + flag(key) in err
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_config_number_for_float_option(tmp_path):
-    # a JSON integer is a number, as "2" on the command line is a float
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"version": 1, "window": 2, "hop": 1}))
-    got = resolved(["stream", "--config", str(cfg)])
-    assert_same({k: got[k] for k in ("window", "hop")},
-                {"window": 2.0, "hop": 1.0})
+@pytest.mark.parametrize("name,key,bad,words", [
+    ("gradient-check", "seed", "x", ["invalid int value"]),
+    ("train-cnn", "epochs", "1.5", ["invalid int value"]),
+    ("stream", "window", "3s", ["invalid float value"]),
+    ("validate-dataset", "corpus", "crema", ["invalid choice", "ravdess", "tess"]),
+    ("train-svm", "kernel", "poly", ["invalid choice", "rbf", "linear"]),
+    ("eval", "split", "bogus", ["invalid choice", "test", "train", "val"])])
+def test_bad_value_is_refused(name, key, bad, words, tmp_path, capsys):
+    # a value not of its flag's type, or not one of its choices, is a usage
+    # error naming the flag, the value and any choices, before anything is
+    # read or written
+    argv = [name, *required_argv(name), flag(key), bad]
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: argument {flag(key)}: " in err
+    assert all(word in err for word in [bad, *words])
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_config_number_for_text_option(tmp_path):
-    # "extra_points": 20 sweeps point 20, as the flag --extra-points 20 does
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"version": 1, "extra_points": 20}))
-    assert resolved(["sweep-svm", "--config", str(cfg)])["extra_points"] == "20"
-
-
-# options the paper's protocol fixes, each with a value it once took
+# options the paper's protocol fixes, each with a value it once took, and the
+# config file that could set every option a second way
 REMOVED = [
     ("extract", "n_mels", "40"), ("extract", "target_length", "4000"),
     ("extract", "f_min", "50"), ("extract", "f_max", "4000"),
@@ -174,19 +165,19 @@ REMOVED = [
     ("gradient-check", "batch", "1"), ("gradient-check", "threshold", "0.5"),
     ("gradient-check", "full_width", None),
     ("audit-params", "n_mfcc", "20"), ("audit-params", "n_frames", "30"),
+    *[(name, "config", "c.json") for name in sorted(OPTION_TABLE)],
 ]
 
 
 @pytest.mark.parametrize("name,key,sample", REMOVED,
                          ids=[f"{n}-{k}" for n, k, _ in REMOVED])
 def test_removed_option_is_refused(name, key, sample, tmp_path, capsys):
-    # nothing is read or written: no run directory, no file in the cwd
+    # refused as unknown, with every required flag given; nothing is read or
+    # written: no run directory, no file in the cwd
     run = tmp_path / "run"
-    argv = [name, flag(key)] + ([] if sample is None else [sample])
+    argv = [name, *required_argv(name), flag(key)]
+    argv += [] if sample is None else [sample]
     assert cli.main(argv + ["--out-dir", str(run)]) == 1
-    assert "usage error" in capsys.readouterr().err
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"version": 1, key: True if sample is None else sample}))
-    assert cli.main([name, "--config", str(cfg), "--out-dir", str(run)]) == 2
-    assert f"config keys not understood: [{key!r}]" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    err = capsys.readouterr().err
+    assert f"usage error: unrecognized arguments: {flag(key)}" in err
+    assert list(tmp_path.iterdir()) == []

@@ -40,19 +40,27 @@ def save_tiny_cache(path):
 SAVERS = {"svm": save_tiny_svm, "cnn": save_tiny_cnn, "cache": save_tiny_cache}
 
 
-def eval_exit_code(model_path, out_dir):
-    with contextlib.redirect_stderr(io.StringIO()):
-        return main(["eval", "--model", str(model_path), "--out-dir", str(out_dir)])
+def eval_run(model_path, out_dir):
+    """(exit code, stderr) of `emorec eval` on a model, given a feature cache
+    and a manifest that do not exist; the model is read first."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["eval", "--model", str(model_path),
+                     "--features", str(out_dir / "no_features.bin"),
+                     "--manifest", str(out_dir / "no_manifest.csv"),
+                     "--out-dir", str(out_dir)])
+    return code, err.getvalue()
 
 
 @pytest.mark.parametrize("kind", ["svm", "cnn"])
 class TestModelContainersFailClosed:
     def test_intact_container_gets_past_loading(self, tmp_path, kind):
-        # control: with the model loaded, eval stops at the missing
-        # --features (usage error, exit 1), so exit 2 below is the container
+        # control: with the model loaded, eval stops at the missing feature
+        # cache, so an exit 2 below that does not name it is the container
         path = tmp_path / "model.bin"
         SAVERS[kind](path)
-        assert eval_exit_code(path, tmp_path / "r") == 1
+        code, err = eval_run(path, tmp_path / "r")
+        assert code == 2 and "no_features.bin" in err
 
     def test_cut_at_every_offset(self, tmp_path, kind):
         path = tmp_path / "model.bin"
@@ -61,7 +69,8 @@ class TestModelContainersFailClosed:
         cut = tmp_path / "cut.bin"
         for n in range(len(data)):
             cut.write_bytes(data[:n])
-            assert eval_exit_code(cut, tmp_path / "r") == 2, f"cut at {n}"
+            code, err = eval_run(cut, tmp_path / "r")
+            assert code == 2 and "no_features.bin" not in err, f"cut at {n}"
 
     def test_trailing_bytes(self, tmp_path, kind):
         path = tmp_path / "model.bin"
@@ -70,7 +79,8 @@ class TestModelContainersFailClosed:
         loader = svm.load_svm if kind == "svm" else nn.load_cnn
         with pytest.raises(FormatError, match="16 trailing bytes"):
             loader(path)
-        assert eval_exit_code(path, tmp_path / "r") == 2
+        code, err = eval_run(path, tmp_path / "r")
+        assert code == 2 and "16 trailing bytes" in err
 
 
 RECORD = {"pipeline": features.PipelineConfig(target_length=4200,
@@ -106,11 +116,8 @@ def test_removed_field_refused(tmp_path, kind, edit, message):
     with pytest.raises(FormatError, match=message):
         LOADERS[kind](path)
     if kind != "cache":
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            assert main(["eval", "--model", str(path),
-                         "--out-dir", str(tmp_path / "r")]) == 2
-        assert re.search(message, err.getvalue())
+        code, err = eval_run(path, tmp_path / "r")
+        assert code == 2 and re.search(message, err)
 
 
 def test_truncation_names_offset_and_size(tmp_path):

@@ -82,6 +82,15 @@ class TestArchitecture:
         # Dense(512) on 320 inputs
         assert 320 * 512 + 512 == 164352
 
+    @pytest.mark.parametrize("activation", ["none", "linear", "", None])
+    def test_dense_activation_the_loader_refuses(self, activation):
+        # a layer load_cnn would refuse to read back is not built at all
+        with pytest.raises(ConfigError, match="dense activation must be "
+                                              "relu or softmax"):
+            nn.Dense(2, activation=activation)
+        for ok in ("relu", "softmax"):
+            assert nn.Dense(2, activation=ok).activation == ok
+
 
 class TestConv:
     def test_identity_center_kernel(self):

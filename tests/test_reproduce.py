@@ -113,3 +113,27 @@ def test_missing_corpus_dir_exits_2(tmp_path, monkeypatch, capsys, which):
     err = capsys.readouterr().err
     assert f"{which} root {missing!r} is not a directory" in err
     assert not (tmp_path / "out" / "cnn_model.bin").exists()
+    # a run that raised is not listed as one that wrote nothing
+    assert not (tmp_path / "out" / "artifacts.csv").exists()
+
+
+@pytest.mark.parametrize("args,field", [
+    (["--epochs", "0"], "epochs must be at least 1, got 0"),
+    (["--batch-size", "-1"], "batch_size must be at least 1, got -1"),
+    (["--sweep", "--sweep-runs", "0"], "--sweep-runs must be at least 1, got 0"),
+])
+def test_bad_count_exits_2_before_the_corpus_is_scanned(tmp_path, monkeypatch,
+                                                        capsys, args, field):
+    """A count below 1 exits 2 naming it, with no traceback, before any
+    directory is read or made: the corpus root here does not exist."""
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["reproduce.py", "--ravdess-dir",
+                                      str(tmp_path / "missing"), "--out",
+                                      str(out), *args])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(os.path.join(SCRIPTS, "reproduce.py"),
+                       run_name="__main__")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not out.exists()

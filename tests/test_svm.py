@@ -326,7 +326,7 @@ class TestSerialization:
         with pytest.raises(FormatError, match="unknown field strategy"):
             svm.load_svm(path)
 
-    def test_ovo_container_rejected(self, tmp_path):
+    def test_ovo_container_rejected(self, tmp_path, capsys):
         model = svm.train_multiclass(XOR_POINTS, [0, 0, 1, 1],
                                      KernelSpec(kind="rbf", C=10.0))
         path = tmp_path / "model.bin"
@@ -334,8 +334,12 @@ class TestSerialization:
         rewrite_header(path, strategy="ovo", pairs=[[0, 1]])
         with pytest.raises(FormatError, match="unknown field strategy"):
             svm.load_svm(path)
+        # the model is read before the (missing) cache and manifest
         assert main(["eval", "--model", str(path),
+                     "--features", str(tmp_path / "no_features.bin"),
+                     "--manifest", str(tmp_path / "no_manifest.csv"),
                      "--out-dir", str(tmp_path / "r")]) == 2
+        assert "unknown field strategy" in capsys.readouterr().err
 
     def test_summary_mentions_counts(self):
         model = svm.train_multiclass(XOR_POINTS, [0, 0, 1, 1],

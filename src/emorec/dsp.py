@@ -3,9 +3,10 @@
 Everything here is a pure function of its inputs.  The FFT (power-of-two
 lengths; callers zero-pad) is Bailey's four-step algorithm ("FFTs in external
 or hierarchical memory", J. Supercomputing 1990): two DFT-matrix GEMMs with a
-twiddle multiply between.  The STFT is real-input (Sorensen et al.,
-"Real-valued fast Fourier transform algorithms", IEEE TASSP 1987): one
-N/2-point complex FFT per real N-point frame: framing, then
+twiddle multiply between.  The STFT's :func:`frame_magnitudes` runs the same
+two stages on real frames: a real matmul by the length-A DFT's half
+spectrum (real input is Hermitian), twiddles, then :func:`fft` of length B,
+reading |X[k]| for k <= N/2 off its output.  :func:`stft` is framing, then
 :func:`frame_magnitudes` on the frame buffer; :func:`mfcc` is :func:`stft`,
 then the mel -> log -> DCT tail :func:`mel_cepstrum`.  Callers that frame
 their own way call the two kernels.  The cepstral transform is an
@@ -139,24 +140,38 @@ def next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
+@functools.lru_cache(maxsize=32)
+def _half_dft(n: int) -> np.ndarray:
+    # columns k = 0 .. n/2 of the length-n DFT, each a real (cos, -sin) pair:
+    # a real row times it is the row's half spectrum, read as complex128
+    m = np.ascontiguousarray(_phases(n // 2 + 1, n, n).T).view(np.float64)
+    m.setflags(write=False)
+    return m
+
+
 def frame_magnitudes(frames: np.ndarray, frame_length: int) -> np.ndarray:
-    """|FFT| on bins 0 .. frame_length//2 of each row of a C-contiguous float64
-    F x N buffer of windowed frames zero-padded to N = next_pow2(frame_length);
-    each row is one N/2-point complex FFT (even samples real, odd imaginary).
-    The result is column-major: the bits of a GEMM over it depend on that."""
-    n_fft = frames.shape[1]
-    z = fft(frames.view(np.complex128))
-    # with m = n_fft/2 and z[m] = z[0], X[k] = (z[k] + conj z[m-k])/2
-    # - (i/2) W^k (z[k] - conj z[m-k]), W = exp(-2i*pi/n_fft); k < nb <= m + 1
-    m, nb = n_fft // 2, frame_length // 2 + 1
-    iw = 0.5j * _phases(2, nb, n_fft)[1]        # row 1: W^k
-    zk, zmk = np.empty((2, nb, len(z)), np.complex128).transpose(0, 2, 1)
-    zk[:, :m], zk[:, m:] = z[:, :nb], z[:, :1]
-    np.conjugate(z[:, 0], out=zmk[:, 0])
-    np.conjugate(z[:, m + 1 - nb : m][:, ::-1], out=zmk[:, 1:])
-    zk *= 0.5 - iw
-    zmk *= 0.5 + iw
-    return np.abs(np.add(zk, zmk, out=zk))
+    """|DFT| on bins 0 .. frame_length//2 of each row of a float64 F x N
+    buffer of windowed frames zero-padded to N = next_pow2(frame_length).
+
+    With N = A*B and input index B*a + b, a real matmul of each frame's
+    B x A view by the length-A DFT's columns k1 = 0 .. A/2 (real input: the
+    other columns give their conjugates) is stage 1; after the twiddles
+    W_N^(k1*b), one :func:`fft` call of (A/2+1)*F rows of B points gives
+    X[k1 + A*k2], and |X[k]| = |X[N-k]| gives k1 > A/2.  For N <= 64, A = N:
+    the matmul is the whole real DFT and B = 1.  The result is column-major:
+    the bits of a GEMM over it depend on that."""
+    f, n = frames.shape
+    a = n if n <= 64 else 1 << (n.bit_length() // 2)
+    b, k = n // a, a // 2 + 1
+    y = np.matmul(frames.reshape(f, a, b).transpose(0, 2, 1), _half_dft(a))
+    z = np.multiply(y.view(np.complex128).transpose(2, 0, 1),
+                    _phases(k, b, n)[:, None, :], out=np.empty((k, f, b), np.complex128))
+    mag = np.abs(fft(z))
+    half = b // 2 + 1   # bins up to N/2 have k2 <= B/2
+    out = np.empty((half, a, f))
+    out[:, :k] = mag[:, :, :half].transpose(2, 0, 1)
+    out[:, k:] = mag[k - 2 : 0 : -1, :, ::-1][:, :, :half].transpose(2, 0, 1)
+    return out.reshape(half * a, f)[: frame_length // 2 + 1].T
 
 
 def stft(clip: AudioClip, frame_length: int, hop_length: int) -> Spectrogram:

@@ -291,30 +291,62 @@ class TestMfcc:
             dsp.mfcc(clip, 30, 1024, 256, n_mels=26)
 
 
-def gathered_magnitudes(frames, frame_length):
-    """The bin split with fancy-index gathers, as frame_magnitudes once did."""
-    n_fft = frames.shape[1]
-    z = dsp.fft(frames.view(np.complex128))
-    m, k = n_fft // 2, np.arange(frame_length // 2 + 1)
-    iw = 0.5j * np.exp(-2j * math.pi * k / n_fft)
-    return np.abs(z[:, k % m] * (0.5 - iw) + np.conj(z[:, (m - k) % m]) * (0.5 + iw))
+def hann_frames(frame_length, n_frames):
+    """n_frames random Hann-windowed frames, zero-padded to next_pow2."""
+    frames = np.zeros((n_frames, dsp.next_pow2(frame_length)))
+    rng = np.random.default_rng(frame_length + n_frames)
+    frames[:, :frame_length] = (rng.normal(size=(n_frames, frame_length))
+                                * dsp.hann_window(frame_length))
+    return frames
 
 
 class TestFrameMagnitudes:
-    """frame_magnitudes splits the bins with slices; it must give the gather
-    form's bits and its column-major layout, which the mel GEMM's bits
-    depend on."""
+    """frame_magnitudes against the direct DFT, in the column-major layout
+    the mel GEMM's bits depend on; its read-off of the half-spectrum rows
+    must give the index-gather form's bits."""
+
+    @pytest.mark.parametrize("frame_length",
+                             [2, 3, 5, 16, 63, 64, 65, 400, 512, 1000, 2048, 4096])
+    @pytest.mark.parametrize("n_frames", [1, 11, 26])
+    def test_matches_naive_dft(self, frame_length, n_frames):
+        frames = hann_frames(frame_length, n_frames)
+        got = dsp.frame_magnitudes(frames, frame_length)
+        want = np.abs(naive_dft(frames.T).T)[:, : frame_length // 2 + 1]
+        assert got.shape == want.shape == (n_frames, frame_length // 2 + 1)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert got.strides == (8, 8 * n_frames)
 
     @pytest.mark.parametrize("frame_length", [400, 512, 1000, 2048])
     @pytest.mark.parametrize("n_frames", [1, 11, 26])
-    def test_equals_gather_form(self, frame_length, n_frames):
-        n_fft = dsp.next_pow2(frame_length)
-        frames = np.zeros((n_frames, n_fft))
-        rng = np.random.default_rng(frame_length + n_frames)
-        frames[:, :frame_length] = (rng.normal(size=(n_frames, frame_length))
-                                    * dsp.hann_window(frame_length))
-        got = dsp.frame_magnitudes(frames, frame_length)
-        want = gathered_magnitudes(frames, frame_length)
-        assert got.shape == (n_frames, frame_length // 2 + 1)
+    def test_equals_gather_form(self, frame_length, n_frames, monkeypatch):
+        # bin k = k1 + A*k2 is row k1 of the fft output at point k2, or for
+        # k1 > A/2 its mirror |X[N-k]|: row A-k1 at point B-1-k2
+        outputs = []
+        fft = dsp.fft
+        monkeypatch.setattr(dsp, "fft", lambda x: outputs.append(fft(x)) or outputs[-1])
+        got = dsp.frame_magnitudes(hann_frames(frame_length, n_frames), frame_length)
+        mag = np.abs(outputs[0])             # (A/2 + 1, F, B)
+        a, b = 2 * (len(mag) - 1), mag.shape[2]
+        k1, k2 = np.divmod(np.arange(frame_length // 2 + 1), a)[::-1]
+        mirror = k1 > a // 2
+        want = mag[np.where(mirror, a - k1, k1), :, np.where(mirror, b - 1 - k2, k2)].T
         assert np.array_equal(got, want)
-        assert got.strides == want.strides
+        assert got.strides == (8, 8 * n_frames)
+
+    @pytest.mark.parametrize("frame_length, a", [(16, 16), (64, 64), (65, 16),
+                                                 (512, 32), (2048, 64), (4096, 64)])
+    def test_one_fft_call_of_the_half_spectrum_rows(self, frame_length, a,
+                                                    monkeypatch):
+        # N = A * B: (A/2 + 1) * F rows of B points, through the module global
+        n_fft, n_frames = dsp.next_pow2(frame_length), 11
+        calls = []
+        fft = dsp.fft
+
+        def spy(x):
+            calls.append(np.shape(x))
+            return fft(x)
+
+        monkeypatch.setattr(dsp, "fft", spy)
+        dsp.frame_magnitudes(hann_frames(frame_length, n_frames), frame_length)
+        assert [(math.prod(s[:-1]), s[-1]) for s in calls] == [
+            ((a // 2 + 1) * n_frames, n_fft // a)]

@@ -1,12 +1,12 @@
 """Deterministic signal-processing kernels: FFT, STFT, mel filterbank, DCT, MFCC.
 
 Everything here is a pure function of its inputs.  The FFT (power-of-two
-lengths; callers zero-pad) is Bailey's four-step algorithm ("FFTs in external
-or hierarchical memory", J. Supercomputing 1990): two DFT-matrix GEMMs with a
-twiddle multiply between.  The STFT's :func:`frame_magnitudes` runs the same
-two stages on real frames: a real matmul by the length-A DFT's half
-spectrum (real input is Hermitian), twiddles, then :func:`fft` of length B,
-reading |X[k]| for k <= N/2 off its output.  :func:`stft` is framing, then
+lengths; callers zero-pad) is one GEMM with the DFT matrix.  The STFT's
+:func:`frame_magnitudes` splits a frame of N = A*B points in two stages
+(Bailey's four-step algorithm, "FFTs in external or hierarchical memory",
+J. Supercomputing 1990): a real matmul by the length-A DFT's half spectrum
+(real input is Hermitian), twiddles, then :func:`fft` of length B, reading
+|X[k]| for k <= N/2 off its output.  :func:`stft` is framing, then
 :func:`frame_magnitudes` on the frame buffer; :func:`mfcc` is :func:`stft`,
 then the mel -> log -> DCT tail :func:`mel_cepstrum`.  Callers that frame
 their own way call the two kernels.  The cepstral transform is an
@@ -59,25 +59,17 @@ def fft(x) -> np.ndarray:
     """DFT over the last axis: X[k] = sum_n x[n] exp(-2i*pi*k*n/N).
 
     The last-axis length must be a power of two; callers zero-pad.  Leading
-    axes are batched.  N <= 64 is one GEMM with the DFT matrix; larger N runs
-    the four-step algorithm, two DFT-matrix GEMMs over the whole batch.
+    axes are batched.  One GEMM with the N x N DFT matrix, which takes
+    N^2 * 16 bytes and O(N^2) work per row: `src/` passes only
+    :func:`frame_magnitudes`' stage-2 lengths, B <= 64 for frames up to
+    8192 samples.
     """
     x = np.asarray(x)
     n = x.shape[-1]
     if not _is_pow2(n):
         raise ValueError(f"fft length {n} is not a power of two; zero-pad first")
     x = x.astype(np.complex128, copy=False)
-    if n <= 64:
-        return (x.reshape(-1, n) @ _phases(n, n, n)).reshape(x.shape)
-    # input index m1*n2 + m2, output index k1 + n1*k2
-    n1 = 1 << ((n.bit_length() - 1) // 2)
-    n2 = n // n1
-    batch = x.size // n
-    cols = x.reshape(batch, n1, n2).transpose(1, 0, 2).reshape(n1, batch * n2)
-    y = (_phases(n1, n1, n1) @ cols).reshape(n1, batch, n2)
-    y *= _phases(n1, n2, n)[:, None, :]     # twiddles W_n^(k1*m2)
-    z = (y.reshape(n1 * batch, n2) @ _phases(n2, n2, n2)).reshape(n1, batch, n2)
-    return z.transpose(1, 2, 0).reshape(x.shape)
+    return (x.reshape(-1, n) @ _phases(n, n, n)).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

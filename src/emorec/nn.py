@@ -33,14 +33,11 @@ model.  A dropout layer reads every row, since its mask's shape fixes how
 many uniforms it draws.  Declared shapes, parameters and checkpoints do not
 change; a conv's output and cache are shorter than its declared shape.
 
-Memory: `train()` keeps one `Workspace` of per-layer buffers (im2col
-columns, activations, masks, the gradients passed between layers) and reuses
-it on every step, so a step allocates only parameter-sized arrays (gradients,
-RMSProp temporaries) and small ones.  ReLU works in place and backward reads
-its mask off the output; the first layer with parameters computes no input
-gradient.  Max pooling compares strided views in place of copying windows.
-`predict_proba` runs blocks of 16 windows through one `Workspace` of its own,
-so inference of any length maps about 16 MB of buffers, once per call.
+Memory: ReLU works in place and backward reads its mask off the output; the
+first layer with parameters computes no input gradient.  Max pooling
+compares strided views in place of copying windows.  `predict_proba` runs
+blocks of 16 windows, so inference of any length holds one block's
+activations at a time.
 
 Determinism: weight init, shuffling and dropout all draw from seeded PCG64
 generators in a fixed single-threaded order, so identical seeds reproduce
@@ -50,9 +47,7 @@ at the rounding level against versions that computed every row (~1e-16 in
 float64, ~1e-7 in float32 parameters), while a seed still reproduces itself
 bit for bit.  A pass is in
 train mode exactly when given a generator, so two seeded alike give bit-equal
-passes (`gradient_check` seeds one per loss evaluation).  Buffers change where
-results are written, never the operations or their order, so a run with a
-workspace matches one without it bit for bit.  The block size of
+passes (`gradient_check` seeds one per loss evaluation).  The block size of
 `predict_proba` is a GEMM row count, and a BLAS may round the last bit
 differently for another row count, so it is a constant: predictions are
 reproducible bit for bit, and agree to ~1e-16 with a pass over any other
@@ -94,46 +89,17 @@ EPSILON = 1e-7
 # name in checkpoints and the audit table), `out_shape`, `param_shapes`
 # ({} for parameterless layers), `rows_read` (the input rows it reads, for
 # `row_plan`), and one `forward` / `backward` step.  The steps call the
-# primitive ops below by module-global name at call time.  Both steps take
-# `buf`, the layer's buffer source (see `Workspace`), and hand it to the
-# primitives, which write their large outputs into it; `forward` also takes
+# primitive ops below by module-global name at call time; `forward` takes
 # the pass's dropout generator, None in infer mode, and its row count.
-
-def _fresh(role, shape, dtype):
-    """Buffer source without a workspace: a new array on every call."""
-    return np.empty(shape, dtype)
-
-
-class Workspace:
-    """Buffers keyed by (layer index, role) that `train()` reuses across steps.
-
-    `layer(i)` is layer i's buffer source: called with a role, shape and
-    dtype, it returns that layer's buffer for the role, allocated again only
-    when the shape or dtype changes (a short last batch).  A buffer holds its
-    contents until the same layer and role are asked for again, in the next
-    pass that uses the workspace.  What `loss_and_grads` returns is fresh.
-    """
-
-    def __init__(self):
-        self._bufs = {}
-
-    def layer(self, i):
-        def buf(role, shape, dtype):
-            a = self._bufs.get((i, role))
-            if a is None or a.shape != shape or a.dtype != dtype:
-                a = self._bufs[(i, role)] = np.empty(shape, dtype)
-            return a
-        return buf
-
 
 class _Layer:
     """Defaults for a layer that has no parameters, keeps its input shape and
     reads every row of its input.
 
     `header` is the schema of its fields in a checkpoint (see `container`).
-    `forward(x, p, rng, buf, rows)` computes the first `rows` rows of the
+    `forward(x, p, rng, rows)` computes the first `rows` rows of the
     output (None: all), which only a convolution can do with fewer rows.
-    `backward(d, cache, buf, need_dx)` returns (input gradient, parameter
+    `backward(d, cache, need_dx)` returns (input gradient, parameter
     gradients); need_dx is False only for the first layer with parameters,
     whose input gradient nothing reads.
     """
@@ -184,16 +150,15 @@ class Conv2D(_Layer):
             return rows + KERNEL - 1
         return min(shape[0], rows + (KERNEL - 1) // 2)
 
-    def forward(self, x, p, rng, buf, rows):
-        x, cache = conv2d_forward(x, p["W"], p["b"], self.padding, buf=buf,
-                                  rows=rows)
+    def forward(self, x, p, rng, rows):
+        x, cache = conv2d_forward(x, p["W"], p["b"], self.padding, rows=rows)
         x, relu_out = relu_forward(x, out=x)
         return x, (cache, relu_out)
 
-    def backward(self, d, cache, buf, need_dx):
+    def backward(self, d, cache, need_dx):
         conv_cache, relu_out = cache
-        d, dW, db = conv2d_backward(relu_backward(d, relu_out, out=d, buf=buf),
-                                    conv_cache, need_dx=need_dx, buf=buf)
+        d, dW, db = conv2d_backward(relu_backward(d, relu_out, out=d),
+                                    conv_cache, need_dx=need_dx)
         return d, {"W": dW, "b": db}
 
 
@@ -214,11 +179,11 @@ class MaxPool2D(_Layer):
         # never the rows past the last whole window
         return self.size * (shape[0] // self.size if rows is None else rows)
 
-    def forward(self, x, p, rng, buf, rows):
-        return maxpool2d_forward(x, self.size, buf=buf)
+    def forward(self, x, p, rng, rows):
+        return maxpool2d_forward(x, self.size)
 
-    def backward(self, d, cache, buf, need_dx):
-        return maxpool2d_backward(d, cache, buf=buf), None
+    def backward(self, d, cache, need_dx):
+        return maxpool2d_backward(d, cache), None
 
 
 @dataclass(frozen=True)
@@ -235,11 +200,11 @@ class DropoutSpec(_Layer):
         if not 0.0 <= self.rate < 1.0:
             raise ConfigError(f"dropout rate {self.rate} outside [0, 1)")
 
-    def forward(self, x, p, rng, buf, rows):
-        return dropout_forward(x, self.rate, rng, buf=buf)
+    def forward(self, x, p, rng, rows):
+        return dropout_forward(x, self.rate, rng)
 
-    def backward(self, d, mask, buf, need_dx):
-        return dropout_backward(d, mask, self.rate, buf=buf), None
+    def backward(self, d, mask, need_dx):
+        return dropout_backward(d, mask, self.rate), None
 
 
 @dataclass(frozen=True)
@@ -249,10 +214,10 @@ class FlattenSpec(_Layer):
     def out_shape(self, shape):
         return (int(np.prod(shape)),)
 
-    def forward(self, x, p, rng, buf, rows):
+    def forward(self, x, p, rng, rows):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, d, x_shape, buf, need_dx):
+    def backward(self, d, x_shape, need_dx):
         return d.reshape(x_shape), None
 
 
@@ -277,17 +242,17 @@ class Dense(_Layer):
     def param_shapes(self, shape):
         return {"W": (shape[0], self.units), "b": (self.units,)}
 
-    def forward(self, x, p, rng, buf, rows):
-        x, cache = dense_forward(x, p["W"], p["b"], buf=buf)
+    def forward(self, x, p, rng, rows):
+        x, cache = dense_forward(x, p["W"], p["b"])
         x, relu_out = (relu_forward(x, out=x) if self.activation == "relu"
                        else (x, None))
         return x, (cache, relu_out)
 
-    def backward(self, d, cache, buf, need_dx):
+    def backward(self, d, cache, need_dx):
         dense_cache, relu_out = cache
         if relu_out is not None:
-            d = relu_backward(d, relu_out, out=d, buf=buf)
-        d, dW, db = dense_backward(d, dense_cache, need_dx=need_dx, buf=buf)
+            d = relu_backward(d, relu_out, out=d)
+        d, dW, db = dense_backward(d, dense_cache, need_dx=need_dx)
         return d, {"W": dW, "b": db}
 
 
@@ -299,13 +264,10 @@ _LAYER_TYPES = {cls.kind: cls for cls in (Conv2D, MaxPool2D, DropoutSpec,
 # Primitive ops
 # ---------------------------------------------------------------------------
 #
-# `buf(role, shape, dtype)` supplies each large output; the default `_fresh`
-# allocates it, a `Workspace` layer reuses it.  Either way the arithmetic is
-# the same, so results do not depend on which one is passed.  Each buffer
-# takes the dtype of the tensor it is computed from, so one code path serves
-# float32 and float64.  Parameter gradients are always fresh arrays.
+# Each output takes the dtype of the tensor it is computed from, so one code
+# path serves float32 and float64.
 
-def conv2d_forward(x, W, b, padding="same", buf=_fresh, rows=None):
+def conv2d_forward(x, W, b, padding="same", rows=None):
     """Cross-correlation plus bias.  x: (N,H,W,Cin), W: (k,k,Cin,Cout).
 
     same-padding pads symmetrically with zeros (odd kernels only); valid
@@ -318,7 +280,7 @@ def conv2d_forward(x, W, b, padding="same", buf=_fresh, rows=None):
         raise ValueError(f"channel mismatch: input {cin}, kernel {W.shape[2]}")
     if padding == "same":
         p = (k - 1) // 2
-        xp = buf("xp", (n, h + 2 * p, w + 2 * p, cin), x.dtype)
+        xp = np.empty((n, h + 2 * p, w + 2 * p, cin), x.dtype)
         xp[:, :p] = 0.0
         xp[:, p + h:] = 0.0
         xp[:, :, :p] = 0.0
@@ -337,16 +299,16 @@ def conv2d_forward(x, W, b, padding="same", buf=_fresh, rows=None):
         ho = rows
     win = np.lib.stride_tricks.sliding_window_view(xp[:, :ho + k - 1], (k, k),
                                                    axis=(1, 2))
-    cols = buf("cols", (n * ho * wo, k * k * cin), x.dtype)
+    cols = np.empty((n * ho * wo, k * k * cin), x.dtype)
     np.copyto(cols.reshape(n, ho, wo, k, k, cin), win.transpose(0, 1, 2, 4, 5, 3))
-    out = buf("out", (n, ho, wo, W.shape[3]), x.dtype)
+    out = np.empty((n, ho, wo, W.shape[3]), x.dtype)
     np.matmul(cols, W.reshape(k * k * cin, -1), out=out.reshape(n * ho * wo, -1))
     out += b
     cache = (cols, x.shape, xp.shape, W, padding)
     return out, cache
 
 
-def conv2d_backward(dout, cache, need_dx=True, buf=_fresh):
+def conv2d_backward(dout, cache, need_dx=True):
     """(dx, dW, db); dx is None when need_dx is False.
 
     dx accumulates one (N*ho*wo, Cout) @ W[di, dj]^T GEMM per kernel tap into
@@ -361,9 +323,8 @@ def conv2d_backward(dout, cache, need_dx=True, buf=_fresh):
     db = dflat.sum(axis=0)
     if not need_dx:
         return None, dW, db
-    dxp = buf("dxp", xp_shape, dout.dtype)
-    dxp.fill(0.0)
-    tap = buf("tap", (n * ho * wo, cin), dout.dtype)
+    dxp = np.zeros(xp_shape, dout.dtype)
+    tap = np.empty((n * ho * wo, cin), dout.dtype)
     for di in range(k):
         for dj in range(k):
             np.matmul(dflat, W[di, dj].T, out=tap)
@@ -383,7 +344,7 @@ def _pool_views(a, size, ho, wo):
             for di in range(size) for dj in range(size)]
 
 
-def maxpool2d_forward(x, size=2, buf=_fresh):
+def maxpool2d_forward(x, size=2):
     """Non-overlapping size x size max; trailing odd rows/cols are dropped.
 
     Compare-and-select over the window positions: view k replaces the running
@@ -396,13 +357,12 @@ def maxpool2d_forward(x, size=2, buf=_fresh):
         raise ValueError(f"input {x.shape[1:3]} too small for {size}x{size} pooling")
     ho, wo = h // size, w // size
     shape = (n, ho, wo, c)
-    out = buf("out", shape, x.dtype)
-    idx = buf("idx", shape, np.min_scalar_type(size * size - 1))
-    greater = buf("greater", shape, bool)
-    k_where = buf("k_where", shape, idx.dtype)
+    out = np.empty(shape, x.dtype)
+    idx = np.zeros(shape, np.min_scalar_type(size * size - 1))
+    greater = np.empty(shape, bool)
+    k_where = np.empty(shape, idx.dtype)
     first, *rest = _pool_views(x, size, ho, wo)
     np.copyto(out, first)
-    idx.fill(0)
     for k, view in enumerate(rest, start=1):
         np.greater(view, out, out=greater)
         np.maximum(out, view, out=out)
@@ -413,33 +373,33 @@ def maxpool2d_forward(x, size=2, buf=_fresh):
     return out, (idx, x.shape, size)
 
 
-def maxpool2d_backward(dout, cache, buf=_fresh):
+def maxpool2d_backward(dout, cache):
     """Route each window's gradient to its argmax; other inputs get 0."""
     idx, x_shape, size = cache
     n, h, w, c = x_shape
     ho, wo = h // size, w // size
-    dx = buf("dx", x_shape, dout.dtype)
+    dx = np.empty(x_shape, dout.dtype)
     dx[:, ho * size:] = 0.0
     dx[:, :, wo * size:] = 0.0
-    hit = buf("hit", idx.shape, bool)
+    hit = np.empty(idx.shape, bool)
     for k, view in enumerate(_pool_views(dx, size, ho, wo)):
         np.equal(idx, k, out=hit)
         np.multiply(dout, hit, out=view)
     return dx
 
 
-def dense_forward(x, W, b, buf=_fresh):
+def dense_forward(x, W, b):
     if x.shape[1] != W.shape[0]:
         raise ValueError(f"dense input dim {x.shape[1]} != weight rows {W.shape[0]}")
-    out = np.matmul(x, W, out=buf("out", (x.shape[0], W.shape[1]), x.dtype))
+    out = x @ W
     out += b
     return out, (x, W)
 
 
-def dense_backward(dout, cache, need_dx=True, buf=_fresh):
+def dense_backward(dout, cache, need_dx=True):
     """(dx, dW, db); dx is None when need_dx is False."""
     x, W = cache
-    dx = np.matmul(dout, W.T, out=buf("dx", x.shape, dout.dtype)) if need_dx else None
+    dx = dout @ W.T if need_dx else None
     return dx, x.T @ dout, dout.sum(axis=0)
 
 
@@ -449,12 +409,11 @@ def relu_forward(x, out=None):
     return y, y
 
 
-def relu_backward(dout, y, out=None, buf=_fresh):
-    mask = np.greater(y, 0, out=buf("relu_mask", y.shape, bool))
-    return np.multiply(dout, mask, out=out)
+def relu_backward(dout, y, out=None):
+    return np.multiply(dout, y > 0, out=out)
 
 
-def dropout_forward(x, rate, rng=None, buf=_fresh):
+def dropout_forward(x, rate, rng=None):
     """Inverted dropout: zero with prob rate, scale survivors by 1/(1-rate).
 
     Returns (output, mask).  Without a generator (infer mode) this is the
@@ -464,17 +423,16 @@ def dropout_forward(x, rate, rng=None, buf=_fresh):
     """
     if rng is None or rate == 0.0:
         return x, None
-    draws = rng.random(out=buf("drop_draws", x.shape, np.float64))
-    mask = np.greater_equal(draws, rate, out=buf("drop_mask", x.shape, bool))
-    out = np.multiply(x, mask, out=buf("drop", x.shape, x.dtype))
+    mask = rng.random(x.shape) >= rate
+    out = x * mask
     out /= 1.0 - rate
     return out, mask
 
 
-def dropout_backward(dout, mask, rate, buf=_fresh):
+def dropout_backward(dout, mask, rate):
     if mask is None:
         return dout
-    d = np.multiply(dout, mask, out=buf("ddrop", dout.shape, dout.dtype))
+    d = dout * mask
     d /= 1.0 - rate
     return d
 
@@ -644,31 +602,26 @@ def audit_params(model: CnnModel) -> str:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def _buffers(work, i):
-    return _fresh if work is None else work.layer(i)
-
-
-def forward(model: CnnModel, x, rng=None, work=None):
+def forward(model: CnnModel, x, rng=None):
     """Run the network up to the output logits; returns (logits, caches).
 
     The pass is in train mode exactly when it is given a generator: dropout
     draws its masks from rng, layer by layer, and keeps each as its layer's
-    cache.  Without one every dropout layer is the identity.  With a
-    `Workspace`, the activations and caches live in its buffers until the
-    next pass that uses it.  x is cast to the parameters' dtype.  Each layer
+    cache.  Without one every dropout layer is the identity.  x is cast to
+    the parameters' dtype.  Each layer
     computes the rows `row_plan` gives it, so a convolution's output and
     cache may hold fewer rows than its declared shape.
     """
     x = np.asarray(x, dtype=model.dtype)
     plan = row_plan(model.specs, x.shape[1:])
     caches = []
-    for i, (spec, p, rows) in enumerate(zip(model.specs, model.params, plan)):
-        x, cache = spec.forward(x, p, rng, _buffers(work, i), rows)
+    for spec, p, rows in zip(model.specs, model.params, plan):
+        x, cache = spec.forward(x, p, rng, rows)
         caches.append(cache)
     return x, caches
 
 
-def backward(model: CnnModel, dlogits, caches, work=None):
+def backward(model: CnnModel, dlogits, caches):
     """Gradients of the loss w.r.t. every parameter tensor.
 
     Layers before the first one with parameters are not visited, and that
@@ -679,18 +632,16 @@ def backward(model: CnnModel, dlogits, caches, work=None):
                  len(model.specs))
     d = dlogits
     for i in range(len(model.specs) - 1, first - 1, -1):
-        d, grads[i] = model.specs[i].backward(d, caches[i], _buffers(work, i),
-                                              need_dx=i > first)
+        d, grads[i] = model.specs[i].backward(d, caches[i], need_dx=i > first)
     return grads
 
 
-def loss_and_grads(model: CnnModel, x, labels, rng=None, work=None):
+def loss_and_grads(model: CnnModel, x, labels, rng=None):
     """(loss, grads, probs) of one pass, in train mode when given rng."""
-    logits, caches = forward(model, x, rng=rng, work=work)
+    logits, caches = forward(model, x, rng=rng)
     loss, dlogits, probs = softmax_cross_entropy(
         logits.astype(np.float64, copy=False), labels)
-    grads = backward(model, dlogits.astype(logits.dtype, copy=False), caches,
-                     work=work)
+    grads = backward(model, dlogits.astype(logits.dtype, copy=False), caches)
     return loss, grads, probs
 
 
@@ -698,19 +649,17 @@ def predict_proba(model: CnnModel, x) -> np.ndarray:
     """Softmax probabilities in infer mode (dropout off).
 
     x must be shaped (N,) + model.input_shape; other shapes raise DataError
-    before any layer runs.  Windows run in blocks of PREDICT_BLOCK through one
-    `Workspace`, so every block after the first reuses the buffers of the one
-    before; at 16 windows the largest (conv2's im2col columns) is ~9 MB.
-    The layers run in the parameters' dtype, the softmax in float64.
+    before any layer runs.  Windows run in blocks of PREDICT_BLOCK; at 16
+    windows the largest array (conv2's im2col columns) is ~9 MB.  The layers
+    run in the parameters' dtype, the softmax in float64.
     """
     x = np.asarray(x, dtype=model.dtype)
     if x.shape[1:] != model.input_shape:
         raise DataError(f"windows shaped {x.shape[1:]} do not fit the model's "
                         f"input_shape {model.input_shape}")
-    work = Workspace()
     probs = np.empty((len(x), model.n_classes))
     for start in range(0, len(x), PREDICT_BLOCK):
-        logits, _ = forward(model, x[start:start + PREDICT_BLOCK], work=work)
+        logits, _ = forward(model, x[start:start + PREDICT_BLOCK])
         probs[start:start + len(logits)] = softmax(
             logits.astype(np.float64, copy=False))
     return probs
@@ -780,8 +729,14 @@ class EpochStats:
     val_acc: float | None = None
 
 
+def _check_labels(x, labels):
+    if len(labels) != len(x):
+        raise DataError(f"{len(labels)} labels for {len(x)} windows")
+
+
 def evaluate(model: CnnModel, x, labels):
     """(mean cross-entropy, accuracy) in infer mode."""
+    _check_labels(x, labels)
     probs = predict_proba(model, x)
     loss = cross_entropy_loss(probs, labels)
     acc = float((probs.argmax(axis=1) == np.asarray(labels)).mean())
@@ -807,11 +762,13 @@ def train(model: CnnModel, x, labels, cfg: TrainConfig,
     labels = np.asarray(labels, dtype=np.int64)
     if len(x) == 0:
         raise ConfigError("empty training split")
+    _check_labels(x, labels)
+    if x_val is not None:
+        _check_labels(x_val, labels_val)
     model.params = _cast(model.params, dtype)
     acc = [None if p is None else {k: np.zeros_like(v) for k, v in p.items()}
            for p in model.params]
     rng = np.random.default_rng(cfg.seed)
-    work = Workspace()
     history = []
     t = 0
     for epoch in range(1, cfg.epochs + 1):
@@ -820,7 +777,7 @@ def train(model: CnnModel, x, labels, cfg: TrainConfig,
         for start in range(0, len(order), cfg.batch_size):
             sel = order[start:start + cfg.batch_size]
             xb, yb = x[sel], labels[sel]
-            loss, grads, probs = loss_and_grads(model, xb, yb, rng=rng, work=work)
+            loss, grads, probs = loss_and_grads(model, xb, yb, rng=rng)
             rmsprop_step(model.params, grads, acc, cfg, t)
             t += 1
             losses.append(loss * len(sel))

@@ -142,7 +142,6 @@ class StreamingClassifier:
                 f"coefficients x {features.N_FRAMES} frames)")
         self.model = model
         self.pipeline_cfg = pipeline_cfg
-        self.cfg = stream_cfg
         self.sample_rate = sample_rate
         self.window_samples = int(round(stream_cfg.window_seconds * sample_rate))
         self.hop_samples = int(round(stream_cfg.hop_seconds * sample_rate))
@@ -162,10 +161,10 @@ class StreamingClassifier:
         self.processing_seconds += elapsed
         latency_ms = elapsed * 1000.0
         self.latencies_ms.append(latency_ms)
-        end = self._ring.total / self.sample_rate
-        return StreamEvent(t_start=end - self.cfg.window_seconds, t_end=end,
-                           probs=probs, label=int(np.argmax(probs)),
-                           latency_ms=latency_ms)
+        total, sr = self._ring.total, self.sample_rate
+        return StreamEvent(t_start=(total - self.window_samples) / sr,
+                           t_end=total / sr, probs=probs,
+                           label=int(np.argmax(probs)), latency_ms=latency_ms)
 
     def push(self, chunk) -> list[StreamEvent]:
         """Feed new samples; returns the events they complete, in time order.

@@ -317,6 +317,8 @@ def train_multiclass(X, labels, spec: KernelSpec) -> SvmModel:
     """Train a one-vs-rest multiclass SVM over integer labels."""
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    if len(labels) != len(X):
+        raise DataError(f"{len(labels)} labels for {len(X)} windows")
     classes = sorted(int(c) for c in set(labels.tolist()))
     if len(classes) < 2:
         raise DataError("need at least 2 classes")

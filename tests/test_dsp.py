@@ -52,8 +52,8 @@ class TestFft:
             assert np.abs(got - want).max() / np.abs(want).max() < 1e-9, n
 
     def test_matches_naive_smallest_and_stft_lengths(self):
-        # n = 1 is the trivial transform; n = 2048 takes the four-step path
-        # with unequal factors (32 x 64)
+        # n = 1 is the trivial transform; n = 2048 is the default frame
+        # length, a 64 MB DFT matrix
         rng = np.random.default_rng(5)
         for n in (1, 2048):
             x = rng.normal(size=n) + 1j * rng.normal(size=n)

@@ -233,18 +233,15 @@ class TestMaxPoolOracle:
         x = np.maximum(0.0, np.round(rng.normal(size=shape), 0))
         x[:, :size, :size] = 0.0
         x[0, -size:, -size:] = 1.0
-        work = nn.Workspace().layer(0)
-        for buf in (nn._fresh, work, work):
-            out, (idx, x_shape, cache_size) = nn.maxpool2d_forward(x, size,
-                                                                   buf=buf)
-            ref_out, ref_idx = argmax_pool(x, size)
-            assert (x_shape, cache_size) == (shape, size)
-            assert np.array_equal(out, ref_out)
-            assert np.array_equal(idx, ref_idx)
-            dout = rng.normal(size=out.shape)
-            dx = nn.maxpool2d_backward(dout, (idx, x_shape, size), buf=buf)
-            assert np.array_equal(dx, argmax_pool_backward(dout, ref_idx,
-                                                           shape, size))
+        out, (idx, x_shape, cache_size) = nn.maxpool2d_forward(x, size)
+        ref_out, ref_idx = argmax_pool(x, size)
+        assert (x_shape, cache_size) == (shape, size)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(idx, ref_idx)
+        dout = rng.normal(size=out.shape)
+        dx = nn.maxpool2d_backward(dout, (idx, x_shape, size))
+        assert np.array_equal(dx, argmax_pool_backward(dout, ref_idx,
+                                                       shape, size))
 
 
 class TestActivations:
@@ -274,12 +271,18 @@ class TestReluWithoutMask:
         assert cache is y
         assert np.array_equal(nn.relu_backward(d, cache), d * (x > 0))
 
-    def test_inference_builds_no_mask(self):
+    def test_predict_never_calls_relu_backward(self, monkeypatch):
+        calls = []
+        relu_backward = nn.relu_backward
+        monkeypatch.setattr(
+            nn, "relu_backward",
+            lambda *a, **k: calls.append(1) or relu_backward(*a, **k))
         model = nn.build_emotion_cnn(seed=0)
-        work = nn.Workspace()
         x = np.random.default_rng(5).normal(size=(3,) + model.input_shape)
-        nn.forward(model, x, work=work)
-        assert work._bufs and all(role != "relu_mask" for _, role in work._bufs)
+        nn.predict_proba(model, x)
+        assert calls == []
+        nn.loss_and_grads(model, x, np.arange(3))   # the spy does see a pass
+        assert calls
 
 
 class TestDropout:
@@ -453,12 +456,10 @@ def cast_params(params, dtype):
             for p in params]
 
 
-def workspace_matches_plain_loop(n, dtype):
-    """`train()` against a plain loop of `loss_and_grads` and `rmsprop_step`
-    without a workspace, run in `dtype` on inputs and parameters cast to it:
-    equal losses, and equal parameters once cast back to float64."""
-    # two same-shape convs and two equal-rate dropouts ask the workspace
-    # for buffers of identical shape; any sharing between layers shows
+def train_matches_plain_loop(n, dtype):
+    """`train()` against a plain loop of `loss_and_grads` and `rmsprop_step`,
+    run in `dtype` on inputs and parameters cast to it: equal losses, and
+    equal parameters once cast back to float64."""
     specs = (nn.Conv2D(3, padding="same"), nn.Conv2D(3, padding="same"),
              nn.MaxPool2D(2), nn.DropoutSpec(0.3), nn.FlattenSpec(),
              nn.Dense(9, activation="relu"), nn.DropoutSpec(0.3),
@@ -501,6 +502,28 @@ def workspace_matches_plain_loop(n, dtype):
 
 
 class TestTraining:
+    @pytest.mark.parametrize("split", ["train", "val"])
+    @pytest.mark.parametrize("n_labels", [6, 10])
+    def test_label_count_mismatch_rejected_before_a_step(self, split,
+                                                         n_labels,
+                                                         monkeypatch):
+        steps = []
+        monkeypatch.setattr(nn, "rmsprop_step", lambda *a: steps.append(a))
+        x, labels = overfit_windows()   # 8 windows
+        wrong = np.arange(n_labels) % 8
+        model = nn.build_emotion_cnn(seed=0)
+        with pytest.raises(DataError, match=f"{n_labels} labels for 8 windows"):
+            nn.train(model, x, wrong if split == "train" else labels,
+                     nn.TrainConfig(epochs=1, batch_size=4), x_val=x,
+                     labels_val=wrong if split == "val" else labels)
+        assert steps == []
+
+    @pytest.mark.parametrize("n_labels", [6, 10])
+    def test_evaluate_label_count_mismatch_rejected(self, n_labels):
+        x, _ = overfit_windows()
+        with pytest.raises(DataError, match=f"{n_labels} labels for 8 windows"):
+            nn.evaluate(nn.build_emotion_cnn(seed=0), x, np.arange(n_labels) % 8)
+
     def test_overfit_eight_windows(self):
         x, labels = overfit_windows()
         model = nn.build_emotion_cnn(seed=0)
@@ -539,12 +562,12 @@ class TestTraining:
                     assert np.array_equal(p[key], q[key])
 
     @pytest.mark.parametrize("n", [12, 10])  # 10: a short last batch
-    def test_workspace_matches_plain_loop(self, n):
-        workspace_matches_plain_loop(n, "float64")
+    def test_train_matches_plain_loop(self, n):
+        train_matches_plain_loop(n, "float64")
 
     @pytest.mark.parametrize("n", [12, 10])
-    def test_workspace_matches_plain_loop_float32(self, n):
-        workspace_matches_plain_loop(n, "float32")
+    def test_train_matches_plain_loop_float32(self, n):
+        train_matches_plain_loop(n, "float32")
 
     def test_predict_blocks_match_single_pass_and_per_window(self):
         # 37 windows leave a short last block; the 512x8 head GEMM may change
@@ -612,22 +635,32 @@ class TestTrainingDtype:
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_buffers_and_tensors_in_training_dtype(self, dtype, monkeypatch):
-        # a float64 buffer or gradient in float32 training would be a silent
-        # upcast (matmul(out=) casts without a word); only the dropout draws
-        # are float64 by design, and bool/integer masks keep their types
-        workspaces, seen, accs = [], [], []
+        # a float64 activation, cache array or gradient in float32 training
+        # would be a silent upcast (matmul(out=) casts without a word); bool
+        # and integer masks keep their types
+        seen, accs = set(), []
 
-        class Recording(nn.Workspace):
-            def __init__(self):
-                super().__init__()
-                workspaces.append(self)
+        def check(where, arrays):
+            for a in arrays:
+                if isinstance(a, tuple):
+                    check(where, a)
+                elif isinstance(a, np.ndarray) and a.dtype.kind == "f":
+                    assert a.dtype == dtype, where
+                    seen.add(where)
 
-        def check_buffers(work):
-            for (i, role), buf in work._bufs.items():
-                if buf.dtype.kind == "f":
-                    want = "float64" if role == "drop_draws" else dtype
-                    assert buf.dtype == want, (i, role)
-                    seen.append(role)
+        def spy(cls, name):
+            step = getattr(cls, name)
+
+            def checked(spec, d, *args, **kwargs):
+                out, extra = step(spec, d, *args, **kwargs)
+                if name == "backward":   # extra: the parameter gradients
+                    mode, arrays = "backward", tuple((extra or {}).values())
+                else:                    # args: p, rng, rows; extra: the cache
+                    mode = "train" if args[1] is not None else "val"
+                    arrays = extra
+                check((mode, cls.kind), (d, out, arrays))
+                return out, extra
+            monkeypatch.setattr(cls, name, checked)
 
         def checked_step(params, grads, acc, cfg, t):
             accs.append(acc)
@@ -635,21 +668,20 @@ class TestTrainingDtype:
                 for p in tensors:
                     for v in (p or {}).values():
                         assert v.dtype == dtype
-            check_buffers(workspaces[0])
             return step(params, grads, acc, cfg, t)
 
+        for cls in nn._LAYER_TYPES.values():
+            spy(cls, "forward")
+            spy(cls, "backward")
         step = nn.rmsprop_step
-        monkeypatch.setattr(nn, "Workspace", Recording)
         monkeypatch.setattr(nn, "rmsprop_step", checked_step)
         x, labels = overfit_windows()
         model = nn.build_emotion_cnn(conv_filters=(4, 4, 4, 4), dense_units=8)
         nn.train(model, x, labels,
                  nn.TrainConfig(epochs=1, batch_size=4, dtype=dtype),
                  x_val=x, labels_val=labels)
-        assert len(workspaces) == 2                 # training, validation
-        check_buffers(workspaces[1])
-        assert {"xp", "cols", "out", "dxp", "tap", "dx", "drop", "drop_draws",
-                "ddrop"} <= set(seen)
+        assert seen == {(mode, kind) for mode in ("train", "val", "backward")
+                        for kind in nn._LAYER_TYPES}
         assert all(t.dtype == np.float64 for p in model.params if p is not None
                    for t in p.values())
         assert all(t.dtype == dtype for a in accs[-1] if a is not None
@@ -723,7 +755,7 @@ def full_row_forward(model, x, rng=None):
     default: the oracle for the cropped pass."""
     caches = []
     for spec, p in zip(model.specs, model.params):
-        x, cache = spec.forward(x, p, rng, nn._fresh, None)
+        x, cache = spec.forward(x, p, rng, None)
         caches.append(cache)
     return x, caches
 

@@ -49,6 +49,18 @@ class TestEventSchedule:
         for e in events:
             assert e.t_end - e.t_start == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("window", [0.7, 2.99999])
+    def test_t_start_from_sample_counts(self, trained_cnn,
+                                        stream_pipeline_cfg, window):
+        # the window classified is round(window * sr) samples long, so at
+        # 4 kHz and a 2,000-sample hop every start is a multiple of 0.5 s;
+        # end - window_seconds gave 1.7500000000000002 and 1e-05
+        events, _ = stream_infer(ten_second_clip(), trained_cnn,
+                                 stream_pipeline_cfg, StreamConfig(window, 0.5))
+        assert [e.t_start for e in events] == [0.5 * k for k in range(len(events))]
+        assert {round((e.t_end - e.t_start) * 4000) for e in events} == {
+            round(window * 4000)}
+
     def test_short_clip_no_events(self, trained_cnn, stream_pipeline_cfg):
         clip = audio_io.synth_tone(300, 1.0, 4000)
         events, _ = stream_infer(clip, trained_cnn, stream_pipeline_cfg,

@@ -179,6 +179,13 @@ class TestTrainBinary:
                 train_binary(X, np.where(labels == 0, 1.0, -1.0),
                              KernelSpec(kind=kind))
 
+    @pytest.mark.parametrize("n_labels", [11, 13])
+    def test_label_count_mismatch_rejected(self, n_labels):
+        X = np.random.default_rng(1).normal(size=(12, 3))
+        with pytest.raises(DataError, match=f"{n_labels} labels for 12 windows"):
+            svm.train_multiclass(X, np.arange(n_labels) % 2,
+                                 KernelSpec(kind="linear"))
+
     def test_duplicated_points_per_class(self):
         # classes made of duplicated points train to 100% with rbf, C=10
         X = np.repeat(np.array([[0.0, 0.0], [1.0, 1.0]]), 10, axis=0)

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .audio_io import AudioClip
 from .container import read_model, write_model
@@ -132,19 +133,23 @@ def _sum_sq_dev(x, mu, buf):
     return np.add.reduce(np.multiply(d, d, out=d))
 
 
-def extract_clip(clip: AudioClip, cfgs) -> list[FeatureWindow]:
+def extract_clip(clip: AudioClip, cfgs, stats=None) -> list[FeatureWindow]:
     """The window of each config in cfgs, which must share target_length and
     frame_length; bit-identical to normalize_loudness, then
     truncating or padding the whole clip, then dsp.mfcc, but only frames that
     hold a clip sample are built, z-scored and transformed, once for all; the
-    mel GEMM takes every frame dsp.stft makes (BLAS bits follow row counts)."""
+    mel GEMM takes every frame dsp.stft makes (BLAS bits follow row counts).
+    stats is the clip's (mean, std) from a caller that has them (a stream's
+    segments); without it they are x.mean() and x.std(), computed here."""
     shared = {(c.target_length, c.frame_length) for c in cfgs}
     if len(shared) != 1:
         raise ConfigError("configs of one clip must share target_length and "
                           f"frame_length; got {shared or 'none'}")
     cfg, x = cfgs[0], clip.samples
-    mu = x.mean()   # sigma is x.std(), without computing the mean again
-    sigma = np.sqrt(_sum_sq_dev(x, mu, np.empty(min(len(x), 1 << 14))) / len(x))
+    if stats is None:   # sigma is x.std(), without computing the mean again
+        mu = x.mean()
+        stats = mu, np.sqrt(_sum_sq_dev(x, mu, np.empty(min(len(x), 1 << 14))) / len(x))
+    mu, sigma = stats
     if sigma < 1e-12:   # a constant clip z-scores to silence
         return [_silent(c) for c in cfgs]
     fl, hop = cfg.frame_length, cfg.hop_length
@@ -156,7 +161,16 @@ def extract_clip(clip: AudioClip, cfgs) -> list[FeatureWindow]:
     starts = range(offset, offset + cfg.target_length - fl + 1, hop)
     live = [s for s in starts if s < hi and lo < s + fl]   # hold clip samples
     frames = np.zeros((len(live), next_pow2(fl)))
-    for row, start in zip(frames, live):
+    # frames i0 .. i1-1 lie wholly inside the clip: one strided view of x
+    i0 = sum(s < lo for s in live)
+    i1 = max(i0, sum(s + fl <= hi for s in live))
+    if i1 > i0:
+        st = x.strides[0]
+        np.subtract(as_strided(x[live[i0]:], (i1 - i0, fl), (hop * st, st)), mu,
+                    out=frames[i0:i1, :fl])
+        frames[i0:i1, :fl] /= sigma
+    for i in [*range(i0), *range(i1, len(live))]:   # the frames at the edges
+        start, row = live[i], frames[i]
         a, b = max(start, lo), min(start + fl, hi)
         np.subtract(x[a:b], mu, out=row[a - start : b - start])
         row[a - start : b - start] /= sigma
@@ -166,9 +180,12 @@ def extract_clip(clip: AudioClip, cfgs) -> list[FeatureWindow]:
         return [_silent(c) for c in cfgs]
     frames[:, :fl] *= hann_window(fl)
     # padding-only rows stay +0.0; column-major, as frame_magnitudes returns
-    magnitudes = np.zeros((len(starts), fl // 2 + 1), order="F")
-    if live:
-        magnitudes[starts.index(live[0]):][:len(live)] = frame_magnitudes(frames, fl)
+    if len(live) == len(starts):
+        magnitudes = frame_magnitudes(frames, fl)
+    else:
+        magnitudes = np.zeros((len(starts), fl // 2 + 1), order="F")
+        if live:
+            magnitudes[starts.index(live[0]):][:len(live)] = frame_magnitudes(frames, fl)
     out = []
     for c in cfgs:   # each at the GEMM shapes it has alone, which keeps the bits
         try:
@@ -185,9 +202,9 @@ def extract_clip(clip: AudioClip, cfgs) -> list[FeatureWindow]:
     return out
 
 
-def extract_window(clip: AudioClip, cfg: PipelineConfig) -> FeatureWindow:
+def extract_window(clip: AudioClip, cfg: PipelineConfig, stats=None) -> FeatureWindow:
     """The full per-clip pipeline for one config: extract_clip of [cfg]."""
-    return extract_clip(clip, (cfg,))[0]
+    return extract_clip(clip, (cfg,), stats)[0]
 
 
 def flatten(window: FeatureWindow) -> np.ndarray:

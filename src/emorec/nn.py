@@ -1,11 +1,11 @@
 """Minimal CNN engine: forward, backward, RMSProp, and the 13x26 emotion model.
 
 Tensors are numpy arrays in NHWC layout.  A pass computes in the dtype of the
-parameters.  `train()` runs in `TrainConfig.dtype`, float32 by default, with
-float64 kept as the API-only oracle, and leaves float64 parameters holding
-the values a float32 checkpoint stores, so inference on a trained or a loaded
-model runs in float64.  The softmax and the loss always run in float64, and
-dropout draws float64 uniforms, so both dtypes see the same masks.
+parameters, so a CNN runs in the dtype it was trained in: `train()` runs in,
+and leaves the parameters in, `TrainConfig.dtype` (float32 by default; float64
+is the API-only oracle), and `load_cnn` gives a checkpoint's float32 values.
+The softmax and the loss always run in float64, and dropout draws float64
+uniforms, so both dtypes see the same masks.
 
 The layer set is fixed: 3x3 convolutions (same or valid padding), 2x2 max
 pooling, inverted dropout, flatten, dense, with ReLU hidden activations and a
@@ -41,17 +41,13 @@ activations at a time.
 
 Determinism: weight init, shuffling and dropout all draw from seeded PCG64
 generators in a fixed single-threaded order, so identical seeds reproduce
-identical training histories bit for bit, in either dtype.  Computing fewer
-rows changes GEMM row counts, which can change a last bit, so results moved
-at the rounding level against versions that computed every row (~1e-16 in
-float64, ~1e-7 in float32 parameters), while a seed still reproduces itself
-bit for bit.  A pass is in
+identical training histories bit for bit, in either dtype.  A pass is in
 train mode exactly when given a generator, so two seeded alike give bit-equal
 passes (`gradient_check` seeds one per loss evaluation).  The block size of
 `predict_proba` is a GEMM row count, and a BLAS may round the last bit
 differently for another row count, so it is a constant: predictions are
-reproducible bit for bit, and agree to ~1e-16 with a pass over any other
-number of windows.
+reproducible bit for bit, and agree to the dtype's rounding with a pass over
+any other number of windows.
 """
 
 from __future__ import annotations
@@ -61,6 +57,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .container import ByType, read_model, write_model
 from .dataset import N_CLASSES
@@ -297,10 +294,10 @@ def conv2d_forward(x, W, b, padding="same", rows=None):
         if not 0 < rows <= ho:
             raise ValueError(f"cannot compute {rows} of {ho} output rows")
         ho = rows
-    win = np.lib.stride_tricks.sliding_window_view(xp[:, :ho + k - 1], (k, k),
-                                                   axis=(1, 2))
+    s0, s1, s2, s3 = xp.strides   # each output pixel's k x k x cin patch
+    win = as_strided(xp, (n, ho, wo, k, k, cin), (s0, s1, s2, s1, s2, s3))
     cols = np.empty((n * ho * wo, k * k * cin), x.dtype)
-    np.copyto(cols.reshape(n, ho, wo, k, k, cin), win.transpose(0, 1, 2, 4, 5, 3))
+    np.copyto(cols.reshape(n, ho, wo, k, k, cin), win)
     out = np.empty((n, ho, wo, W.shape[3]), x.dtype)
     np.matmul(cols, W.reshape(k * k * cin, -1), out=out.reshape(n * ho * wo, -1))
     out += b
@@ -450,6 +447,8 @@ def cross_entropy_loss(probs, labels):
     """
     probs = np.asarray(probs)
     labels = np.asarray(labels, dtype=np.int64)
+    if len(labels) == 0:
+        raise DataError("cross-entropy of zero windows")
     n_classes = probs.shape[1]
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"label outside 0..{n_classes - 1}")
@@ -713,13 +712,6 @@ def rmsprop_step(params, grads, acc, cfg: TrainConfig, t: int):
             p[key] -= step
 
 
-def _cast(tensors, dtype):
-    """Per-layer tensor dicts in dtype; a tensor already in it is kept."""
-    return [None if p is None else {k: v.astype(dtype, copy=False)
-                                    for k, v in p.items()}
-            for p in tensors]
-
-
 @dataclass
 class EpochStats:
     epoch: int
@@ -735,7 +727,9 @@ def _check_labels(x, labels):
 
 
 def evaluate(model: CnnModel, x, labels):
-    """(mean cross-entropy, accuracy) in infer mode."""
+    """(mean cross-entropy, accuracy) in infer mode; no windows: DataError."""
+    if len(x) == 0:
+        raise DataError("no windows to evaluate")
     _check_labels(x, labels)
     probs = predict_proba(model, x)
     loss = cross_entropy_loss(probs, labels)
@@ -753,9 +747,8 @@ def train(model: CnnModel, x, labels, cfg: TrainConfig,
 
     The loop runs in cfg.dtype: the parameters, the RMSProp accumulators
     (zeros at the start of every call) and every pass, validation included,
-    are in it.  The parameters are cast back to float64 on the way out, so a
-    float32 run leaves exactly the values `save_cnn` then `load_cnn` would
-    give.
+    are in it, and the parameters stay in it: a float32 run leaves exactly
+    the arrays `save_cnn` then `load_cnn` would give.
     """
     dtype = np.dtype(cfg.dtype)
     x = np.asarray(x, dtype=dtype)
@@ -765,7 +758,9 @@ def train(model: CnnModel, x, labels, cfg: TrainConfig,
     _check_labels(x, labels)
     if x_val is not None:
         _check_labels(x_val, labels_val)
-    model.params = _cast(model.params, dtype)
+    model.params = [None if p is None else {k: v.astype(dtype, copy=False)
+                                            for k, v in p.items()}
+                    for p in model.params]
     acc = [None if p is None else {k: np.zeros_like(v) for k, v in p.items()}
            for p in model.params]
     rng = np.random.default_rng(cfg.seed)
@@ -796,7 +791,6 @@ def train(model: CnnModel, x, labels, cfg: TrainConfig,
             if val_loss is not None:
                 msg += f" val_loss {val_loss:.4f} val_acc {val_acc:.4f}"
             print(msg)
-    model.params = _cast(model.params, np.float64)
     return history
 
 
@@ -885,8 +879,8 @@ _HEADER = {
 
 
 def load_cnn(path) -> CnnModel:
-    """Read a checkpoint; its float32 parameters come back as float64 arrays,
-    cast once here so that no forward pass casts them again."""
+    """Read a checkpoint; its parameters come back as the float32 arrays it
+    stores, so a pass over the loaded model runs in float32."""
     meta, r = read_model(path, CNN_MAGIC, CNN_VERSION, "CNN checkpoint", _HEADER)
     input_shape = tuple(meta["input_shape"])
     try:   # values a layer refuses, or an input shape it cannot take
@@ -900,7 +894,7 @@ def load_cnn(path) -> CnnModel:
         raise FormatError("CNN checkpoint tensor shapes do not match its layers")
     params = []
     for i, shapes in enumerate(layers):
-        p = {key: r.array("<f4", shape, f"layer {i} {key}")
+        p = {key: r.array("<f4", shape, f"layer {i} {key}").astype(np.float32)
              for key, shape in shapes.items()}
         params.append(p or None)
     r.expect_end()

@@ -8,11 +8,18 @@ scores.  Event emission depends only on cumulative sample counts, so the same
 audio produces the same events regardless of chunking or processing speed; a
 slow consumer delays events, it never drops them.
 
-Latency is wall-clock per event, kept out of the events' CSV so that the
-events depend only on the audio and the model; the run summary reports
-p50/p95/max latency and the real-time factor (processing time / audio
-duration).  RTF < 1 means faster than real time; this artifact's service
-target is RTF < 0.25 on a desktop CPU.
+An event normalizes by its window's mean and std, combined (Chan, Golub &
+LeVeque, 1983) from the (count, mean, M2) of segments cut at every multiple of
+the hop and at the window length plus every multiple of the hop: sample
+counts, which chunking cannot move.  A segment is summed once, two passes at
+the event where it ends, so an event sums one hop, not its window.  A CNN
+runs in its parameters' dtype, float32 if loaded.
+
+Latency is wall-clock per event and cpu_ms its thread CPU time, both kept out
+of the events' CSV so that the events depend only on the audio and the model;
+the run summary reports p50/p95/max latency, p50 CPU time and the real-time
+factor (processing time / audio duration).  RTF < 1 means faster than real
+time; this artifact's service target is RTF < 0.25 on a desktop CPU.
 
 Samples are checked for finiteness once, at ``push``; the window classified is
 a view of the ring, with no copy and no second check.
@@ -61,6 +68,7 @@ class StreamEvent:
     probs: np.ndarray
     label: int
     latency_ms: float
+    cpu_ms: float
 
     def text_line(self, class_names=None) -> str:
         name = class_names[self.label] if class_names else str(self.label)
@@ -81,6 +89,7 @@ class StreamSummary:
     latency_p50_ms: float
     latency_p95_ms: float
     latency_max_ms: float
+    cpu_p50_ms: float
 
     @property
     def rtf(self) -> float:
@@ -91,7 +100,8 @@ class StreamSummary:
                 f"audio: {self.audio_seconds:.2f}s  processing: {self.processing_seconds:.3f}s  "
                 f"RTF: {self.rtf:.4f}\n"
                 f"latency ms: p50={self.latency_p50_ms:.2f} "
-                f"p95={self.latency_p95_ms:.2f} max={self.latency_max_ms:.2f}\n")
+                f"p95={self.latency_p95_ms:.2f} max={self.latency_max_ms:.2f}  "
+                f"cpu ms: p50={self.cpu_p50_ms:.2f}\n")
 
 
 class _RingBuffer:
@@ -149,22 +159,39 @@ class StreamingClassifier:
             raise ConfigError("window/hop shorter than one sample")
         self._ring = _RingBuffer(self.window_samples)
         self._next_trigger = self.window_samples
-        self.processing_seconds = 0.0
+        self._segments = []   # (start, count, mean, M2) of the window's segments
         self.latencies_ms: list[float] = []
+        self.cpu_ms: list[float] = []
+
+    def _window_stats(self, x):
+        """The window x's (mean, std), combined from its segments' triples."""
+        total, size, hop = self._ring.total, self.window_samples, self.hop_samples
+        start, done = total - size, total - hop if total > size else 0
+        # past the last event's end, the cuts at the window length plus a
+        # multiple of the hop are this event's end alone
+        cuts = sorted({*range(done - done % hop + hop, total, hop), total})
+        self._segments = [s for s in self._segments if s[0] >= start]
+        for a, b in zip([done] + cuts, cuts):
+            seg = x[a - start : b - start]
+            dev = seg - (mean := seg.mean())
+            self._segments.append((a, b - a, mean, dev @ dev))
+        _, n, means, m2 = np.array(self._segments).T
+        mu = n @ means / size
+        return mu, math.sqrt((m2.sum() + n @ np.square(means - mu)) / size)
 
     def _classify(self) -> StreamEvent:
-        t0 = time.perf_counter()
-        clip = AudioClip._of_finite(self._ring.window(), self.sample_rate)
-        window = features.extract_window(clip, self.pipeline_cfg)
+        t0, c0 = time.perf_counter(), time.thread_time()
+        x = self._ring.window()
+        clip = AudioClip._of_finite(x, self.sample_rate)
+        window = features.extract_window(clip, self.pipeline_cfg,
+                                         self._window_stats(x))
         probs = self.model.probabilities(window.matrix[None])[0]
-        elapsed = time.perf_counter() - t0
-        self.processing_seconds += elapsed
-        latency_ms = elapsed * 1000.0
-        self.latencies_ms.append(latency_ms)
+        self.latencies_ms.append((time.perf_counter() - t0) * 1e3)
+        self.cpu_ms.append((time.thread_time() - c0) * 1e3)
         total, sr = self._ring.total, self.sample_rate
         return StreamEvent(t_start=(total - self.window_samples) / sr,
-                           t_end=total / sr, probs=probs,
-                           label=int(np.argmax(probs)), latency_ms=latency_ms)
+                           t_end=total / sr, probs=probs, label=int(np.argmax(probs)),
+                           latency_ms=self.latencies_ms[-1], cpu_ms=self.cpu_ms[-1])
 
     def push(self, chunk) -> list[StreamEvent]:
         """Feed new samples; returns the events they complete, in time order.
@@ -188,10 +215,11 @@ class StreamingClassifier:
         return StreamSummary(
             n_events=len(self.latencies_ms),
             audio_seconds=self._ring.total / self.sample_rate,
-            processing_seconds=self.processing_seconds,
+            processing_seconds=sum(self.latencies_ms) / 1e3,
             latency_p50_ms=float(np.percentile(lat, 50)),
             latency_p95_ms=float(np.percentile(lat, 95)),
-            latency_max_ms=float(np.max(lat)))
+            latency_max_ms=float(np.max(lat)),
+            cpu_p50_ms=float(np.median(self.cpu_ms)) if self.cpu_ms else 0.0)
 
 
 def stream_infer(clip: AudioClip, model, pipeline_cfg: features.PipelineConfig,
@@ -222,6 +250,7 @@ def events_csv(events) -> str:
 
 
 def latency_csv(events) -> str:
-    """Each event's end time and wall-clock latency."""
-    return csv_text(["t_end", "latency_ms"],
-                    ([repr(e.t_end), repr(e.latency_ms)] for e in events))
+    """Each event's end time, wall-clock latency and thread CPU time."""
+    return csv_text(["t_end", "latency_ms", "cpu_ms"],
+                    ([repr(e.t_end), repr(e.latency_ms), repr(e.cpu_ms)]
+                     for e in events))

@@ -482,7 +482,7 @@ class TestStreamCmd:
         assert len(events) == 1 + 15
         assert events[0].endswith(",label")
         latency = (run / "stream_latency.csv").read_text().strip().splitlines()
-        assert latency[0] == "t_end,latency_ms" and len(latency) == 1 + 15
+        assert latency[0] == "t_end,latency_ms,cpu_ms" and len(latency) == 1 + 15
         assert (run / "artifacts.csv").read_text().splitlines()[1:] == [
             "stream_events.csv", "stream_latency.csv"]
 

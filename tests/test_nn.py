@@ -459,7 +459,7 @@ def cast_params(params, dtype):
 def train_matches_plain_loop(n, dtype):
     """`train()` against a plain loop of `loss_and_grads` and `rmsprop_step`,
     run in `dtype` on inputs and parameters cast to it: equal losses, and
-    equal parameters once cast back to float64."""
+    equal parameters, left in `dtype`."""
     specs = (nn.Conv2D(3, padding="same"), nn.Conv2D(3, padding="same"),
              nn.MaxPool2D(2), nn.DropoutSpec(0.3), nn.FlattenSpec(),
              nn.Dense(9, activation="relu"), nn.DropoutSpec(0.3),
@@ -490,12 +490,11 @@ def train_matches_plain_loop(n, dtype):
             t += 1
             losses.append(loss * len(sel))
         assert history[epoch].train_loss == float(np.sum(losses) / n)
-    plain.params = cast_params(plain.params, np.float64)
 
     for p, q in zip(model.params, plain.params):
         if p is not None:
             for key in p:
-                assert p[key].dtype == np.float64
+                assert p[key].dtype == np.dtype(dtype)
                 assert np.array_equal(p[key], q[key])
     assert np.array_equal(nn.predict_proba(model, x),
                           nn.predict_proba(plain, x))
@@ -523,6 +522,17 @@ class TestTraining:
         x, _ = overfit_windows()
         with pytest.raises(DataError, match=f"{n_labels} labels for 8 windows"):
             nn.evaluate(nn.build_emotion_cnn(seed=0), x, np.arange(n_labels) % 8)
+
+    def test_evaluate_zero_windows_rejected_before_a_pass(self, monkeypatch):
+        passes = []
+        monkeypatch.setattr(nn, "forward", lambda *a, **k: passes.append(a))
+        with pytest.raises(DataError, match="no windows"):
+            nn.evaluate(nn.build_emotion_cnn(), np.empty((0, 13, 26, 1)), [])
+        assert passes == []
+
+    def test_cross_entropy_of_zero_windows_rejected(self):
+        with pytest.raises(DataError, match="zero windows"):
+            nn.cross_entropy_loss(np.empty((0, 8)), [])
 
     def test_overfit_eight_windows(self):
         x, labels = overfit_windows()
@@ -682,7 +692,7 @@ class TestTrainingDtype:
                  x_val=x, labels_val=labels)
         assert seen == {(mode, kind) for mode in ("train", "val", "backward")
                         for kind in nn._LAYER_TYPES}
-        assert all(t.dtype == np.float64 for p in model.params if p is not None
+        assert all(t.dtype == dtype for p in model.params if p is not None
                    for t in p.values())
         assert all(t.dtype == dtype for a in accs[-1] if a is not None
                    for t in a.values())
@@ -824,6 +834,28 @@ class TestRowPlan:
         assert np.array_equal(probs.argmax(axis=1), want.argmax(axis=1))
 
 
+class TestFloat32Inference:
+    @pytest.mark.parametrize("seed,epochs", [(0, 30), (5, 2), (1, 200)])
+    def test_float32_pass_tracks_float64_oracle(self, seed, epochs):
+        # a trained or loaded CNN runs in float32; a float64 pass over the
+        # same parameter values is the oracle.  The largest probability
+        # difference measured over these three models and both inputs is
+        # 1.6e-7 (seed 1, random windows), and no argmax moved
+        x, labels = overfit_windows()
+        model = nn.build_emotion_cnn(seed=seed)
+        nn.train(model, x, labels,
+                 nn.TrainConfig(epochs=epochs, batch_size=8, seed=seed))
+        assert model.dtype == np.float32
+        oracle = nn.CnnModel(model.specs, model.input_shape,
+                             cast_params(model.params, np.float64), model.seed)
+        for windows in (x, np.random.default_rng(4).normal(
+                size=(64,) + model.input_shape)):
+            got = nn.predict_proba(model, windows)
+            want = nn.predict_proba(oracle, windows)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+            assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+
 class TestCheckpoint:
     def test_roundtrip_predictions(self, tmp_path):
         x, labels = overfit_windows()
@@ -838,22 +870,22 @@ class TestCheckpoint:
         back = nn.load_cnn(path)
         assert back.pipeline_config == record
         assert back.specs == model.specs
-        # float32 training leaves float64 parameters holding float32 values,
-        # which is what the checkpoint stores: the round trip is exact
+        # float32 training leaves float32 parameters, which is what the
+        # checkpoint stores: the round trip is exact
         for p, q in zip(model.params, back.params):
             if p is not None:
                 for key in p:
-                    assert p[key].dtype == q[key].dtype == np.float64
+                    assert p[key].dtype == q[key].dtype == np.float32
                     assert np.array_equal(p[key], q[key])
         assert np.array_equal(nn.predict_proba(model, x),
                               nn.predict_proba(back, x))
 
-    def test_loaded_params_are_float64_and_save_back_unchanged(self, tmp_path):
+    def test_loaded_params_are_float32_and_save_back_unchanged(self, tmp_path):
         model = nn.build_emotion_cnn(seed=5)
         path = tmp_path / "model.bin"
         nn.save_cnn(path, model)
         back = nn.load_cnn(path)
-        assert all(t.dtype == np.float64 for p in back.params if p is not None
+        assert all(t.dtype == np.float32 for p in back.params if p is not None
                    for t in p.values())
         again = tmp_path / "again.bin"
         nn.save_cnn(again, back)

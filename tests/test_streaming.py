@@ -121,6 +121,73 @@ class TestDeterminism:
             np.testing.assert_array_equal(e.probs, events[0].probs)
 
 
+class _Uniform:
+    """A 13 x 26 model whose every window scores 1/8 per class."""
+
+    window_size = 13 * 26
+
+    def probabilities(self, windows):
+        return np.full((len(windows), 8), 1 / 8)
+
+
+def windows_and_stats(monkeypatch, samples, rate, window, hop):
+    """Each event's window, the (mean, std) the stream gave it, and the
+    feature window built from them."""
+    seen = []
+    extract = features.extract_window
+
+    def spy(clip, cfg, stats=None):
+        out = extract(clip, cfg, stats)
+        seen.append((clip.samples.copy(), stats, out.matrix))
+        return out
+
+    monkeypatch.setattr(features, "extract_window", spy)
+    cfg = features.PipelineConfig(target_length=round(window * rate),
+                                  frame_length=256)
+    stream_infer(audio_io.AudioClip(samples, rate), _Uniform(), cfg,
+                 StreamConfig(window, hop))
+    return seen
+
+
+class TestSegmentStatistics:
+    @pytest.mark.parametrize("rate,window,hop,offset", [
+        (48000, 3.0, 0.5, 0.0),     # whole hops, the benchmark's geometry
+        (4000, 0.7, 0.15, 0.0),     # 2,800 samples are not whole 600s
+        (4000, 0.7, 0.15, 0.7),     # DC offset: std 1e-3 under a 0.7 mean
+        (48000, 3.0, 0.5, 0.7)])
+    def test_equal_to_whole_window_mean_and_std(self, monkeypatch, rate,
+                                                window, hop, offset):
+        noise = np.random.default_rng(3).normal(size=round(6.1 * rate))
+        samples = offset + (1e-3 if offset else 1.0) * noise
+        seen = windows_and_stats(monkeypatch, samples, rate, window, hop)
+        assert len(seen) == int((6.1 - window) / hop + 1e-9) + 1
+        for x, (mu, sigma), _ in seen:
+            assert len(x) == round(window * rate)
+            assert mu == pytest.approx(x.mean(), rel=1e-13)
+            assert sigma == pytest.approx(x.std(), rel=1e-13)
+
+    def test_constant_stream_gives_the_silent_window(self, monkeypatch):
+        seen = windows_and_stats(monkeypatch, np.full(20000, 0.7), 4000,
+                                 0.7, 0.15)
+        assert len(seen) == 29
+        for _, (mu, sigma), matrix in seen:
+            assert mu == pytest.approx(0.7, rel=1e-15) and sigma < 1e-12
+            assert not matrix.any()
+
+    def test_events_identical_for_any_chunking(self, trained_cnn,
+                                               stream_pipeline_cfg):
+        # 0.7 s is not a whole number of 0.15 s hops: the cuts at
+        # 2,800 + k * 600 samples fall inside hops
+        clip = ten_second_clip()
+        cfg = StreamConfig(0.7, 0.15)
+        runs = [stream_infer(clip, trained_cnn, stream_pipeline_cfg, cfg,
+                             chunk_size=size)[0]
+                for size in (1, 7, 4096, len(clip))]
+        assert len(runs[0]) == 63
+        for events in runs[1:]:
+            assert streaming.events_csv(events) == streaming.events_csv(runs[0])
+
+
 class TestEventContents:
     def test_probs_sum_to_one(self, trained_cnn, stream_pipeline_cfg):
         events, _ = stream_infer(ten_second_clip(), trained_cnn,
@@ -168,7 +235,7 @@ class TestEventContents:
         assert lines[0] == "t_start,t_end,p0,p1,p2,p3,p4,p5,p6,p7,label"
         assert len(lines) == 16
         latency = streaming.latency_csv(events).strip().split("\n")
-        assert latency[0] == "t_end,latency_ms" and len(latency) == 16
+        assert latency[0] == "t_end,latency_ms,cpu_ms" and len(latency) == 16
         assert [float(line.split(",")[0]) for line in latency[1:]] == \
             [e.t_end for e in events]
 
